@@ -10,7 +10,6 @@ from .gf import (
     EnumerationCapError,
     F2,
     F3,
-    Flag,
     Matrix,
     PrimeField,
     Subspace,

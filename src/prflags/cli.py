@@ -43,6 +43,13 @@ def _fraction(text):
         raise UsageError("expected a rational like 3/2, got %r" % text)
 
 
+def _field(args):
+    try:
+        return PrimeField(args.p)
+    except ValueError as err:
+        raise UsageError("--p: %s" % err)
+
+
 def _enum_cap():
     cap = os.environ.get("PRFLAGS_ENUM_CAP")
     return int(cap) if cap else DEFAULT_ENUM_CAP
@@ -103,7 +110,7 @@ def _jordan(args):
 
 
 def cmd_pr(args):
-    field = PrimeField(args.p)
+    field = _field(args)
     J = _jordan(args)
     if args.action == "hdg":
         _emit(_polygon_json(J.hodge_polygon()))
@@ -139,13 +146,20 @@ def _point(args):
     )
 
 
-def cmd_e3(args):
-    field = PrimeField(args.p)
-    if args.action == "enum":
+def _points(args):
+    """The admissible points for --h/--mu, or the polarized ones for --polarized."""
+    try:
         if args.polarized is not None:
-            pts = e3mod.enum_Ypol(args.polarized)
-        else:
-            pts = e3mod.enum_Yadm(args.h, _ints(args.mu))
+            return e3mod.enum_Ypol(args.polarized)
+        return e3mod.enum_Yadm(args.h, _ints(args.mu))
+    except ValueError as err:
+        raise UsageError(str(err))
+
+
+def cmd_e3(args):
+    field = _field(args)
+    if args.action == "enum":
+        pts = _points(args)
         if args.format == "csv":
             _emit("delta1,delta2,delta3,alpha1,alpha2,beta1,beta2")
             for p in pts:
@@ -179,10 +193,7 @@ def cmd_e3(args):
 
 
 def cmd_strat(args):
-    if args.polarized is not None:
-        pts = e3mod.enum_Ypol(args.polarized)
-    else:
-        pts = e3mod.enum_Yadm(args.h, _ints(args.mu))
+    pts = _points(args)
     if not pts:
         _emit("empty stratification")
         return 1
@@ -202,7 +213,7 @@ def cmd_strat(args):
 
 
 def cmd_lift(args):
-    field = PrimeField(args.p)
+    field = _field(args)
     if args.action == "demo":
         pts = e3mod.enum_Yadm(2, (1, 1, 1))
         y_from = next(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import Matrix, Subspace, preimage
+from .gf import Matrix, Subspace, preimage, rref
 from .polygon import Polygon
 from .pr import PRDatum, PRError, pr_all_data, subspace_in_flag, validate_pr
 from .tmodule import (
@@ -302,10 +302,6 @@ def aut_generators(J, field):
     return gens
 
 
-def _map_space(g, S):
-    return Subspace(S.field, S.n, [g.apply(r) for r in S.rows])
-
-
 @dataclass(frozen=True)
 class IsoClasses:
     """Oracle output: one representative PR datum per isomorphism class."""
@@ -366,11 +362,12 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
             orbit = {key}
             frontier = [key]
             while frontier:
-                cur = frontier.pop()
-                S1 = Subspace(field, M.dim, cur[0], _canonical=True)
-                S2 = Subspace(field, M.dim, cur[1], _canonical=True)
+                r1, r2 = frontier.pop()
                 for g in gens:
-                    nxt = (_map_space(g, S1).rows, _map_space(g, S2).rows)
+                    nxt = (
+                        rref(field, [g.apply(r) for r in r1])[1],
+                        rref(field, [g.apply(r) for r in r2])[1],
+                    )
                     if nxt not in orbit:
                         orbit.add(nxt)
                         frontier.append(nxt)

@@ -140,7 +140,26 @@ def rref(field, rows):
 
     Returns (pivots, rows) with rows sorted by pivot column; the result
     is the canonical basis of the row space, independent of input order.
+    Over F_2 the rows are int bitmasks and elimination is plain XOR.
     """
+    if field.p == 2:
+        basis = {}  # lowest set bit of a basis row -> the row, kept fully reduced
+        for row in rows:
+            for low, b in basis.items():
+                if row & low:
+                    row ^= b
+            if not row:
+                continue
+            low = row & -row
+            for q, b in basis.items():
+                if b & low:
+                    basis[q] = b ^ row
+            basis[low] = row
+        ordered = sorted(basis.items())
+        return (
+            tuple(low.bit_length() - 1 for low, _ in ordered),
+            tuple(r for _, r in ordered),
+        )
     basis = []  # (pivot, row), sorted by pivot
     for row in rows:
         for piv, b in basis:
@@ -187,10 +206,6 @@ class Subspace:
     @classmethod
     def span(cls, field, n, coord_rows):
         return cls(field, n, [field.pack(r) for r in coord_rows])
-
-    @classmethod
-    def span_packed(cls, field, n, packed_rows):
-        return cls(field, n, packed_rows)
 
     @classmethod
     def zero(cls, field, n):
@@ -271,15 +286,11 @@ class Subspace:
         ext = [f.row_join(r, r, n) for r in self.rows]
         ext += [f.row_join(r, f.zero_row(n), n) for r in other.rows]
         _, red = rref(f, ext)
-        zero = f.zero_row(n)
         out = []
         for row in red:
             left, right = f.row_split(row, n)
             if f.row_is_zero(left) and not f.row_is_zero(right):
                 out.append(right)
-        if f.p != 2:
-            out = [bytes(r) for r in out]
-            zero = bytes(zero)
         return Subspace(f, n, out)
 
     def complement_in(self, other):
@@ -319,13 +330,14 @@ class Subspace:
 class Matrix:
     """A matrix over a prime field, stored as packed rows."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_cols")
 
     def __init__(self, field, nrows, ncols, packed_rows):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", tuple(packed_rows))
+        object.__setattr__(self, "_cols", None)  # F_2 column images, made on first apply
         if len(self.rows) != nrows:
             raise ValueError("row count mismatch")
 
@@ -357,10 +369,18 @@ class Matrix:
         """Matrix-vector product; vec is packed of length ncols."""
         f = self.field
         if f.p == 2:
+            cols = self._cols
+            if cols is None:
+                cols = tuple(
+                    sum(1 << i for i, r in enumerate(self.rows) if r >> j & 1)
+                    for j in range(self.ncols)
+                )
+                object.__setattr__(self, "_cols", cols)
             out = 0
-            for i, r in enumerate(self.rows):
-                if (r & vec).bit_count() & 1:
-                    out |= 1 << i
+            while vec:
+                low = vec & -vec
+                out ^= cols[low.bit_length() - 1]
+                vec ^= low
             return out
         return bytes(
             sum(x * y for x, y in zip(r, vec)) % f.p for r in self.rows
@@ -458,36 +478,6 @@ class Matrix:
         return "Matrix(F%d, %dx%d)" % (self.field.p, self.nrows, self.ncols)
 
 
-class Flag:
-    """A nested chain of subspaces F_0 <= F_1 <= ... <= F_l in one ambient."""
-
-    __slots__ = ("spaces",)
-
-    def __init__(self, spaces):
-        spaces = tuple(spaces)
-        if not spaces:
-            raise ValueError("empty flag")
-        for a, b in zip(spaces, spaces[1:]):
-            if not b.contains(a):
-                raise AmbientMismatchError("flag members are not nested")
-        object.__setattr__(self, "spaces", spaces)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Flag is immutable")
-
-    def __len__(self):
-        return len(self.spaces)
-
-    def __getitem__(self, i):
-        return self.spaces[i]
-
-    def __iter__(self):
-        return iter(self.spaces)
-
-    def dims(self):
-        return tuple(s.dim for s in self.spaces)
-
-
 # operator-vs-subspace operations ----------------------------------------
 
 
@@ -518,10 +508,6 @@ def quotient_dim(A, B):
     if not A.contains(B):
         raise AmbientMismatchError("quotient_dim requires B <= A")
     return A.dim - B.dim
-
-
-def map_subspace(T, W):
-    return image(T, W)
 
 
 def _check_op(T, W):

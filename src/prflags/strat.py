@@ -84,16 +84,6 @@ class StrataPoset:
         edges.sort(key=lambda e: (e[0].sort_key(), e[1].sort_key()))
         return edges
 
-    def comparable_pairs(self):
-        """All ordered pairs (lower, upper) with lower < upper."""
-        n = len(self.points)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and self._le[i][j]:
-                    out.append((self.points[i], self.points[j]))
-        return out
-
 
 def _label(p):
     return "(%s)|(%s)|(%s)" % (

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from prflags.cli import main
 
 
@@ -159,6 +161,22 @@ def test_lift_verify(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["polygon", "frobnicate", "--h", "2"]) == 2
     assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pr", "exists", "--parts", "2,1", "--mu", "2,1", "--p", "4"],
+        ["e3", "enum", "--h", "3", "--mu", "1,2,1"],
+        ["e3", "enum", "--polarized", "-1"],
+    ],
+    ids=["non-prime-p", "unsorted-mu", "negative-genus"],
+)
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert "Traceback" not in err
 
 
 def test_cli_output_is_stable(capsys):

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prflags.gf import (
     F2,
@@ -18,6 +18,7 @@ from prflags.gf import (
     image,
     preimage,
     quotient_dim,
+    rref,
     subspaces_between,
 )
 
@@ -196,3 +197,83 @@ def test_matrix_inverse_mul_kernel():
     assert ker.dim == 2
     for v in ker.vectors():
         assert F2.row_is_zero(K.apply(v))
+
+
+def reference_rref(coord_rows, n):
+    """Gauss-Jordan over F_2 on coordinate lists; pivot = first nonzero column."""
+    m = [list(r) for r in coord_rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [(x + y) % 2 for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return tuple(pivots), tuple(tuple(row) for row in m[: len(pivots)])
+
+
+@st.composite
+def f2_matrices(draw):
+    """(ncols, coordinate rows): random rows with zero and duplicate rows mixed
+    in, or a permuted unit upper-triangular square matrix (full rank)."""
+    n = draw(st.integers(1, 10))
+    bit = st.integers(0, 1)
+    if draw(st.booleans()):
+        rows = [
+            [0] * i + [1] + [draw(bit) for _ in range(n - i - 1)] for i in range(n)
+        ]
+        return n, draw(st.permutations(rows))
+    rows = draw(st.lists(st.lists(bit, min_size=n, max_size=n), max_size=12))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return n, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_matrices(), st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=8))
+@example((4, []), list(range(16)))
+@example((3, [[0, 0, 0], [1, 1, 0], [1, 1, 0]]), list(range(8)))
+def test_f2_kernel_matches_coordinate_gauss_jordan(mat, masks):
+    n, coords = mat
+    pivots, ref_rows = reference_rref(coords, n)
+    packed = [F2.pack(r) for r in coords]
+
+    got_pivots, got_rows = rref(F2, packed)
+    assert got_pivots == pivots
+    assert tuple(F2.unpack(r, n) for r in got_rows) == ref_rows
+    assert rref(F2, packed[::-1]) == (got_pivots, got_rows)
+
+    A = Matrix.from_rows(F2, coords, n)
+    assert A.rank() == len(pivots)
+    for mask in masks:
+        v = F2.unpack(mask & ((1 << n) - 1), n)
+        want = tuple(sum(a * b for a, b in zip(row, v)) % 2 for row in coords)
+        assert F2.unpack(A.apply(F2.pack(v)), len(coords)) == want
+
+    free = [j for j in range(n) if j not in pivots]
+    ref_kernel = []
+    for j in free:
+        v = [0] * n
+        v[j] = 1
+        for piv, row in zip(pivots, ref_rows):
+            v[piv] = row[j]
+        ref_kernel.append(v)
+    assert A.kernel() == Subspace.span(F2, n, ref_kernel)
+    assert A.kernel().dim == n - len(pivots)
+
+    if len(coords) == n:
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(coords)]
+        aug_pivots, aug_rows = reference_rref(aug, 2 * n)
+        if aug_pivots[:n] == tuple(range(n)):
+            inv = A.inverse()
+            assert inv.coord_rows() == tuple(row[n:] for row in aug_rows[:n])
+            assert A.mul(inv) == Matrix.identity(F2, n)
+        else:
+            with pytest.raises(ValueError):
+                A.inverse()

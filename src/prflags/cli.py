@@ -20,7 +20,7 @@ from .polygon import Polygon, PolygonError
 from .tmodule import JordanType, realize
 from . import pr as prmod
 from . import e3 as e3mod
-from .strat import StrataPoset, export_dot, export_json
+from .strat import PosetError, StrataPoset, export_dot, export_json
 from . import lift as liftmod
 from . import verify as verifymod
 
@@ -141,9 +141,12 @@ def cmd_pr(args):
 
 
 def _point(args):
-    return e3mod.StrataPoint(
-        args.h, _ints(args.mu), _ints(args.delta), _ints(args.alpha), _ints(args.beta)
-    )
+    try:
+        return e3mod.StrataPoint(
+            args.h, _ints(args.mu), _ints(args.delta), _ints(args.alpha), _ints(args.beta)
+        )
+    except ValueError as err:
+        raise UsageError(str(err))
 
 
 def _points(args):
@@ -336,7 +339,7 @@ def main(argv=None):
         sys.stderr.write("usage error: %s\n" % err)
         parser.print_usage(sys.stderr)
         return 2
-    except (PolygonError, prmod.PRError, e3mod.AdmissibilityError,
+    except (PolygonError, prmod.PRError, e3mod.AdmissibilityError, PosetError,
             liftmod.StratOrderError, liftmod.LiftInfeasibleError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 1

@@ -24,6 +24,7 @@ from .tmodule import (
     ConcreteModule,
     JordanType,
     delta_vector,
+    partitions,
     power_image,
     realize,
     restrict_module,
@@ -310,20 +311,6 @@ class IsoClasses:
     classes: tuple  # of (JordanType, PRDatum, StrataPoint)
 
 
-def _jordan_types(e, total, max_blocks):
-    def gen(total, mx, slots):
-        if total == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for a in range(min(total, mx), 0, -1):
-            for rest in gen(total - a, a, slots - 1):
-                yield (a,) + rest
-
-    yield from gen(total, e, max_blocks)
-
-
 def iso_classes_oracle(h, mu, field, max_total_dim=5):
     """Isomorphism classes of PR-filtered modules of type mu, by brute force.
 
@@ -346,7 +333,7 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
         D = PRDatum(M, (zero, zero, zero, zero))
         pt = StrataPoint(h, mu, (0, 0, 0), (0, 0), (0, 0))
         return IsoClasses(1, ((JordanType(3, (0,) * max(h, 1)), D, pt),))
-    for parts in sorted(_jordan_types(3, total, h), reverse=True):
+    for parts in partitions(total, 3, h):
         J = JordanType(3, parts + (0,) * (h - len(parts)))
         M = realize(J, field)
         flags = [(D.flag[1].rows, D.flag[2].rows, D) for D in pr_all_data(M, mu)]

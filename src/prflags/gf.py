@@ -241,17 +241,14 @@ class Subspace:
         return all(self.contains_row(r) for r in other.rows)
 
     def coordinates_of(self, row):
-        """Coefficients of a vector over the canonical basis."""
-        f = self.field
-        coeffs = []
-        for piv, b in zip(self.pivots, self.rows):
-            c = f.row_get(row, piv)
-            coeffs.append(c)
-            if c:
-                row = f.row_sub(row, f.row_scale(b, c))
-        if not f.row_is_zero(row):
+        """Coefficients of a vector over the canonical basis.
+
+        The basis is reduced, so the coefficient of each basis row is the
+        vector's entry at that row's pivot column.
+        """
+        if not self.contains_row(row):
             raise ValueError("vector not in subspace")
-        return tuple(coeffs)
+        return tuple(self.field.row_get(row, piv) for piv in self.pivots)
 
     def basis_coords(self):
         return tuple(self.field.unpack(r, self.n) for r in self.rows)
@@ -285,13 +282,7 @@ class Subspace:
         f, n = self.field, self.n
         ext = [f.row_join(r, r, n) for r in self.rows]
         ext += [f.row_join(r, f.zero_row(n), n) for r in other.rows]
-        _, red = rref(f, ext)
-        out = []
-        for row in red:
-            left, right = f.row_split(row, n)
-            if f.row_is_zero(left) and not f.row_is_zero(right):
-                out.append(right)
-        return Subspace(f, n, out)
+        return _right_block(f, n, ext)
 
     def complement_in(self, other):
         """Packed vectors extending this basis to a basis of `other`."""
@@ -435,9 +426,6 @@ class Matrix:
         _, rows = rref(self.field, self.rows)
         return len(rows)
 
-    def row_space(self):
-        return Subspace(self.field, self.ncols, self.rows)
-
     def kernel(self):
         """Subspace {v : A v = 0}."""
         f = self.field
@@ -488,19 +476,33 @@ def image(T, W):
 
 
 def preimage(T, W):
-    """Preimage {v : T v in W} of a subspace under an operator."""
+    """Preimage {v : T v in W} of a subspace under an operator.
+
+    With r the (linear) residue map modulo W, the rows [r(T e_j) | e_j]
+    span {(r(T v), v)}; its vectors with zero left half are exactly the
+    (0, v) with T v in W.
+    """
     _check_op(T, W)
     f, n = W.field, W.n
     if W.dim == n:
         return Subspace.full(f, n)
-    pivot_set = set(W.pivots)
-    checks = [q for q in range(n) if q not in pivot_set]
-    cols = []
-    for j in range(n):
-        res = W.reduce_row(T.apply(f.unit_row(n, j)))
-        cols.append(f.unpack(res, n))
-    constraint = Matrix.from_rows(f, [[cols[j][q] for j in range(n)] for q in checks], n)
-    return constraint.kernel()
+    ext = [
+        f.row_join(W.reduce_row(T.apply(f.unit_row(n, j))), f.unit_row(n, j), n)
+        for j in range(n)
+    ]
+    return _right_block(f, n, ext)
+
+
+def _right_block(f, n, joined_rows):
+    """The subspace {v : (0 | v) in the span of the joined rows} of F_p^n.
+
+    In the reduced echelon basis of the span the rows with zero left half
+    come last and span that intersection; their right halves are already
+    the reduced echelon basis of the answer.
+    """
+    pivots, rows = rref(f, joined_rows)
+    right = [f.row_split(r, n)[1] for piv, r in zip(pivots, rows) if piv >= n]
+    return Subspace(f, n, right, _canonical=True)
 
 
 def quotient_dim(A, B):

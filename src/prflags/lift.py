@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf import Matrix, Subspace
+from .gf import Matrix, Subspace, preimage, subspaces_between
 from .e3 import StrataPoint, in_Ypol, normal_form
 from .strat import leq
 from .tmodule import jordan_type
@@ -240,62 +240,49 @@ def poly_bilinear(u, w, pairing):
     return acc
 
 
-def generic_rank(pm):
-    """Rank over F_p(X), by fraction-free elimination."""
-    p = pm.field.p
-    rows = [list(r) for r in pm.rows]
+def _fraction_free(p, rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over F_p[X], rows edited in place.
+
+    Each pivot is a shortest nonzero entry of its column; after every
+    elimination step the row's content is divided out to keep degrees
+    down.  Returns the (row, column) pivots; their number is the rank
+    over F_p(X).
+    """
     m = len(rows)
-    rank = 0
-    for col in range(pm.ncols):
+    pivots = []
+    r = 0
+    for col in range(ncols):
         piv = None
-        for i in range(rank, m):
-            if rows[i][col] and (
-                piv is None or len(rows[i][col]) < len(rows[piv][col])
-            ):
+        for i in range(r, m):
+            if rows[i][col] and (piv is None or len(rows[i][col]) < len(rows[piv][col])):
                 piv = i
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
         for i in range(m):
-            if i == rank or not rows[i][col]:
+            if i == r or not rows[i][col]:
                 continue
             c = rows[i][col]
             rows[i] = [
-                psub(pmul(pv, x, p), pmul(c, y, p), p)
-                for x, y in zip(rows[i], rows[rank])
+                psub(pmul(pv, x, p), pmul(c, y, p), p) for x, y in zip(rows[i], rows[r])
             ]
             rows[i] = list(_strip_content(rows[i], p))
-        rank += 1
-    return rank
+        pivots.append((r, col))
+        r += 1
+    return pivots
+
+
+def generic_rank(pm):
+    """Rank over F_p(X), by fraction-free elimination."""
+    return len(_fraction_free(pm.field.p, [list(r) for r in pm.rows], pm.ncols))
 
 
 def poly_right_kernel(field, rows, ncols):
     """Polynomial spanning set of {u : A u = 0} over F_p(X)."""
     p = field.p
     A = [[pnorm(e) for e in r] for r in rows]
-    m = len(A)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if A[i][col] and (piv is None or len(A[i][col]) < len(A[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        pv = A[r][col]
-        for i in range(m):
-            if i == r or not A[i][col]:
-                continue
-            c = A[i][col]
-            A[i] = [
-                psub(pmul(pv, x, p), pmul(c, y, p), p) for x, y in zip(A[i], A[r])
-            ]
-            A[i] = list(_strip_content(A[i], p))
-        pivots.append((r, col))
-        r += 1
+    pivots = _fraction_free(p, A, ncols)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for f in range(ncols):
@@ -657,7 +644,7 @@ def _lift_const_row(field, module, target_packed):
     """A module element with constant coefficients reducing to the target."""
     n = module.n
     fiber_rows = [field.pack(tuple(peval0(e) for e in r)) for r in module.basis]
-    coeffs = _express(field, fiber_rows, target_packed)
+    coeffs = _express(field, n, fiber_rows, target_packed)
     if coeffs is None:
         return None
     p = field.p
@@ -669,37 +656,22 @@ def _lift_const_row(field, module, target_packed):
     return tuple(out)
 
 
-def _express(field, rows, target):
-    """Coefficients writing target as a combination of the given packed rows."""
-    ech = []  # (pivot, row, comb), sorted by pivot
+def _express(field, n, rows, target):
+    """Coefficients writing a packed target of F_p^n as a combination of the
+    packed rows, or None when it lies outside their span.
+
+    Reducing [target | 0] against the span of the rows [r_i | e_i] leaves
+    [target - sum c_i r_i | -c] with a zero left half exactly when the
+    target is in the span.
+    """
     m = len(rows)
-    for idx, row in enumerate(rows):
-        comb = [0] * m
-        comb[idx] = 1
-        for piv, b, bc in ech:
-            c = field.row_get(row, piv)
-            if c:
-                row = field.row_sub(row, field.row_scale(b, c))
-                comb = [(x - c * y) % field.p for x, y in zip(comb, bc)]
-        if field.row_is_zero(row):
-            continue
-        piv = field.row_support_min(row)
-        lead = field.row_get(row, piv)
-        if lead != 1:
-            inv = field.inv(lead)
-            row = field.row_scale(row, inv)
-            comb = [(x * inv) % field.p for x in comb]
-        ech.append((piv, row, comb))
-        ech.sort(key=lambda t: t[0])
-    acc = [0] * m
-    for piv, b, bc in ech:
-        c = field.row_get(target, piv)
-        if c:
-            target = field.row_sub(target, field.row_scale(b, c))
-            acc = [(x + c * y) % field.p for x, y in zip(acc, bc)]
-    if not field.row_is_zero(target):
+    joined = [field.row_join(r, field.unit_row(m, i), n) for i, r in enumerate(rows)]
+    span = Subspace(field, n + m, joined)
+    residue = span.reduce_row(field.row_join(target, field.zero_row(m), n))
+    left, right = field.row_split(residue, n)
+    if not field.row_is_zero(left):
         return None
-    return acc
+    return [(-c) % field.p for c in field.unpack(right, m)]
 
 
 def _lift_solutions(mods, special, targets, pair_check=None, node_cap=500000):
@@ -952,8 +924,6 @@ def embed_normal_form(D, h):
 
 def _stage_b_solutions(field, T, w1bar, w2bar, kerT, alpha1_target, pair=None):
     """Lifts of omega_2 inside T^{-1} omega_{1,R} (omega_1 lifted constantly)."""
-    from .gf import preimage
-
     Pw1 = PolyModule.constant(w1bar)
     amb = preimage(T, w1bar)
     mods = [Pw1, PolyModule.constant(kerT.intersect(amb)), PolyModule.constant(amb)]
@@ -976,8 +946,6 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     inequalities before the final lift; the generic fiber of the result
     is recomputed independently and must equal y_to.
     """
-    from .gf import preimage
-
     if (y_from.h, y_from.mu) != (y_to.h, y_to.mu):
         raise StratOrderError("points live over different (h, mu)")
     if not leq(y_to, y_from):
@@ -1144,8 +1112,6 @@ def polarized_normal_form(y, field):
     deterministic search subject to the pairing compatibilities
     omega_1^perp = T^{-2} omega_1 and omega_2^perp = T^{-1} omega_2.
     """
-    from .gf import preimage, subspaces_between
-
     if not in_Ypol(y):
         raise StratOrderError("point is not in Y^pol")
     g = y.h // 2

@@ -174,17 +174,12 @@ class Polygon:
         a = self.d_list(den)
         b = other.d_list(den)
         sa = sb = 0
-        verdict = True
         for x, y in zip(a, b):
             sa += x
             sb += y
             if sb > sa:
-                verdict = False
-                break
-        if __debug__:
-            pointwise = all(self(x) >= other(x) for x in range(self.h + 1))
-            assert pointwise == verdict, "prefix-sum and pointwise dominance disagree"
-        return verdict
+                return False
+        return True
 
     # serialization and dunder --------------------------------------------
 

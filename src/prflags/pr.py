@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import Subspace, preimage, subspaces_between
+from .gf import DEFAULT_ENUM_CAP, Subspace, preimage, subspaces_between
 from .polygon import Polygon
 from .tmodule import ConcreteModule, delta_vector, hodge_polygon, jordan_type
 
@@ -316,46 +316,20 @@ def pr_permute(D, i):
 def pr_oracle_exists(M, mu, cap=None):
     """Exhaustive search for a PR datum of type mu (depth-first, pruned).
 
-    Independent of the Hodge-dominance criterion: enumerates nested
-    chains M_1 <= ... <= M_{e-1} with the defining constraints only.
+    Independent of the Hodge-dominance criterion: asks `pr_all_data`,
+    which enumerates nested chains with the defining constraints only,
+    for a first datum.
     """
-    from .gf import DEFAULT_ENUM_CAP
-
-    if cap is None:
-        cap = DEFAULT_ENUM_CAP
     mu = tuple(int(d) for d in mu)
-    e = M.e
-    if len(mu) != e:
-        raise PRError("type length %d != e = %d" % (len(mu), e))
-    if any(d < 0 for d in mu):
+    if len(mu) != M.e:
+        raise PRError("type length %d != e = %d" % (len(mu), M.e))
+    if any(d < 0 for d in mu) or sum(mu) != M.dim:
         return False
-    if sum(mu) != M.dim:
-        return False
-    dims = [0]
-    for d in mu:
-        dims.append(dims[-1] + d)
-
-    def search(level, current):
-        # current = M_level; the top member M_e = M is forced, so at
-        # level e-1 only T M <= M_{e-1} remains to check.
-        if level == e - 1:
-            return preimage(M.op, current).dim == M.dim
-        ceiling = preimage(M.op, current)
-        want = dims[level + 1]
-        if want > ceiling.dim:
-            return False
-        for cand in subspaces_between(current, ceiling, want, cap=cap):
-            if search(level + 1, cand):
-                return True
-        return False
-
-    return search(0, Subspace.zero(M.field, M.dim))
+    return any(True for _ in pr_all_data(M, mu, cap))
 
 
 def pr_all_data(M, mu, cap=None):
     """Every PR datum of type mu on M (for the isomorphism oracle)."""
-    from .gf import DEFAULT_ENUM_CAP
-
     if cap is None:
         cap = DEFAULT_ENUM_CAP
     mu = tuple(int(d) for d in mu)

@@ -50,9 +50,6 @@ class StrataPoset:
         except ValueError:
             raise PosetError("point not in poset") from None
 
-    def le(self, a, b):
-        return self._le[self.index(a)][self.index(b)]
-
     def closure_set(self, p):
         """The up-set {q : q >= p}; combinatorial shadow of the stratum closure."""
         i = self.index(p)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .gf import F2, F3, Matrix, Subspace
 from .polygon import Polygon
-from .tmodule import JordanType, delta_vector, realize, torsion_flag, power_image
+from .tmodule import JordanType, delta_vector, partitions, power_image, realize, torsion_flag
 from . import pr as prmod
 from . import e3 as e3mod
 from .strat import StrataPoset, leq
@@ -54,21 +54,6 @@ def _pointwise_dominates(h, d1, d2):
 def _all_d_lists(h, max_n):
     for n in range(1, max_n + 1):
         yield from itertools.product(range(h + 1), repeat=n)
-
-
-def _partitions(total, max_part):
-    if total == 0:
-        yield ()
-        return
-    for a in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - a, a):
-            yield (a,) + rest
-
-
-def _jordan_types(e, max_dim):
-    for n in range(max_dim + 1):
-        for parts in _partitions(n, e):
-            yield JordanType(e, parts if parts else (0,))
 
 
 def _sorted_mus(h):
@@ -126,7 +111,7 @@ def criterion_hodge_identity():
     checked = bad = 0
     for e in (1, 2, 3):
         for dim in range(0, 9):
-            for parts in _partitions(dim, e):
+            for parts in partitions(dim, e):
                 for pad in (0, 1):
                     h = max(1, len(parts)) + pad
                     full = parts + (0,) * (h - len(parts))
@@ -150,7 +135,8 @@ def criterion_hodge_identity():
 
 def criterion_pr_existence(max_dim):
     cases = bad = 0
-    for J in _jordan_types(3, max_dim):
+    for parts in (q for n in range(max_dim + 1) for q in partitions(n, 3)):
+        J = JordanType(3, parts or (0,))
         M = realize(J, F2)
         delta = delta_vector(M).entries
         for mu in itertools.product(range(4), repeat=3):
@@ -172,7 +158,8 @@ def criterion_pr_existence(max_dim):
                         got = Ds.flag[i].intersect(power_image(M, j)).dim
                         if got != alpha[i][j]:
                             bad += 1
-    for J in _jordan_types(2, 6):
+    for parts in (q for n in range(7) for q in partitions(n, 2)):
+        J = JordanType(2, parts or (0,))
         M = realize(J, F2)
         for mu in itertools.product(range(7), repeat=2):
             a = prmod.pr_exists(J, mu, F2)
@@ -394,12 +381,6 @@ def _symplectic_form(field, g):
         rows[i][g + i] = 1
         rows[g + i][i] = (-1) % field.p
     return Matrix.from_rows(field, rows, n)
-
-
-def _pairing_value(field, Phi, u, w):
-    return sum(
-        field.row_get(u, i) * field.row_get(Phi.apply(w), i) for i in range(Phi.nrows)
-    ) % field.p
 
 
 def _random_isotropic_extension(rng, field, Phi, S, inside):

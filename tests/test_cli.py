@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prflags.cli import main
 
@@ -169,14 +170,51 @@ def test_usage_error_exit_code(capsys):
         ["pr", "exists", "--parts", "2,1", "--mu", "2,1", "--p", "4"],
         ["e3", "enum", "--h", "3", "--mu", "1,2,1"],
         ["e3", "enum", "--polarized", "-1"],
+        ["e3", "phi", "--h", "2", "--mu", "1,1,1",
+         "--delta", "9,1,0", "--alpha", "2,0", "--beta", "2,0"],
+        ["e3", "normal-form", "--h", "2", "--mu", "1,1,1",
+         "--delta", "2,1", "--alpha", "2,0", "--beta", "2,0"],
     ],
-    ids=["non-prime-p", "unsorted-mu", "negative-genus"],
+    ids=["non-prime-p", "unsorted-mu", "negative-genus", "delta-out-of-range",
+         "delta-wrong-length"],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "usage error:" in err
     assert "Traceback" not in err
+
+
+def test_closure_of_inadmissible_point_is_a_domain_error(capsys):
+    # (2,1,0)|(1,1)|(1,1) lies in Y but is not admissible, so not in the poset
+    argv = ["strat", "closure", "--h", "2", "--mu", "1,1,1",
+            "--delta", "2,1,0", "--alpha", "1,1", "--beta", "1,1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: point not in poset" in err
+    assert "Traceback" not in err
+
+
+_int_lists = st.lists(st.integers(-1, 4), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+
+
+@st.composite
+def _point_argv(draw):
+    command = draw(st.sampled_from([["e3", "phi"], ["e3", "normal-form"], ["strat", "closure"]]))
+    argv = command + ["--h", str(draw(st.integers(0, 3)))]
+    for flag in ("--mu", "--delta", "--alpha", "--beta"):
+        argv += [flag, draw(_int_lists)]
+    if command[0] == "e3":
+        argv += ["--p", str(draw(st.sampled_from([2, 3, 5])))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_argv())
+def test_point_commands_never_raise(argv):
+    assert main(argv) in (0, 1, 2)
 
 
 def test_cli_output_is_stable(capsys):

@@ -1,8 +1,11 @@
 """Polynomial flags, the lifting lemma, its isotropic variant, degeneration."""
 
-import pytest
+import itertools
 
-from prflags.gf import F2, F3, Matrix, Subspace
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prflags.gf import F2, F3, Matrix, PrimeField, Subspace
 from prflags.e3 import enum_Yadm, enum_Ypol
 from prflags.lift import (
     INEQ_LE_SPECIAL,
@@ -18,6 +21,7 @@ from prflags.lift import (
     PolyMatrix,
     PolyModule,
     StratOrderError,
+    _express,
     check_isotropic_feasible,
     check_lift_feasible,
     degenerate_step,
@@ -55,6 +59,30 @@ def test_generic_rank_examples():
     # a genuinely rational-function-rank case over F_3
     A = PolyMatrix(F3, 2, [[(1,), (0, 1)], [(0, 1), (0, 0, 1)]])
     assert generic_rank(A) == 1  # second row = X * first row
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_express_matches_brute_force(data):
+    field = PrimeField(data.draw(st.sampled_from([2, 3])))
+    n = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(vec, max_size=3))
+    target = data.draw(vec)
+
+    def combine(coeffs):
+        return tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % field.p for j in range(n))
+
+    in_span = any(
+        combine(coeffs) == tuple(target)
+        for coeffs in itertools.product(range(field.p), repeat=len(rows))
+    )
+    got = _express(field, n, [field.pack(r) for r in rows], field.pack(target))
+    if in_span:
+        assert got is not None and len(got) == len(rows)
+        assert combine(got) == tuple(target)
+    else:
+        assert got is None
 
 
 def test_poly_module_saturation():

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .gf import DEFAULT_ENUM_CAP, PrimeField
 from .polygon import Polygon, PolygonError
-from .tmodule import JordanType, realize
+from .tmodule import JordanType, JordanTypeError, realize
 from . import pr as prmod
 from . import e3 as e3mod
 from .strat import PosetError, StrataPoset, export_dot, export_json
@@ -29,14 +29,23 @@ class UsageError(ValueError):
     pass
 
 
-def _ints(text):
+def _required(args, flag):
+    value = getattr(args, flag)
+    if value is None:
+        raise UsageError("--%s is required" % flag)
+    return value
+
+
+def _ints(args, flag):
+    text = _required(args, flag)
     try:
         return tuple(int(t) for t in text.split(",") if t != "")
     except ValueError:
         raise UsageError("expected a comma-separated integer list, got %r" % text)
 
 
-def _fraction(text):
+def _fraction(args, flag):
+    text = _required(args, flag)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -72,22 +81,22 @@ def _emit(text):
 
 def cmd_polygon(args):
     if args.action == "dom":
-        P1 = Polygon.from_d(args.h, _ints(args.a))
-        P2 = Polygon.from_d(args.h, _ints(args.b))
+        P1 = Polygon.from_d(args.h, _ints(args, "a"))
+        P2 = Polygon.from_d(args.h, _ints(args, "b"))
         verdict = P1.dominates(P2)
         _emit("true" if verdict else "false")
         return 0 if verdict else 1
     if args.action == "star":
-        P1 = Polygon.from_d(args.h, _ints(args.a))
-        P2 = Polygon.from_d(args.h, _ints(args.b))
+        P1 = Polygon.from_d(args.h, _ints(args, "a"))
+        P2 = Polygon.from_d(args.h, _ints(args, "b"))
         _emit(_polygon_json(P1.star(P2)))
         return 0
     if args.action == "eval":
-        P = Polygon.from_d(args.h, _ints(args.d))
-        _emit(str(P(_fraction(args.x))))
+        P = Polygon.from_d(args.h, _ints(args, "d"))
+        _emit(str(P(_fraction(args, "x"))))
         return 0
     if args.action == "slopes":
-        P = Polygon.from_d(args.h, _ints(args.d))
+        P = Polygon.from_d(args.h, _ints(args, "d"))
         slopes = {str(s): m for s, m in P.slopes}
         bps = [[x, str(y)] for x, y in P.breakpoints()]
         _emit(_dumps({"slopes": slopes, "breakpoints": bps}))
@@ -99,14 +108,14 @@ def cmd_polygon(args):
 
 
 def _jordan(args):
-    parts = _ints(args.parts)
-    e = args.e
-    if any(a > e for a in parts):
-        raise UsageError("parts must be <= e")
+    parts = _ints(args, "parts")
     h = args.h if args.h else max(1, len(parts))
     if len(parts) < h:
         parts = parts + (0,) * (h - len(parts))
-    return JordanType(e, parts)
+    try:
+        return JordanType(args.e, parts)
+    except JordanTypeError as err:
+        raise UsageError(str(err))
 
 
 def cmd_pr(args):
@@ -115,9 +124,9 @@ def cmd_pr(args):
     if args.action == "hdg":
         _emit(_polygon_json(J.hodge_polygon()))
         return 0
-    mu = _ints(args.mu)
+    mu = _ints(args, "mu")
     if args.action == "exists":
-        verdict = prmod.pr_exists(J, mu, field)
+        verdict = prmod.pr_exists(J, mu)
         _emit("true" if verdict else "false")
         return 0 if verdict else 1
     if args.action == "oracle":
@@ -141,10 +150,9 @@ def cmd_pr(args):
 
 
 def _point(args):
+    vectors = [_ints(args, flag) for flag in ("mu", "delta", "alpha", "beta")]
     try:
-        return e3mod.StrataPoint(
-            args.h, _ints(args.mu), _ints(args.delta), _ints(args.alpha), _ints(args.beta)
-        )
+        return e3mod.StrataPoint(_required(args, "h"), *vectors)
     except ValueError as err:
         raise UsageError(str(err))
 
@@ -154,7 +162,9 @@ def _points(args):
     try:
         if args.polarized is not None:
             return e3mod.enum_Ypol(args.polarized)
-        return e3mod.enum_Yadm(args.h, _ints(args.mu))
+        if args.h is None:
+            raise UsageError("--h or --polarized is required")
+        return e3mod.enum_Yadm(args.h, _ints(args, "mu"))
     except ValueError as err:
         raise UsageError(str(err))
 
@@ -343,11 +353,6 @@ def main(argv=None):
             liftmod.StratOrderError, liftmod.LiftInfeasibleError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 1
-    except (TypeError, AttributeError) as err:
-        # missing required per-action flags land here via None values
-        sys.stderr.write("usage error: %s\n" % err)
-        parser.print_usage(sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

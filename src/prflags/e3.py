@@ -194,9 +194,7 @@ def phi(D, h):
     alpha = delta_vector(M2).entries
     quo = quotient_module(M, D.flag[1], e=2)
     beta = delta_vector(quo).entries
-    pt = StrataPoint(h, mu, delta, alpha, beta)
-    assert is_admissible(pt), "phi image escaped the admissible set"
-    return pt
+    return StrataPoint(h, mu, delta, alpha, beta)
 
 
 def normal_form(pt, field):
@@ -236,10 +234,7 @@ def normal_form(pt, field):
         d1 + d2,
         [pt.alpha[0], d1 + d2],
     )
-    D = PRDatum(M, (Subspace.zero(field, n), M1, M2, Subspace.full(field, n)))
-    check = validate_pr(D, pt.mu)
-    assert check, check.violation
-    return D
+    return PRDatum(M, (Subspace.zero(field, n), M1, M2, Subspace.full(field, n)))
 
 
 # --- isomorphism oracle ----------------------------------------------------

@@ -674,12 +674,12 @@ def _express(field, n, rows, target):
     return [(-c) % field.p for c in field.unpack(right, m)]
 
 
-def _lift_solutions(mods, special, targets, pair_check=None, node_cap=500000):
+def _lift_solutions(mods, special, targets, pairing=None, node_cap=500000):
     """All lifts of `special` along the module flag, lazily, backtrackably.
 
-    Yields lists of polynomial rows.  `pair_check(f, g)` filters pairs of
-    finalized rows (used for isotropy); the first yielded solution is the
-    plain greedy one.
+    Yields lists of polynomial rows.  With a `pairing`, every finalized
+    row must pair to zero with the rows finalized before it (isotropy);
+    the first yielded solution is the plain greedy one.
     """
     field = special.field
     n = special.n
@@ -689,9 +689,7 @@ def _lift_solutions(mods, special, targets, pair_check=None, node_cap=500000):
     budget = [node_cap]
 
     def pair_ok(f, finals):
-        if pair_check is None:
-            return True
-        return all(pair_check(f, g) for g in finals)
+        return pairing is None or all(not poly_bilinear(f, g, pairing) for g in finals)
 
     def rec(i, rows, pending, finals):
         # rows: list of [base, pert]; pending: row ids awaiting a perturbation
@@ -798,14 +796,8 @@ def lift_isotropic(problem):
     """An isotropic lift: plain posts plus an identically-zero Gram matrix."""
     check_isotropic_feasible(problem)
     pairing = problem.pairing
-
-    def pair_check(f, g):
-        return not poly_bilinear(f, g, pairing)
-
     mods = [PolyModule.constant(F) for F in problem.flag]
-    for rows in _lift_solutions(
-        mods, problem.special, problem.targets, pair_check=pair_check
-    ):
+    for rows in _lift_solutions(mods, problem.special, problem.targets, pairing=pairing):
         pm = PolyMatrix(problem.special.field, problem.special.n, rows)
         if all(not e for r in pm.gram(pairing).rows for e in r):
             return pm
@@ -922,19 +914,14 @@ def embed_normal_form(D, h):
     return T, images[1], images[2], images[3]
 
 
-def _stage_b_solutions(field, T, w1bar, w2bar, kerT, alpha1_target, pair=None):
+def _stage_b_solutions(field, T, w1bar, w2bar, kerT, alpha1_target, pairing=None):
     """Lifts of omega_2 inside T^{-1} omega_{1,R} (omega_1 lifted constantly)."""
     Pw1 = PolyModule.constant(w1bar)
     amb = preimage(T, w1bar)
     mods = [Pw1, PolyModule.constant(kerT.intersect(amb)), PolyModule.constant(amb)]
     d1 = w1bar.dim
     targets = (d1, alpha1_target, w2bar.dim)
-    pair_check = None
-    if pair is not None:
-        def pair_check(f, g):
-            return not poly_bilinear(f, g, pair)
-
-    yield from _lift_solutions(mods, w2bar, targets, pair_check=pair_check)
+    yield from _lift_solutions(mods, w2bar, targets, pairing=pairing)
 
 
 def degenerate_step(y_from, y_to, field, polarized=False):
@@ -997,7 +984,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
                 return
 
     for rows_b in drained(
-        _stage_b_solutions(field, T, w1bar, w2bar, kerT, alpha[0], pair=pairing)
+        _stage_b_solutions(field, T, w1bar, w2bar, kerT, alpha[0], pairing=pairing)
     ):
         Pw2 = PolyModule.from_rows(field, n, rows_b)
         if Pw2.rank != d1 + d2 or Pw2.fiber() != w2bar:
@@ -1028,14 +1015,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             delta[0] + delta[1],
             d1 + d2 + d3,
         )
-        pc = None
-        if pairing is not None:
-            def pc(f, g):
-                return not poly_bilinear(f, g, pairing)
-
-        for rows_c in drained(
-            _lift_solutions(mods_c, wbar, targets_c, pair_check=pc)
-        ):
+        for rows_c in drained(_lift_solutions(mods_c, wbar, targets_c, pairing=pairing)):
             Pw = PolyModule.from_rows(field, n, rows_c)
             if Pw.rank != d1 + d2 + d3 or Pw.fiber() != wbar:
                 continue
@@ -1074,11 +1054,6 @@ def _generic_point(h, mu, T, Pw1, Pw2, Pw, PkerT, PkerT2):
     Pinv1 = Pw1.preimage_const(T)
     b1 = Pw.generic_intersection_dim(Pinv1) - d1
     beta = (b1, total - d1 - b1)
-    # generic PR-datum sanity: the chain stays T-stable over k((X))
-    assert Pw2.contains_generic(Pw1.to_polymatrix())
-    assert Pw.contains_generic(Pw2.to_polymatrix())
-    assert Pw1.contains_generic(Pw2.to_polymatrix().apply_const(T))
-    assert Pw2.contains_generic(Pw.to_polymatrix().apply_const(T))
     return StrataPoint(h, mu, delta, alpha, beta)
 
 

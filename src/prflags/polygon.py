@@ -4,20 +4,20 @@ A polygon is the convex piecewise-linear function on [0, h] given by
 
     P(d_1, ..., d_N)(x) = (1/N) * sum_i max(0, x + d_i - h),
 
-with integer 0 <= d_i <= h.  Canonically it is the multiset of its
-slopes (values in [0, 1], total multiplicity h): two polygons compare
-equal exactly when they are equal as functions, and the defining
-integer lists are recoverable views at any compatible denominator.
-Each polygon also carries a declared denominator `den` (the N of the
-ambient set it was built in); `den` feeds the star product but is
-ignored by equality.
+with integer 0 <= d_i <= h.  Canonically it is its non-increasing
+d-list at the smallest denominator (every d-list of the same function
+is that list with each entry repeated N/len(d) times): two polygons
+compare equal exactly when they are equal as functions.  `Fraction`
+appears only in evaluation, slopes and breakpoints.  Each polygon also
+carries a declared denominator `den` (the N of the ambient set it was
+built in); `den` feeds the star product but is ignored by equality.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class PolygonError(ValueError):
@@ -25,14 +25,14 @@ class PolygonError(ValueError):
 
 
 class Polygon:
-    __slots__ = ("h", "den", "slopes", "_hash")
+    __slots__ = ("h", "den", "d", "_hash")
 
-    def __init__(self, h, slopes, den):
-        """Internal; use from_d / from_slopes."""
+    def __init__(self, h, d, den):
+        """Internal; use from_d / from_slopes (d is the reduced d-list)."""
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "_hash", hash((h, slopes)))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_hash", hash((h, d)))
 
     def __setattr__(self, *a):
         raise AttributeError("Polygon is immutable")
@@ -55,15 +55,10 @@ class Polygon:
             den = n
         elif den % n:
             raise PolygonError("declared denominator %d incompatible with N=%d" % (den, n))
-        d = sorted(d, reverse=True)
-        ext = [h] + d + [0]
-        slopes = []
-        for i in range(n + 1):
-            mult = ext[i] - ext[i + 1]
-            if mult:
-                slopes.append((Fraction(i, n), mult))
-        slopes.sort()
-        return cls(h, tuple(slopes), den)
+        d.sort(reverse=True)
+        # the list at N is the list at N/g with every entry repeated g times
+        g = gcd(n, *(i for i in range(1, n) if d[i] != d[i - 1]))
+        return cls(h, tuple(d[::g]), den)
 
     @classmethod
     def from_slopes(cls, h, slope_mults, den):
@@ -84,13 +79,9 @@ class Polygon:
         for s in merged:
             if den % s.denominator:
                 raise PolygonError("slope %s not in (1/%d)Z" % (s, den))
-        return cls(h, tuple(sorted(merged.items())), den)
-
-    @classmethod
-    def zero(cls, h, den=1):
-        if h == 0:
-            return cls(0, (), den)
-        return cls(h, ((Fraction(0), h),), den)
+        # d_{i+1} counts the unit segments of slope > i/den
+        d = [sum(m for s, m in merged.items() if s * den > i) for i in range(den)]
+        return cls.from_d(h, d, den)
 
     # evaluation and views ---------------------------------------------------
 
@@ -98,40 +89,25 @@ class Polygon:
         x = Fraction(x)
         if x < 0 or x > self.h:
             raise PolygonError("argument %s outside [0, %d]" % (x, self.h))
-        y = Fraction(0)
-        pos = Fraction(0)
-        for s, m in self.slopes:
-            seg = min(x - pos, Fraction(m))
-            if seg <= 0:
-                break
-            y += s * seg
-            pos += m
-        return y
+        return Fraction(sum(max(0, x + di - self.h) for di in self.d), len(self.d))
 
     @property
-    def min_den(self):
-        """Smallest N with slopes in (1/N)Z."""
-        return lcm(1, *(s.denominator for s, _ in self.slopes))
+    def slopes(self):
+        """((slope, multiplicity), ...) by increasing slope."""
+        ext = (self.h,) + self.d + (0,)
+        n = len(self.d)
+        return tuple(
+            (Fraction(i, n), ext[i] - ext[i + 1]) for i in range(n + 1) if ext[i] != ext[i + 1]
+        )
 
     def d_list(self, den=None):
         """The defining integers d_1 >= ... >= d_N at denominator N=den."""
         if den is None:
             den = self.den
-        if den % self.min_den:
+        if den % len(self.d):
             raise PolygonError("slopes of this polygon are not in (1/%d)Z" % den)
-        mults = dict(self.slopes)
-        acc = 0
-        out = []
-        for i in range(den):
-            acc += mults.get(Fraction(i, den), 0)
-            out.append(self.h - acc)
-        return tuple(out)
-
-    def mass(self, den=None):
-        """Sum of the d-list: N * P(h)."""
-        if den is None:
-            den = self.den
-        return sum(self.d_list(den))
+        k = den // len(self.d)
+        return tuple(x for x in self.d for _ in range(k))
 
     def slope_multiplicities(self):
         return dict(self.slopes)
@@ -144,8 +120,6 @@ class Polygon:
             x += m
             y += s * m
             pts.append((x, y))
-        if x < self.h:  # only possible for the empty slope list, h = 0
-            pts.append((self.h, y))
         return pts
 
     # operations ---------------------------------------------------------
@@ -154,7 +128,7 @@ class Polygon:
         """The same function viewed at denominator k*den."""
         if k < 1:
             raise PolygonError("refinement factor must be >= 1")
-        return Polygon(self.h, self.slopes, self.den * k)
+        return Polygon(self.h, self.d, self.den * k)
 
     def star(self, other):
         """Weighted concatenation: the d-multisets merge, denominators add."""
@@ -170,13 +144,13 @@ class Polygon:
         """Whether self(x) >= other(x) for all x, by the prefix-sum test."""
         if self.h != other.h:
             raise PolygonError("dominance requires equal h (%d vs %d)" % (self.h, other.h))
-        den = lcm(self.min_den, other.min_den)
-        a = self.d_list(den)
-        b = other.d_list(den)
+        a, b = self.d, other.d
+        n = lcm(len(a), len(b))
+        ka, kb = n // len(a), n // len(b)
         sa = sb = 0
-        for x, y in zip(a, b):
-            sa += x
-            sb += y
+        for i in range(n):
+            sa += a[i // ka]
+            sb += b[i // kb]
             if sb > sa:
                 return False
         return True
@@ -195,11 +169,11 @@ class Polygon:
         return (
             isinstance(other, Polygon)
             and self.h == other.h
-            and self.slopes == other.slopes
+            and self.d == other.d
         )
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return "Polygon(h=%d, d=%s)" % (self.h, list(self.d_list(self.min_den)))
+        return "Polygon(h=%d, d=%s)" % (self.h, list(self.d))

@@ -214,7 +214,7 @@ def power_image(M, i):
     return Subspace(M.field, M.dim, [T_i.apply(r) for r in M.ambient().rows])
 
 
-def hodge_polygon(obj, h=None, field=None):
+def hodge_polygon(obj, h=None):
     """Hodge polygon of a JordanType or ConcreteModule."""
     if isinstance(obj, JordanType):
         J = obj

@@ -140,7 +140,7 @@ def criterion_pr_existence(max_dim):
         M = realize(J, F2)
         delta = delta_vector(M).entries
         for mu in itertools.product(range(4), repeat=3):
-            a = prmod.pr_exists(J, mu, F2)
+            a = prmod.pr_exists(J, mu)
             b = prmod.pr_oracle_exists(M, mu)
             cases += 1
             if a != b:
@@ -162,7 +162,7 @@ def criterion_pr_existence(max_dim):
         J = JordanType(2, parts or (0,))
         M = realize(J, F2)
         for mu in itertools.product(range(7), repeat=2):
-            a = prmod.pr_exists(J, mu, F2)
+            a = prmod.pr_exists(J, mu)
             b = prmod.pr_oracle_exists(M, mu)
             cases += 1
             if a != b:
@@ -383,12 +383,9 @@ def _symplectic_form(field, g):
     return Matrix.from_rows(field, rows, n)
 
 
-def _random_isotropic_extension(rng, field, Phi, S, inside):
+def _random_isotropic_extension(rng, Phi, S, inside):
     """A vector of `inside`, orthogonal to S and outside S, or None."""
-    n = S.n
-    perp_rows = [Phi.transpose().apply(r) for r in S.rows]
-    constraint = Matrix(field, len(perp_rows), n, perp_rows) if perp_rows else None
-    cand = constraint.kernel().intersect(inside) if constraint else inside
+    cand = liftmod.perp(S, Phi).intersect(inside)
     choices = [v for v in cand.vectors() if not S.contains_row(v)]
     if not choices:
         return None
@@ -400,7 +397,7 @@ def _random_lagrangian(rng, field, Phi, g):
     S = Subspace.zero(field, n)
     full = Subspace.full(field, n)
     while S.dim < g:
-        v = _random_isotropic_extension(rng, field, Phi, S, full)
+        v = _random_isotropic_extension(rng, Phi, S, full)
         S = Subspace(field, n, S.rows + (v,))
     return S
 
@@ -408,7 +405,7 @@ def _random_lagrangian(rng, field, Phi, g):
 def _extend_isotropic_to(rng, field, Phi, cur, dim):
     n = cur.n
     while cur.dim < dim:
-        v = _random_isotropic_extension(rng, field, Phi, cur, liftmod.perp(cur, Phi))
+        v = _random_isotropic_extension(rng, Phi, cur, liftmod.perp(cur, Phi))
         if v is None:
             return None
         cur = Subspace(field, n, cur.rows + (v,))
@@ -520,63 +517,60 @@ def criterion_isotropic(seed):
 # --- criterion 8: the stratification engine -----------------------------------
 
 
-def criterion_strat_engine():
+def _generic_chain_ok(res):
+    """Whether the generic chain of a Degeneration is a PR datum over F_p(X):
+    omega_1 <= omega_2 <= omega, T omega_2 <= omega_1 and T omega <= omega_2."""
+    f, n = res.op.field, res.ambient_dim
+    w1, w2, w = (liftmod.PolyModule(f, n, pm.rows) for pm in (res.omega1, res.omega2, res.omega))
+    return (
+        w2.contains_generic(res.omega1)
+        and w.contains_generic(res.omega2)
+        and w1.contains_generic(res.omega2.apply_const(res.op))
+        and w2.contains_generic(res.omega.apply_const(res.op))
+    )
+
+
+def _degenerates(y_from, y_to, polarized=False):
+    """Whether degenerate_step reaches y_to through a T-stable generic chain."""
+    try:
+        res = liftmod.degenerate_step(y_from, y_to, F2, polarized=polarized)
+    except Exception:
+        return False
+    return res.generic == y_to and _generic_chain_ok(res)
+
+
+def _degeneration_pairs(points, polarized):
+    """(ordered, refused, failures) over every ordered pair of the points:
+    an ordered pair must degenerate, any other pair must be refused."""
     ordered = refused = bad = 0
-    for h in (1, 2):
-        for mu in _sorted_mus(h):
-            pts = e3mod.enum_Yadm(h, mu)
-            if not pts:
-                continue
-            for y1 in pts:
-                for y2 in pts:
-                    if leq(y2, y1):
-                        try:
-                            res = liftmod.degenerate_step(y1, y2, F2)
-                            if res.generic != y2:
-                                bad += 1
-                        except Exception:
-                            bad += 1
-                        ordered += 1
-                    else:
-                        try:
-                            liftmod.degenerate_step(y1, y2, F2)
-                            bad += 1
-                        except liftmod.StratOrderError:
-                            refused += 1
-                        except Exception:
-                            bad += 1
-    pol = e3mod.enum_Ypol(1)
-    for y1 in pol:
-        for y2 in pol:
+    for y1 in points:
+        for y2 in points:
             if leq(y2, y1):
-                try:
-                    res = liftmod.degenerate_step(y1, y2, F2, polarized=True)
-                    if res.generic != y2:
-                        bad += 1
-                except Exception:
-                    bad += 1
                 ordered += 1
-            else:
-                try:
-                    liftmod.degenerate_step(y1, y2, F2, polarized=True)
-                    bad += 1
-                except liftmod.StratOrderError:
-                    refused += 1
-                except Exception:
-                    bad += 1
+                bad += not _degenerates(y1, y2, polarized)
+                continue
+            try:
+                liftmod.degenerate_step(y1, y2, F2, polarized=polarized)
+                bad += 1
+            except liftmod.StratOrderError:
+                refused += 1
+            except Exception:
+                bad += 1
+    return ordered, refused, bad
+
+
+def criterion_strat_engine():
+    families = [pts for h in (1, 2) for mu in _sorted_mus(h) if (pts := e3mod.enum_Yadm(h, mu))]
+    ordered = refused = bad = 0
+    for points, polarized in [(pts, False) for pts in families] + [(e3mod.enum_Ypol(1), True)]:
+        o, r, b = _degeneration_pairs(points, polarized)
+        ordered, refused, bad = ordered + o, refused + r, bad + b
     # closure consistency: every Hasse covering pair degenerates (h <= 2)
     covers = 0
-    for h in (1, 2):
-        for mu in _sorted_mus(h):
-            pts = e3mod.enum_Yadm(h, mu)
-            if not pts:
-                continue
-            poset = StrataPoset(pts)
-            for lo, hi in poset.hasse():
-                res = liftmod.degenerate_step(hi, lo, F2)
-                if res.generic != lo:
-                    bad += 1
-                covers += 1
+    for pts in families:
+        for lo, hi in StrataPoset(pts).hasse():
+            bad += not _degenerates(hi, lo)
+            covers += 1
     return bad == 0, "ordered=%d refused=%d covers=%d failures=%d" % (
         ordered,
         refused,

@@ -185,6 +185,28 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polygon", "dom", "--h", "2", "--a", "2,0"],
+        ["polygon", "eval", "--h", "2", "--d", "2,1"],
+        ["pr", "exists", "--parts", "3"],
+        ["e3", "enum", "--mu", "1,1,1"],
+        ["strat", "dot", "--mu", "1,1,1"],
+        ["pr", "hdg", "--parts", "-1"],
+        ["pr", "hdg", "--parts", "0", "--e", "0"],
+        ["pr", "exists", "--parts", "-1", "--mu", "1,1,1"],
+    ],
+    ids=["dom-without-b", "eval-without-x", "exists-without-mu", "enum-without-h",
+         "dot-without-h", "negative-part", "zero-e", "exists-negative-part"],
+)
+def test_missing_flag_or_bad_parts_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert "Traceback" not in err
+
+
 def test_closure_of_inadmissible_point_is_a_domain_error(capsys):
     # (2,1,0)|(1,1)|(1,1) lies in Y but is not admissible, so not in the poset
     argv = ["strat", "closure", "--h", "2", "--mu", "1,1,1",

@@ -1,5 +1,6 @@
 """Polynomial flags, the lifting lemma, its isotropic variant, degeneration."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -38,6 +39,7 @@ from prflags.lift import (
     standard_symplectic,
     verify_lift,
 )
+from prflags.verify import _generic_chain_ok
 
 
 def test_poly_arithmetic():
@@ -269,6 +271,9 @@ def test_degenerate_step_worked_example():
     res = degenerate_step(y_from, y_to, F2)
     assert isinstance(res, Degeneration)
     assert res.generic == y_to
+    assert _generic_chain_ok(res)
+    # omega is not inside omega_2, so a chain starting at omega is no PR datum
+    assert not _generic_chain_ok(dataclasses.replace(res, omega1=res.omega))
     assert res.omega.eval0_subspace().dim == 3
     data = res.to_json_dict()
     assert data["to"] == y_to.to_json_dict()
@@ -303,5 +308,6 @@ def test_degenerate_step_polarized_g1():
             if leq(y2, y1):
                 res = degenerate_step(y1, y2, F2, polarized=True)
                 assert res.generic == y2
+                assert _generic_chain_ok(res)
                 gram = res.omega.gram(Phi)
                 assert all(not e for r in gram.rows for e in r)

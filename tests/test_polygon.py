@@ -183,6 +183,20 @@ def test_star_respects_dominance(hd, data):
     assert A.star(B).dominates(A2.star(B2))
 
 
+@settings(max_examples=100, deadline=None)
+@given(d_lists, st.integers(1, 3))
+def test_integer_form_is_canonical(hd, k):
+    h, d = hd
+    P = Polygon.from_d(h, d)
+    Q = Polygon.from_d(h, [x for x in d for _ in range(k)])
+    assert Q == P and hash(Q) == hash(P)
+    for x, y in P.breakpoints():
+        assert y == eval_definition(h, d, x)
+    slopes = [s for s, _ in P.slopes]
+    assert all(a < b for a, b in zip(slopes, slopes[1:]))
+    assert sum(m for _, m in P.slopes) == h
+
+
 def test_json_round_trip():
     P = Polygon.from_d(2, [2, 1])
     assert Polygon.from_json(P.to_json()) == P

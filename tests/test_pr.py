@@ -53,11 +53,11 @@ def test_validate_reports_first_violation():
 
 
 def test_exists_examples():
-    assert pr_exists(JordanType(3, (3,)), (1, 1, 1), F2)
-    assert pr_exists(JordanType(3, (1, 1, 1)), (1, 1, 1), F2)
-    assert pr_exists(JordanType(3, (1, 1, 1)), (3, 0, 0), F2)  # T = 0: M_1 = M
-    assert not pr_exists(JordanType(3, (3,)), (1, 1, 0), F2)  # mass mismatch
-    assert not pr_exists(JordanType(3, (3,)), (2, 1, 0), F2)  # dominance fails
+    assert pr_exists(JordanType(3, (3,)), (1, 1, 1))
+    assert pr_exists(JordanType(3, (1, 1, 1)), (1, 1, 1))
+    assert pr_exists(JordanType(3, (1, 1, 1)), (3, 0, 0))  # T = 0: M_1 = M
+    assert not pr_exists(JordanType(3, (3,)), (1, 1, 0))  # mass mismatch
+    assert not pr_exists(JordanType(3, (3,)), (2, 1, 0))  # dominance fails
 
 
 def test_construct_unique_flag_for_j3():
@@ -180,7 +180,7 @@ def test_oracle_agreement_small(p):
             J = JordanType(3, parts if parts else (0,))
             M = realize(J, field)
             for mu in itertools.product(range(3), repeat=3):
-                assert pr_exists(J, mu, field) == pr_oracle_exists(M, mu), (parts, mu)
+                assert pr_exists(J, mu) == pr_oracle_exists(M, mu), (parts, mu)
 
 
 def test_e1_agreement():
@@ -190,7 +190,7 @@ def test_e1_agreement():
         M = realize(J, F2)
         for d in range(5):
             want = d == dim
-            assert pr_exists(J, (d,), F2) == want
+            assert pr_exists(J, (d,)) == want
             assert pr_oracle_exists(M, (d,)) == want
             if want:
                 assert validate_pr(pr_construct(M, (d,)), (d,))

@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .gf import DEFAULT_ENUM_CAP, PrimeField
+from .gf import DEFAULT_ENUM_CAP, EnumerationCapError, PrimeField
 from .polygon import Polygon, PolygonError
 from .tmodule import JordanType, JordanTypeError, realize
 from . import pr as prmod
@@ -60,8 +60,16 @@ def _field(args):
 
 
 def _enum_cap():
-    cap = os.environ.get("PRFLAGS_ENUM_CAP")
-    return int(cap) if cap else DEFAULT_ENUM_CAP
+    text = os.environ.get("PRFLAGS_ENUM_CAP")
+    if not text:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise UsageError("PRFLAGS_ENUM_CAP: expected a non-negative integer, got %r" % text)
+    return cap
 
 
 def _dumps(obj):
@@ -350,7 +358,8 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     except (PolygonError, prmod.PRError, e3mod.AdmissibilityError, PosetError,
-            liftmod.StratOrderError, liftmod.LiftInfeasibleError) as err:
+            liftmod.StratOrderError, liftmod.LiftInfeasibleError,
+            EnumerationCapError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 1
 

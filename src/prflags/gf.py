@@ -1,9 +1,13 @@
 """Exact linear algebra over prime finite fields.
 
 Vectors live in F_p^n and are handled as packed rows: an int bitmask for
-p = 2, a bytes vector otherwise.  Subspaces always carry their reduced
-row-echelon basis, so two subspaces are equal exactly when their packed
-bases are identical.  Everything here is immutable and pure.
+p = 2, a bytes vector of reduced entries otherwise.  Odd-p rows are added a
+whole row at a time, one entry per byte lane: the rows are read as big
+integers, summed (a sum of two reduced entries fits in a byte while
+p <= MAX_PRIME) and reduced lane-wise by a 256-byte translation table.
+Subspaces always carry their reduced row-echelon basis, so two subspaces
+are equal exactly when their packed bases are identical.  Everything here
+is immutable and pure.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import itertools
 import math
 
 DEFAULT_ENUM_CAP = 10**7
+MAX_PRIME = 127  # 2 * (p - 1) must fit in one byte lane
 
 
 class AmbientMismatchError(ValueError):
@@ -36,12 +41,19 @@ def _is_prime(p):
 class PrimeField:
     """The prime field F_p; also the codec for packed row vectors."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_mod", "_mul")
 
     def __init__(self, p=2):
+        if p > MAX_PRIME:
+            raise ValueError("%r exceeds %d, the largest supported prime" % (p, MAX_PRIME))
         if not _is_prime(p):
             raise ValueError("%r is not prime" % (p,))
         object.__setattr__(self, "p", p)
+        # byte-lane tables: i -> i mod p, and for each c, i -> c*i mod p
+        object.__setattr__(self, "_mod", bytes(i % p for i in range(256)))
+        object.__setattr__(
+            self, "_mul", tuple(bytes(c * i % p for i in range(256)) for c in range(p))
+        )
 
     def __setattr__(self, *a):
         raise AttributeError("PrimeField is immutable")
@@ -77,25 +89,22 @@ class PrimeField:
     def unit_row(self, n, i):
         if self.p == 2:
             return 1 << i
-        return bytes(1 if j == i else 0 for j in range(n))
+        return bytes(i) + b"\1" + bytes(n - i - 1)
 
     def row_add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        return bytes((x + y) % self.p for x, y in zip(a, b))
+        return self.row_add_scaled(a, b, 1)
 
-    def row_sub(self, a, b):
+    def row_add_scaled(self, a, b, c):
+        """a + c*b, for any integer c."""
         if self.p == 2:
-            return a ^ b
-        return bytes((x - y) % self.p for x, y in zip(a, b))
+            return a ^ b if c & 1 else a
+        s = int.from_bytes(a, "big") + int.from_bytes(b.translate(self._mul[c % self.p]), "big")
+        return s.to_bytes(len(a), "big").translate(self._mod)
 
     def row_scale(self, a, c):
-        c %= self.p
         if self.p == 2:
-            return a if c else 0
-        if c == 1:
-            return a
-        return bytes((x * c) % self.p for x in a)
+            return a if c & 1 else 0
+        return a.translate(self._mul[c % self.p])
 
     def row_get(self, a, i):
         if self.p == 2:
@@ -103,15 +112,15 @@ class PrimeField:
         return a[i]
 
     def row_is_zero(self, a):
-        return not a if self.p == 2 else not any(a)
+        return not a if self.p == 2 else not a.lstrip(b"\0")
 
     def row_support_min(self, a):
         if self.p == 2:
             return (a & -a).bit_length() - 1
-        for i, x in enumerate(a):
-            if x:
-                return i
-        raise ValueError("zero row has no support")
+        rest = a.lstrip(b"\0")
+        if not rest:
+            raise ValueError("zero row has no support")
+        return len(a) - len(rest)
 
     def row_join(self, a, b, n):
         """Concatenate two packed rows of length n into one of length 2n."""
@@ -160,25 +169,25 @@ def rref(field, rows):
             tuple(low.bit_length() - 1 for low, _ in ordered),
             tuple(r for _, r in ordered),
         )
-    basis = []  # (pivot, row), sorted by pivot
+    basis = {}  # pivot column -> the row (1 at the pivot), kept fully reduced
     for row in rows:
-        for piv, b in basis:
-            c = field.row_get(row, piv)
+        for piv, b in basis.items():
+            c = row[piv]
             if c:
-                row = field.row_sub(row, field.row_scale(b, c))
-        if field.row_is_zero(row):
+                row = field.row_add_scaled(row, b, -c)
+        rest = row.lstrip(b"\0")
+        if not rest:
             continue
-        piv = field.row_support_min(row)
-        c = field.row_get(row, piv)
-        if c != 1:
-            row = field.row_scale(row, field.inv(c))
-        basis = [
-            (q, field.row_sub(b, field.row_scale(row, field.row_get(b, piv))))
-            for q, b in basis
-        ]
-        basis.append((piv, row))
-        basis.sort(key=lambda t: t[0])
-    return tuple(p for p, _ in basis), tuple(r for _, r in basis)
+        piv = len(row) - len(rest)
+        if rest[0] != 1:
+            row = field.row_scale(row, field.inv(rest[0]))
+        for q, b in basis.items():
+            c = b[piv]
+            if c:
+                basis[q] = field.row_add_scaled(b, row, -c)
+        basis[piv] = row
+    ordered = sorted(basis.items())
+    return tuple(q for q, _ in ordered), tuple(r for _, r in ordered)
 
 
 class Subspace:
@@ -230,7 +239,7 @@ class Subspace:
         for piv, b in zip(self.pivots, self.rows):
             c = f.row_get(row, piv)
             if c:
-                row = f.row_sub(row, f.row_scale(b, c))
+                row = f.row_add_scaled(row, b, -c)
         return row
 
     def contains_row(self, row):
@@ -260,7 +269,7 @@ class Subspace:
             v = f.zero_row(self.n)
             for c, b in zip(coeffs, rows):
                 if c:
-                    v = f.row_add(v, f.row_scale(b, c))
+                    v = f.row_add_scaled(v, b, c)
             yield v
 
     def _check(self, other):
@@ -328,7 +337,7 @@ class Matrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", tuple(packed_rows))
-        object.__setattr__(self, "_cols", None)  # F_2 column images, made on first apply
+        object.__setattr__(self, "_cols", None)  # column images, made on first apply
         if len(self.rows) != nrows:
             raise ValueError("row count mismatch")
 
@@ -357,10 +366,16 @@ class Matrix:
         return tuple(self.field.unpack(r, self.ncols) for r in self.rows)
 
     def apply(self, vec):
-        """Matrix-vector product; vec is packed of length ncols."""
+        """Matrix-vector product; vec is packed of length ncols.
+
+        The product is the sum of the images of the columns, cached on first
+        use: over F_2 the column as a bitmask, over odd p the column scaled
+        by each c in F_p as one big integer of byte lanes.  Lanes are
+        reduced whenever another term could overflow them, and at the end.
+        """
         f = self.field
+        cols = self._cols
         if f.p == 2:
-            cols = self._cols
             if cols is None:
                 cols = tuple(
                     sum(1 << i for i, r in enumerate(self.rows) if r >> j & 1)
@@ -373,9 +388,23 @@ class Matrix:
                 out ^= cols[low.bit_length() - 1]
                 vec ^= low
             return out
-        return bytes(
-            sum(x * y for x, y in zip(r, vec)) % f.p for r in self.rows
-        )
+        if cols is None:
+            cols = tuple(
+                tuple(int.from_bytes(col.translate(m), "big") for m in f._mul)
+                for col in map(bytes, zip(*self.rows))
+            )
+            object.__setattr__(self, "_cols", cols)
+        n, mod = self.nrows, f._mod
+        room = 255 // (f.p - 1)  # terms of at most p - 1 a lane can hold
+        out = terms = 0
+        for x, images in zip(vec, cols):
+            if x:
+                out += images[x]
+                terms += 1
+                if terms == room:
+                    out = int.from_bytes(out.to_bytes(n, "big").translate(mod), "big")
+                    terms = 1  # the reduced sum is one term
+        return out.to_bytes(n, "big").translate(mod)
 
     def mul(self, other):
         if self.ncols != other.nrows or self.field != other.field:
@@ -387,7 +416,7 @@ class Matrix:
             for j in range(self.ncols):
                 c = f.row_get(r, j)
                 if c:
-                    acc = f.row_add(acc, f.row_scale(other.rows[j], c))
+                    acc = f.row_add_scaled(acc, other.rows[j], c)
             rows.append(acc)
         return Matrix(f, self.nrows, other.ncols, rows)
 
@@ -581,6 +610,6 @@ def subspaces_between(floor, ceiling, d, cap=DEFAULT_ENUM_CAP):
             for i in range(q):
                 c = f.row_get(r, i)
                 if c:
-                    v = f.row_add(v, f.row_scale(comp[i], c))
+                    v = f.row_add_scaled(v, comp[i], c)
             lifted.append(v)
         yield Subspace(f, n, floor.rows + tuple(lifted))

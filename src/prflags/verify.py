@@ -232,7 +232,7 @@ def _random_valid_filtration(rng, field, max_dim):
         v = field.zero_row(M.dim)
         for c, b in zip(coeffs, tor.rows):
             if c:
-                v = field.row_add(v, field.row_scale(b, c))
+                v = field.row_add_scaled(v, b, c)
         vecs = [v]
         for _ in range(e - 1):
             v = M.op.apply(v)

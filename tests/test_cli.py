@@ -1,5 +1,7 @@
 """The command-line surface: every documented example, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -174,9 +176,12 @@ def test_usage_error_exit_code(capsys):
          "--delta", "9,1,0", "--alpha", "2,0", "--beta", "2,0"],
         ["e3", "normal-form", "--h", "2", "--mu", "1,1,1",
          "--delta", "2,1", "--alpha", "2,0", "--beta", "2,0"],
+        ["pr", "exists", "--parts", "2,1", "--mu", "2,1", "--p", "131"],
+        ["e3", "normal-form", "--h", "2", "--mu", "2,1,1",
+         "--delta", "2,1,1", "--alpha", "2,1", "--beta", "1,1", "--p", "257"],
     ],
     ids=["non-prime-p", "unsorted-mu", "negative-genus", "delta-out-of-range",
-         "delta-wrong-length"],
+         "delta-wrong-length", "prime-above-127", "prime-257"],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -204,6 +209,16 @@ def test_missing_flag_or_bad_parts_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "usage error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap, code, line", [("x", 2, "usage error:"), ("-1", 2, "usage error:"),
+                                             ("0", 1, "error: enumeration")])
+def test_enum_cap_errors_exit_cleanly(capsys, monkeypatch, cap, code, line):
+    monkeypatch.setenv("PRFLAGS_ENUM_CAP", cap)
+    assert main(["pr", "oracle", "--parts", "3", "--mu", "1,1,1"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(line)
     assert "Traceback" not in err
 
 
@@ -237,6 +252,28 @@ def _point_argv(draw):
 @given(_point_argv())
 def test_point_commands_never_raise(argv):
     assert main(argv) in (0, 1, 2)
+
+
+_small_lists = st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(
+    lambda xs: ",".join(map(str, xs))
+)
+
+
+@st.composite
+def _pr_argv(draw):
+    action = draw(st.sampled_from(["hdg", "exists", "construct", "oracle"]))
+    return ["pr", action, "--parts", draw(_small_lists), "--mu", draw(_small_lists),
+            "--p", str(draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 127, 131, 257])))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pr_argv())
+def test_pr_commands_never_raise(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_output_is_stable(capsys):

@@ -40,10 +40,14 @@ def brute_span(field, n, vectors):
 
 def test_prime_validation():
     PrimeField(5)
+    PrimeField(127)
     with pytest.raises(ValueError):
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeField(1)
+    for p in (131, 257):  # rows hold one entry per byte lane
+        with pytest.raises(ValueError, match="127"):
+            PrimeField(p)
 
 
 def test_canonical_equality():
@@ -200,9 +204,9 @@ def test_matrix_inverse_mul_kernel():
         assert F2.row_is_zero(K.apply(v))
 
 
-def reference_rref(coord_rows, n):
-    """Gauss-Jordan over F_2 on coordinate lists; pivot = first nonzero column."""
-    m = [list(r) for r in coord_rows]
+def reference_rref(coord_rows, n, p=2):
+    """Gauss-Jordan mod p on coordinate lists; pivot = first nonzero column."""
+    m = [[x % p for x in r] for r in coord_rows]
     pivots = []
     for c in range(n):
         r = len(pivots)
@@ -210,25 +214,29 @@ def reference_rref(coord_rows, n):
         if hit is None:
             continue
         m[r], m[hit] = m[hit], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
-                m[i] = [(x + y) % 2 for x, y in zip(m[i], m[r])]
+                m[i] = [(x - m[i][c] * y) % p for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return tuple(pivots), tuple(tuple(row) for row in m[: len(pivots)])
 
 
 @st.composite
-def f2_matrices(draw):
-    """(ncols, coordinate rows): random rows with zero and duplicate rows mixed
-    in, or a permuted unit upper-triangular square matrix (full rank)."""
+def fp_matrices(draw, p):
+    """(ncols, coordinate rows) over F_p: random rows with zero and duplicate
+    rows mixed in, or a permuted upper-triangular square matrix with nonzero
+    diagonal (full rank)."""
     n = draw(st.integers(1, 10))
-    bit = st.integers(0, 1)
+    entry = st.integers(0, p - 1)
     if draw(st.booleans()):
         rows = [
-            [0] * i + [1] + [draw(bit) for _ in range(n - i - 1)] for i in range(n)
+            [0] * i + [draw(st.integers(1, p - 1))] + [draw(entry) for _ in range(n - i - 1)]
+            for i in range(n)
         ]
         return n, draw(st.permutations(rows))
-    rows = draw(st.lists(st.lists(bit, min_size=n, max_size=n), max_size=12))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=12))
     if rows and draw(st.booleans()):
         rows.append(list(draw(st.sampled_from(rows))))
     if draw(st.booleans()):
@@ -237,7 +245,7 @@ def f2_matrices(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(f2_matrices(), st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=8))
+@given(fp_matrices(2), st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=8))
 @example((4, []), list(range(16)))
 @example((3, [[0, 0, 0], [1, 1, 0], [1, 1, 0]]), list(range(8)))
 def test_f2_kernel_matches_coordinate_gauss_jordan(mat, masks):
@@ -278,3 +286,73 @@ def test_f2_kernel_matches_coordinate_gauss_jordan(mat, masks):
         else:
             with pytest.raises(ValueError):
                 A.inverse()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 127])
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fp_kernel_matches_coordinate_gauss_jordan(p, data):
+    field = PrimeField(p)
+    n, coords = data.draw(fp_matrices(p))
+    entry = st.integers(0, p - 1)
+    pivots, ref_rows = reference_rref(coords, n, p)
+    packed = [field.pack(r) for r in coords]
+
+    got_pivots, got_rows = rref(field, packed)
+    assert got_pivots == pivots
+    assert tuple(field.unpack(r, n) for r in got_rows) == ref_rows
+    assert rref(field, packed[::-1]) == (got_pivots, got_rows)
+
+    A = Matrix.from_rows(field, coords, n)
+    assert A.rank() == len(pivots)
+    for v in data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4)):
+        want = tuple(sum(a * b for a, b in zip(row, v)) % p for row in coords)
+        assert field.unpack(A.apply(field.pack(v)), len(coords)) == want
+
+    free = [j for j in range(n) if j not in pivots]
+    ref_kernel = []
+    for j in free:
+        v = [0] * n
+        v[j] = 1
+        for piv, row in zip(pivots, ref_rows):
+            v[piv] = -row[j] % p
+        ref_kernel.append(v)
+    assert A.kernel() == Subspace.span(field, n, ref_kernel)
+    assert A.kernel().dim == n - len(pivots)
+
+    m = data.draw(st.integers(1, 4))
+    B = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    want = tuple(
+        tuple(sum(row[k] * B[k][j] for k in range(n)) % p for j in range(m)) for row in coords
+    )
+    assert A.mul(Matrix.from_rows(field, B, m)).coord_rows() == want
+
+    if len(coords) == n:
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(coords)]
+        aug_pivots, aug_rows = reference_rref(aug, 2 * n, p)
+        if aug_pivots[:n] == tuple(range(n)):
+            inv = A.inverse()
+            assert inv.coord_rows() == tuple(row[n:] for row in aug_rows[:n])
+            assert A.mul(inv) == Matrix.identity(field, n)
+        else:
+            with pytest.raises(ValueError):
+                A.inverse()
+
+    a, b = (data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
+    c = data.draw(st.integers(-2 * p, 2 * p))
+    pa, pb = field.pack(a), field.pack(b)
+    assert field.unpack(field.row_add(pa, pb), n) == tuple((x + y) % p for x, y in zip(a, b))
+    assert field.unpack(field.row_scale(pa, c), n) == tuple(x * c % p for x in a)
+    assert field.unpack(field.row_add_scaled(pa, pb, c), n) == tuple(
+        (x + c * y) % p for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
+def test_apply_keeps_byte_lanes_reduced(n):
+    # over F_127 every third term of p - 1 would overflow a byte lane
+    field = PrimeField(127)
+    A = Matrix.from_rows(field, [[126] * n, [1] * n, ([126, 125] * n)[:n]], n)
+    v = field.pack([126] * n)
+    want = (126 * 126 * n % 127, 126 * n % 127, (126 * 126 * ((n + 1) // 2) + 125 * 126 * (n // 2)) % 127)
+    assert field.unpack(A.apply(v), 3) == want

@@ -59,6 +59,15 @@ def _field(args):
         raise UsageError("--p: %s" % err)
 
 
+def _count(args, flag):
+    value = getattr(args, flag)
+    if value < 0:
+        raise UsageError(
+            "--%s: expected a non-negative integer, got %d" % (flag.replace("_", "-"), value)
+        )
+    return value
+
+
 def _enum_cap():
     text = os.environ.get("PRFLAGS_ENUM_CAP")
     if not text:
@@ -247,15 +256,16 @@ def cmd_lift(args):
     if args.action == "verify":
         import random
 
+        cases = _count(args, "cases")
         rng = random.Random((args.seed, "lift-demo").__repr__())
         bad = 0
-        for k in range(args.cases):
+        for k in range(cases):
             f = PrimeField(2 if k % 2 == 0 else 3)
             prob = verifymod._random_lift_problem(rng, f)
             pm = liftmod.lift_subspace(prob)
             if not liftmod.verify_lift(prob, pm).ok:
                 bad += 1
-        _emit("cases=%d failures=%d" % (args.cases, bad))
+        _emit("cases=%d failures=%d" % (cases, bad))
         return 0 if bad == 0 else 1
     raise UsageError("unknown lift action %r" % args.action)
 
@@ -266,7 +276,7 @@ def cmd_lift(args):
 def cmd_verify(args):
     if args.action != "all":
         raise UsageError("unknown verify action %r" % args.action)
-    results = verifymod.run_all(max_dim=args.max_dim, seed=args.seed)
+    results = verifymod.run_all(max_dim=_count(args, "max_dim"), seed=args.seed)
     width = max(len(r.key) for r in results)
     all_ok = True
     for r in results:

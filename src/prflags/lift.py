@@ -5,7 +5,8 @@ F_p[X]: the special fiber is evaluation at X = 0, generic dimensions
 are ranks over the rational-function field obtained by fraction-free
 elimination.  Submodules of R^n (R the series ring) are represented by
 saturated polynomial bases, normalized to a Hermite form so equal
-modules have identical bases.
+modules have identical bases.  Intersections and constant preimages
+are one fraction-free elimination of joined rows [left | right].
 
 The lift of a subspace along a flag follows the inductive basis
 construction: a basis vector of the special subspace either lifts
@@ -278,39 +279,6 @@ def generic_rank(pm):
     return len(_fraction_free(pm.field.p, [list(r) for r in pm.rows], pm.ncols))
 
 
-def poly_right_kernel(field, rows, ncols):
-    """Polynomial spanning set of {u : A u = 0} over F_p(X)."""
-    p = field.p
-    A = [[pnorm(e) for e in r] for r in rows]
-    pivots = _fraction_free(p, A, ncols)
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        u = [() for _ in range(ncols)]
-        L = (1,)
-        for rr, cc in pivots:
-            L = pmul(L, A[rr][cc], p)
-        u[f] = L
-        for rr, cc in pivots:
-            if A[rr][f]:
-                others = (1,)
-                for r2, c2 in pivots:
-                    if r2 != rr:
-                        others = pmul(others, A[r2][c2], p)
-                u[cc] = pneg(pmul(A[rr][f], others, p), p)
-        basis.append(_strip_content(u, p))
-    return basis
-
-
-def poly_left_kernel(field, rows, ncols):
-    """Polynomial spanning set of {x : x A = 0} over F_p(X)."""
-    m = len(rows)
-    transposed = [[rows[i][j] for i in range(m)] for j in range(ncols)]
-    return poly_right_kernel(field, transposed, m)
-
-
 def _hermite(field, n, rows):
     """Canonical Hermite basis of the k[X]-lattice spanned by `rows`."""
     p = field.p
@@ -431,10 +399,12 @@ class PolyModule:
 
     @classmethod
     def constant(cls, S):
-        rows = [
-            [pconst(c, S.field.p) for c in coords] for coords in S.basis_coords()
-        ]
-        return cls.from_rows(S.field, S.n, rows)
+        """The constant module of S: its reduced echelon rows are already the
+        saturated Hermite basis."""
+        p = S.field.p
+        return cls(
+            S.field, S.n, tuple(tuple(pconst(c, p) for c in r) for r in S.basis_coords())
+        )
 
     @property
     def rank(self):
@@ -453,28 +423,26 @@ class PolyModule:
         return PolyModule.from_rows(self.field, self.n, self.basis + other.basis)
 
     def intersect(self, other):
-        stacked = list(self.basis) + list(other.basis)
-        combos = poly_left_kernel(self.field, stacked, self.n)
-        p = self.field.p
-        gens = []
-        for combo in combos:
-            vec = [() for _ in range(self.n)]
-            for c, row in zip(combo[: self.rank], self.basis):
-                if c:
-                    for j in range(self.n):
-                        vec[j] = padd(vec[j], pmul(c, row[j], p), p)
-            gens.append(vec)
-        return PolyModule.from_rows(self.field, self.n, gens)
+        zero = [()] * self.n
+        return self._right_block(
+            [list(a) + list(a) for a in self.basis] + [list(b) + zero for b in other.basis]
+        )
 
     def preimage_const(self, T):
         """{v : T v lies in this module generically}, saturated."""
-        p = self.field.p
-        Tt = T.transpose().coord_rows()
-        rows = [[pconst(c, p) for c in r] for r in Tt]  # row j = T^T row j
-        rows += [[pneg(e, p) for e in r] for r in self.basis]
-        combos = poly_left_kernel(self.field, rows, self.n)
-        gens = [combo[: T.nrows] for combo in combos]
-        return PolyModule.from_rows(self.field, self.n, gens)
+        p, n = self.field.p, self.n
+        joined = [
+            [pconst(c, p) for c in col] + [pconst(int(i == j), p) for i in range(n)]
+            for j, col in enumerate(T.transpose().coord_rows())  # [T e_j | e_j]
+        ]
+        return self._right_block(joined + [list(b) + [()] * n for b in self.basis])
+
+    def _right_block(self, joined):
+        """The saturated module {v : (0 | v) in the generic span of the joined
+        rows}: after elimination on the left half, the rows past the rank
+        have a zero left half and their right halves span it."""
+        rank = len(_fraction_free(self.field.p, joined, self.n))
+        return PolyModule.from_rows(self.field, self.n, [r[self.n :] for r in joined[rank:]])
 
     def generic_intersection_dim(self, other):
         stacked = PolyMatrix(self.field, self.n, list(self.basis) + list(other.basis))
@@ -914,16 +882,6 @@ def embed_normal_form(D, h):
     return T, images[1], images[2], images[3]
 
 
-def _stage_b_solutions(field, T, w1bar, w2bar, kerT, alpha1_target, pairing=None):
-    """Lifts of omega_2 inside T^{-1} omega_{1,R} (omega_1 lifted constantly)."""
-    Pw1 = PolyModule.constant(w1bar)
-    amb = preimage(T, w1bar)
-    mods = [Pw1, PolyModule.constant(kerT.intersect(amb)), PolyModule.constant(amb)]
-    d1 = w1bar.dim
-    targets = (d1, alpha1_target, w2bar.dim)
-    yield from _lift_solutions(mods, w2bar, targets, pairing=pairing)
-
-
 def degenerate_step(y_from, y_to, field, polarized=False):
     """Deform the normal form of y_from so its generic invariants equal y_to.
 
@@ -965,11 +923,14 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         )
 
     kerT = T.kernel()
-    kerT2 = T.power(2).kernel()
+    inv_w1 = preimage(T, w1bar)
     Pw1 = PolyModule.constant(w1bar)
     PkerT = PolyModule.constant(kerT)
-    PkerT2 = PolyModule.constant(kerT2)
-    Pinv_w1 = PolyModule.constant(preimage(T, w1bar))
+    PkerT2 = PolyModule.constant(T.power(2).kernel())
+    Pinv_w1 = PolyModule.constant(inv_w1)
+    # omega_1 lifts constantly; omega_2 lifts inside T^{-1} omega_{1,R}
+    mods_b = [Pw1, PolyModule.constant(kerT.intersect(inv_w1)), Pinv_w1]
+    targets_b = (d1, alpha[0], d1 + d2)
 
     def cross_pair_zero(A, B):
         return all(
@@ -983,21 +944,11 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             except (StopIteration, LiftConstructionError):
                 return
 
-    for rows_b in drained(
-        _stage_b_solutions(field, T, w1bar, w2bar, kerT, alpha[0], pairing=pairing)
-    ):
+    for rows_b in drained(_lift_solutions(mods_b, w2bar, targets_b, pairing=pairing)):
         Pw2 = PolyModule.from_rows(field, n, rows_b)
-        if Pw2.rank != d1 + d2 or Pw2.fiber() != w2bar:
-            continue
-        if Pw2.generic_intersection_dim(PkerT) != alpha[0]:
-            continue
         Pinv_w2 = Pw2.preimage_const(T)
-        if pairing is not None:
-            pmat = Pw2.to_polymatrix()
-            if any(e for r in pmat.gram(pairing).rows for e in r):
-                continue
-            if not cross_pair_zero(Pw2, Pinv_w2):
-                continue
+        if pairing is not None and not cross_pair_zero(Pw2, Pinv_w2):
+            continue
         F_mod = PkerT.sum(Pw2)
         G_mod = PkerT2.intersect(Pinv_w2)
         fF = F_mod.fiber()
@@ -1017,13 +968,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         )
         for rows_c in drained(_lift_solutions(mods_c, wbar, targets_c, pairing=pairing)):
             Pw = PolyModule.from_rows(field, n, rows_c)
-            if Pw.rank != d1 + d2 + d3 or Pw.fiber() != wbar:
-                continue
-            if pairing is not None:
-                wm = Pw.to_polymatrix()
-                if any(e for r in wm.gram(pairing).rows for e in r):
-                    continue
-            generic = _generic_point(h, y_from.mu, T, Pw1, Pw2, Pw, PkerT, PkerT2)
+            generic = _generic_point(h, y_from.mu, Pinv_w1, Pw2, Pw, PkerT, PkerT2)
             if generic != y_to:
                 continue
             return Degeneration(
@@ -1042,17 +987,16 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     )
 
 
-def _generic_point(h, mu, T, Pw1, Pw2, Pw, PkerT, PkerT2):
+def _generic_point(h, mu, Pinv_w1, Pw2, Pw, PkerT, PkerT2):
     """Generic invariants of a lifted flag, via fraction-free ranks."""
-    d1 = Pw1.rank
+    d1 = mu[0]
     total = Pw.rank
     k1 = Pw.generic_intersection_dim(PkerT)
     k2 = Pw.generic_intersection_dim(PkerT2)
     delta = (k1, k2 - k1, total - k2)
     a1 = Pw2.generic_intersection_dim(PkerT)
     alpha = (a1, Pw2.rank - a1)
-    Pinv1 = Pw1.preimage_const(T)
-    b1 = Pw.generic_intersection_dim(Pinv1) - d1
+    b1 = Pw.generic_intersection_dim(Pinv_w1) - d1
     beta = (b1, total - d1 - b1)
     return StrataPoint(h, mu, delta, alpha, beta)
 

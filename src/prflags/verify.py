@@ -15,7 +15,17 @@ from fractions import Fraction
 
 from .gf import F2, F3, Matrix, Subspace
 from .polygon import Polygon
-from .tmodule import JordanType, delta_vector, partitions, power_image, realize, torsion_flag
+from .tmodule import (
+    ConcreteModule,
+    JordanType,
+    JordanTypeError,
+    delta_vector,
+    partitions,
+    power_image,
+    realize,
+    restrict_module,
+    torsion_flag,
+)
 from . import pr as prmod
 from . import e3 as e3mod
 from .strat import StrataPoset, leq
@@ -530,13 +540,35 @@ def _generic_chain_ok(res):
     )
 
 
+def _special_chain_ok(res):
+    """Whether the special fiber of a Degeneration is the normal form of y_from:
+    the X = 0 fibers of omega_1 <= omega_2 <= omega have full rank, and T
+    restricted to the fiber of omega carries them as a PR datum with phi = y_from."""
+    chain = (res.omega1, res.omega2, res.omega)
+    fibers = [pm.eval0_subspace() for pm in chain]
+    if any(S.dim != pm.nrows for S, pm in zip(fibers, chain)):
+        return False
+    if not (fibers[1].contains(fibers[0]) and fibers[2].contains(fibers[1])):
+        return False
+    f, top = res.op.field, fibers[2]
+    try:
+        M = restrict_module(ConcreteModule(f, 3, res.op), top)
+        flag = [Subspace.zero(f, top.dim)] + [
+            Subspace(f, top.dim, [f.pack(top.coordinates_of(r)) for r in S.rows])
+            for S in fibers
+        ]
+        return e3mod.phi(prmod.PRDatum(M, flag), res.y_from.h) == res.y_from
+    except (JordanTypeError, prmod.PRError):
+        return False
+
+
 def _degenerates(y_from, y_to, polarized=False):
     """Whether degenerate_step reaches y_to through a T-stable generic chain."""
     try:
         res = liftmod.degenerate_step(y_from, y_to, F2, polarized=polarized)
     except Exception:
         return False
-    return res.generic == y_to and _generic_chain_ok(res)
+    return res.generic == y_to and _generic_chain_ok(res) and _special_chain_ok(res)
 
 
 def _degeneration_pairs(points, polarized):
@@ -559,18 +591,26 @@ def _degeneration_pairs(points, polarized):
     return ordered, refused, bad
 
 
+def _transitive_reduction(points):
+    """Covering pairs (lower, upper) of leq: strict pairs that are no
+    composite of two strict pairs."""
+    strict = {(a, b) for a in points for b in points if a != b and leq(a, b)}
+    return strict - {(a, c) for a, b in strict for b2, c in strict if b == b2}
+
+
 def criterion_strat_engine():
     families = [pts for h in (1, 2) for mu in _sorted_mus(h) if (pts := e3mod.enum_Yadm(h, mu))]
     ordered = refused = bad = 0
     for points, polarized in [(pts, False) for pts in families] + [(e3mod.enum_Ypol(1), True)]:
         o, r, b = _degeneration_pairs(points, polarized)
         ordered, refused, bad = ordered + o, refused + r, bad + b
-    # closure consistency: every Hasse covering pair degenerates (h <= 2)
+    # the poset's Hasse diagram is the transitive reduction of leq (h <= 2)
     covers = 0
     for pts in families:
-        for lo, hi in StrataPoset(pts).hasse():
-            bad += not _degenerates(hi, lo)
-            covers += 1
+        hasse = StrataPoset(pts).hasse()
+        reduction = _transitive_reduction(pts)
+        bad += len(hasse) != len(reduction) or set(hasse) != reduction
+        covers += len(hasse)
     return bad == 0, "ordered=%d refused=%d covers=%d failures=%d" % (
         ordered,
         refused,

@@ -179,9 +179,12 @@ def test_usage_error_exit_code(capsys):
         ["pr", "exists", "--parts", "2,1", "--mu", "2,1", "--p", "131"],
         ["e3", "normal-form", "--h", "2", "--mu", "2,1,1",
          "--delta", "2,1,1", "--alpha", "2,1", "--beta", "1,1", "--p", "257"],
+        ["lift", "verify", "--cases", "-1"],
+        ["verify", "all", "--max-dim", "-1"],
     ],
     ids=["non-prime-p", "unsorted-mu", "negative-genus", "delta-out-of-range",
-         "delta-wrong-length", "prime-above-127", "prime-257"],
+         "delta-wrong-length", "prime-above-127", "prime-257", "negative-cases",
+         "negative-max-dim"],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prflags.gf import F2, F3, Matrix, PrimeField, Subspace
+from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, preimage
 from prflags.e3 import enum_Yadm, enum_Ypol
 from prflags.lift import (
     INEQ_LE_SPECIAL,
@@ -23,23 +23,28 @@ from prflags.lift import (
     PolyModule,
     StratOrderError,
     _express,
+    _fraction_free,
+    _strip_content,
     check_isotropic_feasible,
     check_lift_feasible,
     degenerate_step,
     generic_rank,
     lift_isotropic,
     lift_subspace,
+    padd,
     pconst,
     pdivmod,
     pgcd,
     pmul,
+    pneg,
+    pnorm,
     perp,
     poly_bilinear,
     polarized_normal_form,
     standard_symplectic,
     verify_lift,
 )
-from prflags.verify import _generic_chain_ok
+from prflags.verify import _generic_chain_ok, _special_chain_ok
 
 
 def test_poly_arithmetic():
@@ -110,6 +115,102 @@ def test_poly_module_operations():
     assert inter.rank == 1
     total = W.sum(pre)
     assert total.rank == 2
+
+
+# --- reference lattice operations: cofactor kernels and recombination ------
+
+
+def ref_right_kernel(p, rows, ncols):
+    """Polynomial spanning set of {u : A u = 0} over F_p(X), by cofactors."""
+    A = [[pnorm(e) for e in r] for r in rows]
+    pivots = _fraction_free(p, A, ncols)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        u = [() for _ in range(ncols)]
+        L = (1,)
+        for rr, cc in pivots:
+            L = pmul(L, A[rr][cc], p)
+        u[f] = L
+        for rr, cc in pivots:
+            if A[rr][f]:
+                others = (1,)
+                for r2, c2 in pivots:
+                    if r2 != rr:
+                        others = pmul(others, A[r2][c2], p)
+                u[cc] = pneg(pmul(A[rr][f], others, p), p)
+        basis.append(_strip_content(u, p))
+    return basis
+
+
+def ref_left_kernel(p, rows, ncols):
+    """Polynomial spanning set of {x : x A = 0} over F_p(X)."""
+    transposed = [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
+    return ref_right_kernel(p, transposed, len(rows))
+
+
+def ref_intersect(A, B):
+    p, n = A.field.p, A.n
+    gens = []
+    for combo in ref_left_kernel(p, list(A.basis) + list(B.basis), n):
+        vec = [()] * n
+        for c, row in zip(combo[: A.rank], A.basis):
+            vec = [padd(v, pmul(c, e, p), p) for v, e in zip(vec, row)]
+        gens.append(vec)
+    return PolyModule.from_rows(A.field, n, gens)
+
+
+def ref_preimage_const(W, T):
+    p, n = W.field.p, W.n
+    rows = [[pconst(c, p) for c in r] for r in T.transpose().coord_rows()]
+    rows += [[pneg(e, p) for e in r] for r in W.basis]
+    gens = [combo[:n] for combo in ref_left_kernel(p, rows, n)]
+    return PolyModule.from_rows(W.field, n, gens)
+
+
+def _operator(data, field, n):
+    vec = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
+    return Matrix.from_rows(field, [data.draw(vec) for _ in range(n)], n)
+
+
+def _poly_module(data, field, n):
+    poly = st.lists(st.integers(0, field.p - 1), max_size=3).map(tuple)
+    row = st.lists(poly, min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=1, max_size=n))
+    return PolyModule.from_rows(field, n, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattice_operations_match_cofactor_reference(data):
+    field = PrimeField(data.draw(st.sampled_from([2, 3])))
+    n = data.draw(st.integers(1, 4))
+    A = _poly_module(data, field, n)
+    B = _poly_module(data, field, n)
+    T = _operator(data, field, n)
+    assert A.intersect(B) == ref_intersect(A, B)
+    assert A.preimage_const(T) == ref_preimage_const(A, T)
+
+
+def _subspace(data, field, n):
+    vec = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
+    return Subspace.span(field, n, data.draw(st.lists(vec, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_constant_lattice_operations_match_gf(data):
+    field = PrimeField(data.draw(st.sampled_from([2, 3, 5])))
+    n = data.draw(st.integers(1, 4))
+    A, B = _subspace(data, field, n), _subspace(data, field, n)
+    T = _operator(data, field, n)
+    PA = PolyModule.constant(A)
+    assert PA == PolyModule.from_rows(field, n, [[pconst(c, field.p) for c in r] for r in A.basis_coords()])
+    assert PA.fiber() == A
+    assert PA.intersect(PolyModule.constant(B)) == PolyModule.constant(A.intersect(B))
+    assert PA.preimage_const(T) == PolyModule.constant(preimage(T, A))
 
 
 def test_lift_trivial_no_deformation():
@@ -272,8 +373,14 @@ def test_degenerate_step_worked_example():
     assert isinstance(res, Degeneration)
     assert res.generic == y_to
     assert _generic_chain_ok(res)
+    assert _special_chain_ok(res)
     # omega is not inside omega_2, so a chain starting at omega is no PR datum
     assert not _generic_chain_ok(dataclasses.replace(res, omega1=res.omega))
+    # a special fiber of type (2, 0, 1) is not the normal form of y_from
+    assert not _special_chain_ok(dataclasses.replace(res, omega1=res.omega2))
+    # a repeated row leaves the special fiber short of full rank
+    doubled = PolyMatrix(F2, res.ambient_dim, res.omega.rows + res.omega.rows[:1])
+    assert not _special_chain_ok(dataclasses.replace(res, omega=doubled))
     assert res.omega.eval0_subspace().dim == 3
     data = res.to_json_dict()
     assert data["to"] == y_to.to_json_dict()
@@ -309,5 +416,6 @@ def test_degenerate_step_polarized_g1():
                 res = degenerate_step(y1, y2, F2, polarized=True)
                 assert res.generic == y2
                 assert _generic_chain_ok(res)
+                assert _special_chain_ok(res)
                 gram = res.omega.gram(Phi)
                 assert all(not e for r in gram.rows for e in r)

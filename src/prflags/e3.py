@@ -130,23 +130,6 @@ def in_Ypol(pt):
     return g <= r <= 2 * g and pt.delta == (r, g, 2 * g - r)
 
 
-def _desc_pairs(total, bound):
-    """All (a1 >= a2 >= 0) with a1 + a2 = total, a1 <= bound."""
-    lo = (total + 1) // 2
-    for a1 in range(min(bound, total), lo - 1, -1):
-        a2 = total - a1
-        if 0 <= a2 <= a1:
-            yield (a1, a2)
-
-
-def _desc_triples(total, bound):
-    for a1 in range(min(bound, total), -1, -1):
-        for a2 in range(min(a1, total - a1), -1, -1):
-            a3 = total - a1 - a2
-            if 0 <= a3 <= a2:
-                yield (a1, a2, a3)
-
-
 def enum_Y(h, mu):
     """All points of Y for (h, mu), sorted lexicographically on (delta, alpha, beta)."""
     mu = tuple(int(x) for x in mu)
@@ -155,10 +138,14 @@ def enum_Y(h, mu):
     if any(x < 0 or x > h for x in mu):
         raise ValueError("mu entries must lie in [0, %d]" % h)
     d1, d2, d3 = mu
+
+    def padded(total, k):
+        return [q + (0,) * (k - len(q)) for q in partitions(total, h, k)]
+
     out = []
-    for delta in _desc_triples(d1 + d2 + d3, h):
-        for alpha in _desc_pairs(d1 + d2, h):
-            for beta in _desc_pairs(d2 + d3, h):
+    for delta in padded(d1 + d2 + d3, 3):
+        for alpha in padded(d1 + d2, 2):
+            for beta in padded(d2 + d3, 2):
                 pt = StrataPoint(h, mu, delta, alpha, beta)
                 if in_Y(pt):
                     out.append(pt)
@@ -354,7 +341,7 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
                         orbit.add(nxt)
                         frontier.append(nxt)
             seen |= orbit
-            if not orbit <= set(index):
+            if not index.keys() >= orbit:
                 raise AssertionError("automorphism left the flag set")
             classes.append((J, D, phi(D, h)))
     return IsoClasses(len(classes), tuple(classes))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf import Matrix, Subspace, preimage, subspaces_between
+from .gf import Matrix, Subspace, image, preimage, rref, subspaces_between
 from .e3 import StrataPoint, in_Ypol, normal_form
 from .strat import leq
 from .tmodule import jordan_type
@@ -31,40 +31,30 @@ from .tmodule import jordan_type
 
 
 def pnorm(t):
+    """The canonical tuple of a coefficient sequence: no trailing zeros.
+
+    Every helper below takes and returns canonical tuples, so this runs
+    only where outside input enters and where cancellation can happen.
+    """
     t = tuple(t)
     while t and not t[-1]:
         t = t[:-1]
     return t
 
 
-def padd(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
+def padd(a, b, p, c=1):
+    """a + c*b."""
+    c %= p
+    if not c or not b:
+        return a
     out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
+    out.extend([0] * (len(b) - len(a)))
+    for i, y in enumerate(b):
+        out[i] = (out[i] + c * y) % p
     return pnorm(out)
 
 
-def pneg(a, p):
-    return tuple((-c) % p for c in a)
-
-
-def psub(a, b, p):
-    return padd(a, pneg(b, p), p)
-
-
-def pscale(a, c, p):
-    c %= p
-    if c == 0:
-        return ()
-    if c == 1:
-        return pnorm(a)
-    return pnorm(tuple((x * c) % p for x in a))
-
-
 def pmul(a, b, p):
-    a, b = pnorm(a), pnorm(b)
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -72,13 +62,13 @@ def pmul(a, b, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return pnorm(out)
+    return tuple(out)
 
 
 def pdivmod(a, b, p):
-    a, b = list(pnorm(a)), pnorm(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     inv = pow(b[-1], p - 2, p)
     for i in range(len(a) - len(b), -1, -1):
@@ -87,15 +77,14 @@ def pdivmod(a, b, p):
             q[i] = c
             for j, y in enumerate(b):
                 a[i + j] = (a[i + j] - c * y) % p
-    return pnorm(q), pnorm(a)
+    return tuple(q), pnorm(a)
 
 
 def pgcd(a, b, p):
-    a, b = pnorm(a), pnorm(b)
     while b:
         a, b = b, pdivmod(a, b, p)[1]
     if a and a[-1] != 1:
-        a = pscale(a, pow(a[-1], p - 2, p), p)
+        a = padd((), a, p, pow(a[-1], p - 2, p))
     return a
 
 
@@ -106,12 +95,6 @@ def pconst(c, p):
 
 def peval0(a):
     return a[0] if a else 0
-
-
-def pshift(a):
-    """Multiplication by X."""
-    a = pnorm(a)
-    return (0,) + a if a else ()
 
 
 def _row_content(row, p):
@@ -126,7 +109,7 @@ def _row_content(row, p):
 def _strip_content(row, p):
     g = _row_content(row, p)
     if not g or g == (1,):
-        return tuple(pnorm(e) for e in row)
+        return tuple(row)
     return tuple(pdivmod(e, g, p)[0] for e in row)
 
 
@@ -191,7 +174,7 @@ class PolyMatrix:
                 for j in range(self.ncols):
                     c = Tc[i][j]
                     if c:
-                        acc = padd(acc, pscale(v[j], c, p), p)
+                        acc = padd(acc, v[j], p, c)
                 new.append(acc)
             rows.append(new)
         return PolyMatrix(self.field, T.nrows, rows)
@@ -236,7 +219,7 @@ def poly_bilinear(u, w, pairing):
         for j, wj in enumerate(w):
             c = Phi[i][j]
             if c and wj:
-                tmp = padd(tmp, pscale(wj, c, p), p)
+                tmp = padd(tmp, wj, p, c)
         acc = padd(acc, pmul(ui, tmp, p), p)
     return acc
 
@@ -266,7 +249,7 @@ def _fraction_free(p, rows, ncols):
                 continue
             c = rows[i][col]
             rows[i] = [
-                psub(pmul(pv, x, p), pmul(c, y, p), p) for x, y in zip(rows[i], rows[r])
+                padd(pmul(pv, x, p), pmul(c, y, p), p, -1) for x, y in zip(rows[i], rows[r])
             ]
             rows[i] = list(_strip_content(rows[i], p))
         pivots.append((r, col))
@@ -282,7 +265,7 @@ def generic_rank(pm):
 def _hermite(field, n, rows):
     """Canonical Hermite basis of the k[X]-lattice spanned by `rows`."""
     p = field.p
-    work = [list(r) for r in rows if any(pnorm(e) for e in r)]
+    work = [list(r) for r in rows if any(r)]
     result = []
     for col in range(n):
         cand = [r for r in work if r[col]]
@@ -293,7 +276,7 @@ def _hermite(field, n, rows):
             nxt = [piv]
             for r in cand[1:]:
                 q, _ = pdivmod(r[col], piv[col], p)
-                r2 = [psub(x, pmul(q, y, p), p) for x, y in zip(r, piv)]
+                r2 = [padd(x, pmul(q, y, p), p, -1) for x, y in zip(r, piv)]
                 if r2[col]:
                     nxt.append(r2)
                 elif any(r2):
@@ -304,16 +287,16 @@ def _hermite(field, n, rows):
             lead = piv[col][-1]
             if lead != 1:
                 inv = pow(lead, p - 2, p)
-                piv = [pscale(x, inv, p) for x in piv]
+                piv = [padd((), x, p, inv) for x in piv]
             for b in result:
                 if b[col]:
                     q, _ = pdivmod(b[col], piv[col], p)
                     if q:
                         for j in range(n):
-                            b[j] = psub(b[j], pmul(q, piv[j], p), p)
+                            b[j] = padd(b[j], pmul(q, piv[j], p), p, -1)
             result.append(list(piv))
         work = rest
-    return tuple(tuple(pnorm(e) for e in r) for r in result)
+    return tuple(tuple(r) for r in result)
 
 
 def _snf_saturated_rows(field, n, gen_rows):
@@ -324,8 +307,7 @@ def _snf_saturated_rows(field, n, gen_rows):
     rows of W.
     """
     p = field.p
-    A = [[pnorm(e) for e in r] for r in gen_rows]
-    A = [r for r in A if any(r)]
+    A = [list(r) for r in gen_rows if any(r)]
     m = len(A)
     if m == 0:
         return ()
@@ -352,7 +334,7 @@ def _snf_saturated_rows(field, n, gen_rows):
             for i in range(m):
                 if i != t and A[i][t]:
                     q, rem = pdivmod(A[i][t], A[t][t], p)
-                    A[i] = [psub(x, pmul(q, y, p), p) for x, y in zip(A[i], A[t])]
+                    A[i] = [padd(x, pmul(q, y, p), p, -1) for x, y in zip(A[i], A[t])]
                     if rem:
                         A[t], A[i] = A[i], A[t]
                         dirty = True
@@ -364,7 +346,7 @@ def _snf_saturated_rows(field, n, gen_rows):
                     q, rem = pdivmod(A[t][j], A[t][t], p)
                     if q:
                         for row in A:
-                            row[j] = psub(row[j], pmul(q, row[t], p), p)
+                            row[j] = padd(row[j], pmul(q, row[t], p), p, -1)
                         W[t] = [
                             padd(x, pmul(q, y, p), p) for x, y in zip(W[t], W[j])
                         ]
@@ -395,6 +377,7 @@ class PolyModule:
 
     @classmethod
     def from_rows(cls, field, n, rows):
+        rows = [[pnorm(e) for e in r] for r in rows]
         return cls(field, n, _snf_saturated_rows(field, n, rows))
 
     @classmethod
@@ -532,9 +515,6 @@ def check_lift_feasible(problem):
     dp = problem.targets
     hs = tuple(F.dim for F in problem.flag)
     l = len(hs)
-    # automatic for genuine flags; kept as a sanity assertion
-    for i in range(l - 1):
-        assert 0 <= d[i + 1] - d[i] <= hs[i + 1] - hs[i]
     if dp[-1] != d[-1]:
         raise LiftInfeasibleError(INEQ_TOP, "d'_%d = %d != %d" % (l, dp[-1], d[-1]))
     prev = 0
@@ -581,14 +561,10 @@ def check_isotropic_feasible(problem):
     g = n // 2
     hs = tuple(F.dim for F in problem.flag)
     l = len(hs)
-    for i, F in enumerate(problem.flag):
-        mate = problem.flag[l - 2 - i] if i < l - 1 else None
-        # flag convention: M_l = ambient has perp M_0 = 0, omitted from the list
-        pp = perp(F, pairing)
-        expect = mate if mate is not None else Subspace.zero(F.field, n)
-        if i == l - 1:
-            continue
-        if pp != expect:
+    # M_l = ambient has perp M_0 = 0, which the flag omits
+    for i in range(l - 1):
+        pp = perp(problem.flag[i], pairing)
+        if pp != problem.flag[l - 2 - i]:
             raise LiftInfeasibleError(
                 POL_PERP, "member %d has perp of dim %d" % (i + 1, pp.dim)
             )
@@ -608,38 +584,39 @@ def check_isotropic_feasible(problem):
     check_lift_feasible(problem)
 
 
-def _lift_const_row(field, module, target_packed):
-    """A module element with constant coefficients reducing to the target."""
-    n = module.n
-    fiber_rows = [field.pack(tuple(peval0(e) for e in r)) for r in module.basis]
-    coeffs = _express(field, n, fiber_rows, target_packed)
-    if coeffs is None:
-        return None
-    p = field.p
-    out = [() for _ in range(n)]
-    for c, row in zip(coeffs, module.basis):
-        if c:
-            for j in range(n):
-                out[j] = padd(out[j], pscale(row[j], c, p), p)
-    return tuple(out)
+def _fiber_lifts(module):
+    """The special fiber of a module, and a lift of each of its basis rows.
 
-
-def _express(field, n, rows, target):
-    """Coefficients writing a packed target of F_p^n as a combination of the
-    packed rows, or None when it lies outside their span.
-
-    Reducing [target | 0] against the span of the rows [r_i | e_i] leaves
-    [target - sum c_i r_i | -c] with a zero left half exactly when the
-    target is in the span.
+    One rref of the joined rows [b_i(0) | e_i] leaves the fiber's reduced
+    echelon rows on the left and, on the right, the constant coefficients
+    c with sum c_i b_i(0) equal to each of them; sum c_i b_i is that row's
+    lift.  Returns the fiber and the (pivot, lift) pairs in row order.
     """
-    m = len(rows)
-    joined = [field.row_join(r, field.unit_row(m, i), n) for i, r in enumerate(rows)]
-    span = Subspace(field, n + m, joined)
-    residue = span.reduce_row(field.row_join(target, field.zero_row(m), n))
-    left, right = field.row_split(residue, n)
-    if not field.row_is_zero(left):
-        return None
-    return [(-c) % field.p for c in field.unpack(right, m)]
+    field, n, basis = module.field, module.n, module.basis
+    m = len(basis)
+    joined = [
+        field.row_join(field.pack([peval0(e) for e in b]), field.unit_row(m, i), n)
+        for i, b in enumerate(basis)
+    ]
+    zero = ((),) * n
+    lefts, lifts = [], []
+    for piv, row in zip(*rref(field, joined)):
+        left, right = field.row_split(row, n)
+        lefts.append(left)
+        lifts.append((piv, _combine(field, zero, enumerate(basis), right)))
+    return Subspace(field, n, lefts, _canonical=True), lifts
+
+
+def _combine(field, row, terms, v):
+    """row + the sum of c*t over the (k, t) in terms, c the entry of the
+    packed vector v at k.  With a fiber's (pivot, lift) pairs as terms this
+    adds the lift of a fiber vector, as the fiber basis is reduced."""
+    p = field.p
+    for k, t in terms:
+        c = field.row_get(v, k)
+        if c:
+            row = tuple(padd(x, y, p, c) for x, y in zip(row, t))
+    return row
 
 
 def _lift_solutions(mods, special, targets, pairing=None, node_cap=500000):
@@ -651,38 +628,40 @@ def _lift_solutions(mods, special, targets, pairing=None, node_cap=500000):
     """
     field = special.field
     n = special.n
-    fibers = [m.fiber() for m in mods]
     l = len(mods)
-    zero = Subspace.zero(field, n)
     budget = [node_cap]
+    zero = ((),) * n
+    # per level, once: lifts of the special vectors new at that level, the
+    # span perturbations must avoid, and the fiber lifts times X
+    fibers, levels = [], []
+    prev_cut = Subspace.zero(field, n)
+    for mod in mods:
+        fib, lifts = _fiber_lifts(mod)
+        cut = special.intersect(fib)
+        bases = [_combine(field, zero, lifts, w) for w in prev_cut.complement_in(cut)]
+        avoid0 = fibers[-1].sum(cut) if fibers else cut
+        shifted = [(k, tuple((0,) + e if e else () for e in t)) for k, t in lifts]
+        fibers.append(fib)
+        levels.append((bases, avoid0, shifted))
+        prev_cut = cut
 
     def pair_ok(f, finals):
         return pairing is None or all(not poly_bilinear(f, g, pairing) for g in finals)
 
     def rec(i, rows, pending, finals):
-        # rows: list of [base, pert]; pending: row ids awaiting a perturbation
+        # rows: the rows so far; pending: ids of rows awaiting a perturbation
         if budget[0] <= 0:
             raise LiftConstructionError("search budget exhausted")
         budget[0] -= 1
         if i == l:
-            if pending:
-                return
-            yield [r for r in rows]
+            if not pending:
+                yield list(rows)
             return
-        fib = fibers[i]
-        prev_cut = special.intersect(fibers[i - 1]) if i else zero
-        cur_cut = special.intersect(fib)
-        news = prev_cut.complement_in(cur_cut)
-        k_i = len(news)
+        bases, avoid0, shifted = levels[i]
+        k_i = len(bases)
         keep = targets[i] - (targets[i - 1] if i else 0)
         if keep < 0:
             return
-        bases = []
-        for w in news:
-            b = _lift_const_row(field, mods[i], w)
-            if b is None:
-                return
-            bases.append(b)
         if keep <= k_i:
             for subset in itertools.combinations(range(k_i), keep):
                 chosen = set(subset)
@@ -709,32 +688,21 @@ def _lift_solutions(mods, special, targets, pairing=None, node_cap=500000):
                 return
             rows2 = list(rows)
             finals_base = list(finals)
-            ok = True
             for base in bases:
                 if not pair_ok(base, finals_base):
-                    ok = False
-                    break
+                    return
                 rows2.append(base)
                 finals_base.append(base)
-            if not ok:
-                return
-            avoid0 = fibers[i - 1].sum(cur_cut) if i else cur_cut
 
             def assign(j, rows3, finals3, avoid):
                 if j == q:
                     yield from rec(i + 1, rows3, list(pending[q:]), finals3)
                     return
                 rid = pending[j]
-                for v in fib.vectors():
+                for v in fibers[i].vectors():
                     if avoid.contains_row(v):
                         continue
-                    vrow = _lift_const_row(field, mods[i], v)
-                    if vrow is None:
-                        continue
-                    p = field.p
-                    f = tuple(
-                        padd(b, pshift(x), p) for b, x in zip(rows3[rid], vrow)
-                    )
+                    f = _combine(field, rows3[rid], shifted, v)
                     if not pair_ok(f, finals3):
                         continue
                     rows4 = list(rows3)
@@ -1053,8 +1021,9 @@ def polarized_normal_form(y, field):
     wbar = Subspace.span(field, n, coords)
     assert wbar.dim == 3 * g
 
-    Tw = Subspace(field, n, [T.apply(v) for v in wbar.rows])
-    T2w = Subspace(field, n, [T.power(2).apply(v) for v in wbar.rows])
+    T2 = T.power(2)
+    Tw = image(T, wbar)
+    T2w = image(T2, wbar)
     kerT = T.kernel()
     wkT = wbar.intersect(kerT)
     cut1 = y.beta[0] + g - y.delta[0]
@@ -1062,7 +1031,7 @@ def polarized_normal_form(y, field):
     for w1 in subspaces_between(T2w, wkT, g):
         if w1.intersect(Tw).dim != cut1:
             continue
-        if perp(w1, pairing) != preimage(T.power(2), w1):
+        if perp(w1, pairing) != preimage(T2, w1):
             continue
         floor = w1.sum(Tw)
         ceil = preimage(T, w1).intersect(wbar)

@@ -14,9 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import DEFAULT_ENUM_CAP, Subspace, preimage, subspaces_between
+from .gf import DEFAULT_ENUM_CAP, Subspace, image, preimage, subspaces_between
 from .polygon import Polygon
-from .tmodule import ConcreteModule, delta_vector, hodge_polygon, jordan_type
+from .tmodule import (
+    ConcreteModule,
+    delta_vector,
+    hodge_polygon,
+    jordan_type,
+    power_image,
+)
 
 
 class PRError(ValueError):
@@ -258,11 +264,7 @@ def pr_construct(M, mu):
             raise InfeasiblePRError(i + 1, dacc, sacc)
 
     alpha = alpha_table(delta, mu_sorted)
-    power_flags = []
-    full = Subspace.full(M.field, M.dim)
-    for j in range(e + 1):
-        Tj = M.op.power(j)
-        power_flags.append(Subspace(M.field, M.dim, [Tj.apply(r) for r in full.rows]))
+    power_flags = [power_image(M, j) for j in range(e + 1)]
 
     flag = [Subspace.zero(M.field, M.dim)]
     for i in range(1, e + 1):
@@ -298,9 +300,7 @@ def pr_permute(D, i):
     lower = D.flag[i - 1]
     upper = D.flag[i + 1]
     d_next = upper.dim - D.flag[i].dim
-    floor = lower.sum(
-        Subspace(M.field, M.dim, [M.op.apply(r) for r in upper.rows])
-    )
+    floor = lower.sum(image(M.op, upper))
     ceiling = upper.intersect(preimage(M.op, lower))
     target = lower.dim + d_next
     mid = subspace_in_flag([ceiling], floor, target, [target])
@@ -362,7 +362,7 @@ def check_hdg_filt(M, N, i):
     and the claim collapses to Hdg(M) >= Hdg(M).
     """
     from .tmodule import restrict_module, quotient_module
-    from .tmodule import torsion_flag, power_image
+    from .tmodule import torsion_flag
 
     e = M.e
     if not 0 <= i <= e:

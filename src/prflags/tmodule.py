@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import Matrix, Subspace
+from .gf import Matrix, Subspace, image
 from .polygon import Polygon
 
 
@@ -210,8 +210,7 @@ def power_image(M, i):
     """The subspace T^i M."""
     if i < 0 or i > M.e:
         raise JordanTypeError("power %d outside [0, %d]" % (i, M.e))
-    T_i = M.op.power(i)
-    return Subspace(M.field, M.dim, [T_i.apply(r) for r in M.ambient().rows])
+    return image(M.op.power(i), M.ambient())
 
 
 def hodge_polygon(obj, h=None):

@@ -72,8 +72,9 @@ def _sorted_mus(h):
             yield mu
 
 
-def _random_subspace(rng, field, n, dim):
-    S = Subspace.zero(field, n)
+def _random_subspace(rng, S, dim):
+    """S grown to dimension `dim` by random vectors."""
+    field, n = S.field, S.n
     guard = 0
     while S.dim < dim:
         v = field.pack([rng.randrange(field.p) for _ in range(n)])
@@ -268,15 +269,10 @@ def criterion_filtration_dominance(seed):
 
 def _random_flag(rng, field, n, length):
     dims = sorted(rng.sample(range(0, n), k=length - 1)) + [n]
-    dims = [d for d in dims]
     spaces = []
     cur = Subspace.zero(field, n)
     for d in dims:
-        while cur.dim < d:
-            v = field.pack([rng.randrange(field.p) for _ in range(n)])
-            nxt = Subspace(field, n, cur.rows + (v,))
-            if nxt.dim > cur.dim:
-                cur = nxt
+        cur = _random_subspace(rng, cur, d)
         spaces.append(cur)
     return spaces
 
@@ -296,7 +292,7 @@ def _random_lift_problem(rng, field):
     l = rng.randint(2, 4)
     n = rng.randint(l, 6)
     flag = _random_flag(rng, field, n, l)
-    L = _random_subspace(rng, field, n, rng.randint(0, n))
+    L = _random_subspace(rng, Subspace.zero(field, n), rng.randint(0, n))
     prob_ds = tuple(L.intersect(F).dim for F in flag)
     targets = _random_feasible_targets(rng, [F.dim for F in flag], prob_ds)
     return liftmod.LiftProblem(tuple(flag), L, targets)
@@ -393,32 +389,14 @@ def _symplectic_form(field, g):
     return Matrix.from_rows(field, rows, n)
 
 
-def _random_isotropic_extension(rng, Phi, S, inside):
-    """A vector of `inside`, orthogonal to S and outside S, or None."""
-    cand = liftmod.perp(S, Phi).intersect(inside)
-    choices = [v for v in cand.vectors() if not S.contains_row(v)]
-    if not choices:
-        return None
-    return choices[rng.randrange(len(choices))]
-
-
-def _random_lagrangian(rng, field, Phi, g):
-    n = 2 * g
-    S = Subspace.zero(field, n)
-    full = Subspace.full(field, n)
-    while S.dim < g:
-        v = _random_isotropic_extension(rng, Phi, S, full)
-        S = Subspace(field, n, S.rows + (v,))
-    return S
-
-
 def _extend_isotropic_to(rng, field, Phi, cur, dim):
+    """cur grown to dimension `dim` by random vectors orthogonal to it, or None."""
     n = cur.n
     while cur.dim < dim:
-        v = _random_isotropic_extension(rng, Phi, cur, liftmod.perp(cur, Phi))
-        if v is None:
+        choices = [v for v in liftmod.perp(cur, Phi).vectors() if not cur.contains_row(v)]
+        if not choices:
             return None
-        cur = Subspace(field, n, cur.rows + (v,))
+        cur = Subspace(field, n, cur.rows + (choices[rng.randrange(len(choices))],))
     return cur
 
 
@@ -502,7 +480,7 @@ def criterion_isotropic(seed):
         flag = _random_isotropic_flag(rng, field, Phi, g, l)
         if flag is None:
             continue
-        L = _random_lagrangian(rng, field, Phi, g)
+        L = _extend_isotropic_to(rng, field, Phi, Subspace.zero(field, 2 * g), g)
         targets = _random_polarized_targets(rng, flag, L, g)
         if targets is None:
             continue

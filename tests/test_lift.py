@@ -22,7 +22,8 @@ from prflags.lift import (
     PolyMatrix,
     PolyModule,
     StratOrderError,
-    _express,
+    _combine,
+    _fiber_lifts,
     _fraction_free,
     _strip_content,
     check_isotropic_feasible,
@@ -35,8 +36,8 @@ from prflags.lift import (
     pconst,
     pdivmod,
     pgcd,
+    peval0,
     pmul,
-    pneg,
     pnorm,
     perp,
     poly_bilinear,
@@ -68,28 +69,29 @@ def test_generic_rank_examples():
     assert generic_rank(A) == 1  # second row = X * first row
 
 
-@settings(max_examples=100, deadline=None)
+def _is_canonical(t, p):
+    return isinstance(t, tuple) and all(0 <= x < p for x in t) and (not t or t[-1] != 0)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_express_matches_brute_force(data):
-    field = PrimeField(data.draw(st.sampled_from([2, 3])))
-    n = data.draw(st.integers(1, 4))
-    vec = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
-    rows = data.draw(st.lists(vec, max_size=3))
-    target = data.draw(vec)
-
-    def combine(coeffs):
-        return tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % field.p for j in range(n))
-
-    in_span = any(
-        combine(coeffs) == tuple(target)
-        for coeffs in itertools.product(range(field.p), repeat=len(rows))
-    )
-    got = _express(field, n, [field.pack(r) for r in rows], field.pack(target))
-    if in_span:
-        assert got is not None and len(got) == len(rows)
-        assert combine(got) == tuple(target)
-    else:
-        assert got is None
+def test_poly_helpers_return_canonical_tuples(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    poly = st.lists(st.integers(0, p - 1), max_size=4).map(pnorm)
+    a, b = data.draw(poly), data.draw(poly)
+    for c in list(range(p)) + [-1]:
+        s = padd(a, b, p, c)
+        assert _is_canonical(s, p)
+        pairs = itertools.zip_longest(a, b, fillvalue=0)
+        assert s == pnorm((x + c * y) % p for x, y in pairs)
+    assert _is_canonical(pmul(a, b, p), p)
+    g = pgcd(a, b, p)
+    assert _is_canonical(g, p)
+    if b:
+        q, r = pdivmod(a, b, p)
+        assert _is_canonical(q, p) and _is_canonical(r, p)
+        assert len(r) < len(b) and padd(pmul(q, b, p), r, p) == a
+        assert not pdivmod(b, g, p)[1]
 
 
 def test_poly_module_saturation():
@@ -118,6 +120,10 @@ def test_poly_module_operations():
 
 
 # --- reference lattice operations: cofactor kernels and recombination ------
+
+
+def pneg(a, p):
+    return padd((), a, p, -1)
 
 
 def ref_right_kernel(p, rows, ncols):
@@ -192,6 +198,30 @@ def test_lattice_operations_match_cofactor_reference(data):
     T = _operator(data, field, n)
     assert A.intersect(B) == ref_intersect(A, B)
     assert A.preimage_const(T) == ref_preimage_const(A, T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fiber_lifts_match_brute_force(data):
+    field = PrimeField(data.draw(st.sampled_from([2, 3])))
+    p, n = field.p, data.draw(st.integers(1, 4))
+    M = _poly_module(data, field, n)
+    fiber, lifts = _fiber_lifts(M)
+    assert fiber == M.to_polymatrix().eval0_subspace()
+    assert tuple(k for k, _ in lifts) == fiber.pivots
+    # every combination of the basis with constant coefficients, by reduction
+    zero = ((),) * n
+    elements = {}
+    for coeffs in itertools.product(range(p), repeat=M.rank):
+        elem = zero
+        for c, b in zip(coeffs, M.basis):
+            elem = tuple(padd(x, y, p, c) for x, y in zip(elem, b))
+        elements[field.pack([peval0(e) for e in elem])] = elem
+    # the reductions of a saturated basis are independent
+    assert len(elements) == p**M.rank
+    assert set(elements) == set(fiber.vectors())
+    for v, elem in elements.items():
+        assert _combine(field, zero, lifts, v) == elem
 
 
 def _subspace(data, field, n):

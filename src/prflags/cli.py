@@ -97,27 +97,31 @@ def _emit(text):
 
 
 def cmd_polygon(args):
-    if args.action == "dom":
-        P1 = Polygon.from_d(args.h, _ints(args, "a"))
-        P2 = Polygon.from_d(args.h, _ints(args, "b"))
-        verdict = P1.dominates(P2)
-        _emit("true" if verdict else "false")
-        return 0 if verdict else 1
-    if args.action == "star":
-        P1 = Polygon.from_d(args.h, _ints(args, "a"))
-        P2 = Polygon.from_d(args.h, _ints(args, "b"))
-        _emit(_polygon_json(P1.star(P2)))
-        return 0
-    if args.action == "eval":
-        P = Polygon.from_d(args.h, _ints(args, "d"))
-        _emit(str(P(_fraction(args, "x"))))
-        return 0
-    if args.action == "slopes":
-        P = Polygon.from_d(args.h, _ints(args, "d"))
-        slopes = {str(s): m for s, m in P.slopes}
-        bps = [[x, str(y)] for x, y in P.breakpoints()]
-        _emit(_dumps({"slopes": slopes, "breakpoints": bps}))
-        return 0
+    # every polygon here is built from the arguments, so its errors are usage errors
+    try:
+        if args.action == "dom":
+            P1 = Polygon.from_d(args.h, _ints(args, "a"))
+            P2 = Polygon.from_d(args.h, _ints(args, "b"))
+            verdict = P1.dominates(P2)
+            _emit("true" if verdict else "false")
+            return 0 if verdict else 1
+        if args.action == "star":
+            P1 = Polygon.from_d(args.h, _ints(args, "a"))
+            P2 = Polygon.from_d(args.h, _ints(args, "b"))
+            _emit(_polygon_json(P1.star(P2)))
+            return 0
+        if args.action == "eval":
+            P = Polygon.from_d(args.h, _ints(args, "d"))
+            _emit(str(P(_fraction(args, "x"))))
+            return 0
+        if args.action == "slopes":
+            P = Polygon.from_d(args.h, _ints(args, "d"))
+            slopes = {str(s): m for s, m in P.slopes}
+            bps = [[x, str(y)] for x, y in P.breakpoints()]
+            _emit(_dumps({"slopes": slopes, "breakpoints": bps}))
+            return 0
+    except PolygonError as err:
+        raise UsageError(str(err))
     raise UsageError("unknown polygon action %r" % args.action)
 
 
@@ -178,7 +182,7 @@ def _points(args):
     """The admissible points for --h/--mu, or the polarized ones for --polarized."""
     try:
         if args.polarized is not None:
-            return e3mod.enum_Ypol(args.polarized)
+            return e3mod.enum_Ypol(_count(args, "polarized"))
         if args.h is None:
             raise UsageError("--h or --polarized is required")
         return e3mod.enum_Yadm(args.h, _ints(args, "mu"))

@@ -2,11 +2,13 @@
 
 Everything generic is computed with exact polynomial arithmetic over
 F_p[X]: the special fiber is evaluation at X = 0, generic dimensions
-are ranks over the rational-function field obtained by fraction-free
-elimination.  Submodules of R^n (R the series ring) are represented by
-saturated polynomial bases, normalized to a Hermite form so equal
-modules have identical bases.  Intersections and constant preimages
-are one fraction-free elimination of joined rows [left | right].
+are ranks over the rational-function field.  Submodules of R^n (R the
+series ring) are represented by saturated polynomial bases in Hermite
+form, so equal modules have identical bases.  The Hermite form of
+joined rows [left | right] is the one elimination: its rows with zero
+left half span {v : (0 | v) in the span}, which gives intersections,
+constant preimages, kernels and so saturation, and its row count is
+the generic rank.
 
 The lift of a subspace along a flag follows the inductive basis
 construction: a basis vector of the special subspace either lifts
@@ -80,14 +82,6 @@ def pdivmod(a, b, p):
     return tuple(q), pnorm(a)
 
 
-def pgcd(a, b, p):
-    while b:
-        a, b = b, pdivmod(a, b, p)[1]
-    if a and a[-1] != 1:
-        a = padd((), a, p, pow(a[-1], p - 2, p))
-    return a
-
-
 def pconst(c, p):
     c %= p
     return (c,) if c else ()
@@ -95,22 +89,6 @@ def pconst(c, p):
 
 def peval0(a):
     return a[0] if a else 0
-
-
-def _row_content(row, p):
-    g = ()
-    for e in row:
-        g = pgcd(g, e, p)
-        if g == (1,):
-            break
-    return g
-
-
-def _strip_content(row, p):
-    g = _row_content(row, p)
-    if not g or g == (1,):
-        return tuple(row)
-    return tuple(pdivmod(e, g, p)[0] for e in row)
 
 
 # --- polynomial matrices ---------------------------------------------------
@@ -224,50 +202,25 @@ def poly_bilinear(u, w, pairing):
     return acc
 
 
-def _fraction_free(p, rows, ncols):
-    """Fraction-free Gauss-Jordan elimination over F_p[X], rows edited in place.
-
-    Each pivot is a shortest nonzero entry of its column; after every
-    elimination step the row's content is divided out to keep degrees
-    down.  Returns the (row, column) pivots; their number is the rank
-    over F_p(X).
-    """
-    m = len(rows)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if rows[i][col] and (piv is None or len(rows[i][col]) < len(rows[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        for i in range(m):
-            if i == r or not rows[i][col]:
-                continue
-            c = rows[i][col]
-            rows[i] = [
-                padd(pmul(pv, x, p), pmul(c, y, p), p, -1) for x, y in zip(rows[i], rows[r])
-            ]
-            rows[i] = list(_strip_content(rows[i], p))
-        pivots.append((r, col))
-        r += 1
-    return pivots
-
-
 def generic_rank(pm):
-    """Rank over F_p(X), by fraction-free elimination."""
-    return len(_fraction_free(pm.field.p, [list(r) for r in pm.rows], pm.ncols))
+    """Rank over F_p(X): the number of rows of the Hermite form."""
+    return len(_hermite(pm.field.p, pm.rows))
 
 
-def _hermite(field, n, rows):
-    """Canonical Hermite basis of the k[X]-lattice spanned by `rows`."""
-    p = field.p
+def _hermite(p, rows, left=0):
+    """Canonical Hermite basis of {v : (0 | v) in the F_p[X]-span of rows},
+    where the left half is the first `left` columns of each row.
+
+    The row operations are unimodular, so the Hermite form of the joined
+    rows spans the same lattice, and its rows whose left half is zero are
+    a basis of that kernel, in Hermite form.  A row whose pivot lies in
+    the left half is therefore dropped once its column is cleared.  With
+    left = 0 this is the Hermite basis of the span of the rows.
+    """
     work = [list(r) for r in rows if any(r)]
+    width = len(work[0]) if work else 0
     result = []
-    for col in range(n):
+    for col in range(width):
         cand = [r for r in work if r[col]]
         rest = [r for r in work if not r[col]]
         while len(cand) > 1:
@@ -282,7 +235,7 @@ def _hermite(field, n, rows):
                 elif any(r2):
                     rest.append(r2)
             cand = nxt
-        if cand:
+        if cand and col >= left:
             piv = cand[0]
             lead = piv[col][-1]
             if lead != 1:
@@ -292,74 +245,18 @@ def _hermite(field, n, rows):
                 if b[col]:
                     q, _ = pdivmod(b[col], piv[col], p)
                     if q:
-                        for j in range(n):
+                        for j in range(col, width):
                             b[j] = padd(b[j], pmul(q, piv[j], p), p, -1)
-            result.append(list(piv))
+            result.append(piv)
         work = rest
-    return tuple(tuple(r) for r in result)
+    return tuple(tuple(r[left:]) for r in result)
 
 
-def _snf_saturated_rows(field, n, gen_rows):
-    """Saturated basis of the k(X)-span of the rows, inside k[X]^n.
-
-    Diagonalize A = U^{-1} D V^{-1} by row and column operations while
-    tracking W = V^{-1}; the saturation is spanned by the first rank(A)
-    rows of W.
-    """
-    p = field.p
-    A = [list(r) for r in gen_rows if any(r)]
-    m = len(A)
-    if m == 0:
-        return ()
-    W = [[pconst(1 if i == j else 0, p) for j in range(n)] for i in range(n)]
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j]:
-                    d = len(A[i][j])
-                    if best is None or d < best[0]:
-                        best = (d, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
-            W[t], W[bj] = W[bj], W[t]
-        while True:
-            dirty = False
-            for i in range(m):
-                if i != t and A[i][t]:
-                    q, rem = pdivmod(A[i][t], A[t][t], p)
-                    A[i] = [padd(x, pmul(q, y, p), p, -1) for x, y in zip(A[i], A[t])]
-                    if rem:
-                        A[t], A[i] = A[i], A[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q, rem = pdivmod(A[t][j], A[t][t], p)
-                    if q:
-                        for row in A:
-                            row[j] = padd(row[j], pmul(q, row[t], p), p, -1)
-                        W[t] = [
-                            padd(x, pmul(q, y, p), p) for x, y in zip(W[t], W[j])
-                        ]
-                    if rem:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        W[t], W[j] = W[j], W[t]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        t += 1
-    return _hermite(field, n, W[:t])
+def _null_lattice(p, M, n):
+    """Hermite basis of {x in F_p[X]^n : M x = 0}, from the joined rows
+    [M e_j | e_j]; it is saturated, as M x = 0 whenever M (f x) = 0."""
+    joined = [[r[j] for r in M] + [(1,) if i == j else () for i in range(n)] for j in range(n)]
+    return _hermite(p, joined, len(M))
 
 
 class PolyModule:
@@ -377,8 +274,10 @@ class PolyModule:
 
     @classmethod
     def from_rows(cls, field, n, rows):
-        rows = [[pnorm(e) for e in r] for r in rows]
-        return cls(field, n, _snf_saturated_rows(field, n, rows))
+        """The saturation of the span of the rows A: the F_p(X)-span of A
+        meets F_p[X]^n in {v : K v = 0}, where K = {x : A x = 0}."""
+        A = [[pnorm(e) for e in r] for r in rows]
+        return cls(field, n, _null_lattice(field.p, _null_lattice(field.p, A, n), n))
 
     @classmethod
     def constant(cls, S):
@@ -396,12 +295,6 @@ class PolyModule:
     def to_polymatrix(self):
         return PolyMatrix(self.field, self.n, self.basis)
 
-    def fiber(self):
-        """Special fiber: reductions of the basis (full rank by saturation)."""
-        S = self.to_polymatrix().eval0_subspace()
-        assert S.dim == self.rank, "saturated basis degenerated at X = 0"
-        return S
-
     def sum(self, other):
         return PolyModule.from_rows(self.field, self.n, self.basis + other.basis)
 
@@ -412,7 +305,7 @@ class PolyModule:
         )
 
     def preimage_const(self, T):
-        """{v : T v lies in this module generically}, saturated."""
+        """{v : T v lies in this module}."""
         p, n = self.field.p, self.n
         joined = [
             [pconst(c, p) for c in col] + [pconst(int(i == j), p) for i in range(n)]
@@ -421,11 +314,10 @@ class PolyModule:
         return self._right_block(joined + [list(b) + [()] * n for b in self.basis])
 
     def _right_block(self, joined):
-        """The saturated module {v : (0 | v) in the generic span of the joined
-        rows}: after elimination on the left half, the rows past the rank
-        have a zero left half and their right halves span it."""
-        rank = len(_fraction_free(self.field.p, joined, self.n))
-        return PolyModule.from_rows(self.field, self.n, [r[self.n :] for r in joined[rank:]])
+        """The module {v : (0 | v) in the span of the joined rows}.  Both
+        operations join saturated modules, and their result is saturated
+        too, so the Hermite block is the canonical basis as it stands."""
+        return PolyModule(self.field, self.n, _hermite(self.field.p, joined, self.n))
 
     def generic_intersection_dim(self, other):
         stacked = PolyMatrix(self.field, self.n, list(self.basis) + list(other.basis))
@@ -591,8 +483,14 @@ def _fiber_lifts(module):
     echelon rows on the left and, on the right, the constant coefficients
     c with sum c_i b_i(0) equal to each of them; sum c_i b_i is that row's
     lift.  Returns the fiber and the (pivot, lift) pairs in row order.
+    A module basis is in Hermite form, so a constant one is already the
+    fiber's reduced echelon basis and its rows are their own lifts.
     """
     field, n, basis = module.field, module.n, module.basis
+    if all(len(e) < 2 for b in basis for e in b):
+        rows = [field.pack([peval0(e) for e in b]) for b in basis]
+        fib = Subspace(field, n, rows, _canonical=True)
+        return fib, list(zip(fib.pivots, basis))
     m = len(basis)
     joined = [
         field.row_join(field.pack([peval0(e) for e in b]), field.unit_row(m, i), n)
@@ -619,24 +517,25 @@ def _combine(field, row, terms, v):
     return row
 
 
-def _lift_solutions(mods, special, targets, pairing=None, node_cap=500000):
-    """All lifts of `special` along the module flag, lazily, backtrackably.
+def _lift_solutions(flag, special, targets, pairing=None, node_cap=500000):
+    """All lifts of `special` along a module flag, lazily, backtrackably.
 
-    Yields lists of polynomial rows.  With a `pairing`, every finalized
-    row must pair to zero with the rows finalized before it (isotropy);
-    the first yielded solution is the plain greedy one.
+    Each flag member is given by its `_fiber_lifts` pair, so a caller
+    that reuses a module computes the pair once.  Yields lists of
+    polynomial rows.  With a `pairing`, every finalized row must pair to
+    zero with the rows finalized before it (isotropy); the first yielded
+    solution is the plain greedy one.
     """
     field = special.field
     n = special.n
-    l = len(mods)
+    l = len(flag)
     budget = [node_cap]
     zero = ((),) * n
     # per level, once: lifts of the special vectors new at that level, the
     # span perturbations must avoid, and the fiber lifts times X
     fibers, levels = [], []
     prev_cut = Subspace.zero(field, n)
-    for mod in mods:
-        fib, lifts = _fiber_lifts(mod)
+    for fib, lifts in flag:
         cut = special.intersect(fib)
         bases = [_combine(field, zero, lifts, w) for w in prev_cut.complement_in(cut)]
         avoid0 = fibers[-1].sum(cut) if fibers else cut
@@ -722,8 +621,8 @@ def _lift_solutions(mods, special, targets, pairing=None, node_cap=500000):
 def lift_subspace(problem):
     """A polynomial basis of the lift prescribed by a (plain) LiftProblem."""
     check_lift_feasible(problem)
-    mods = [PolyModule.constant(F) for F in problem.flag]
-    for rows in _lift_solutions(mods, problem.special, problem.targets):
+    flag = [_fiber_lifts(PolyModule.constant(F)) for F in problem.flag]
+    for rows in _lift_solutions(flag, problem.special, problem.targets):
         return PolyMatrix(problem.special.field, problem.special.n, rows)
     raise LiftConstructionError("no lift found for a feasible problem")
 
@@ -732,8 +631,8 @@ def lift_isotropic(problem):
     """An isotropic lift: plain posts plus an identically-zero Gram matrix."""
     check_isotropic_feasible(problem)
     pairing = problem.pairing
-    mods = [PolyModule.constant(F) for F in problem.flag]
-    for rows in _lift_solutions(mods, problem.special, problem.targets, pairing=pairing):
+    flag = [_fiber_lifts(PolyModule.constant(F)) for F in problem.flag]
+    for rows in _lift_solutions(flag, problem.special, problem.targets, pairing=pairing):
         pm = PolyMatrix(problem.special.field, problem.special.n, rows)
         if all(not e for r in pm.gram(pairing).rows for e in r):
             return pm
@@ -759,7 +658,7 @@ def verify_lift(problem, pm):
     (a) the reduction at X = 0 spans the special subspace; (b) the lift
     is a direct summand (full-rank reduction, hence a maximal minor with
     unit constant term); (c) every generic intersection dimension,
-    computed by fraction-free rank, equals its target.
+    computed from the generic rank of the stacked rows, equals its target.
     """
     fiber = pm.eval0_subspace()
     a = fiber == problem.special
@@ -896,8 +795,13 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     PkerT = PolyModule.constant(kerT)
     PkerT2 = PolyModule.constant(T.power(2).kernel())
     Pinv_w1 = PolyModule.constant(inv_w1)
+    inv_w1_lifts = _fiber_lifts(Pinv_w1)
     # omega_1 lifts constantly; omega_2 lifts inside T^{-1} omega_{1,R}
-    mods_b = [Pw1, PolyModule.constant(kerT.intersect(inv_w1)), Pinv_w1]
+    flag_b = [
+        _fiber_lifts(Pw1),
+        _fiber_lifts(PolyModule.constant(kerT.intersect(inv_w1))),
+        inv_w1_lifts,
+    ]
     targets_b = (d1, alpha[0], d1 + d2)
 
     def cross_pair_zero(A, B):
@@ -912,21 +816,19 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             except (StopIteration, LiftConstructionError):
                 return
 
-    for rows_b in drained(_lift_solutions(mods_b, w2bar, targets_b, pairing=pairing)):
+    for rows_b in drained(_lift_solutions(flag_b, w2bar, targets_b, pairing=pairing)):
         Pw2 = PolyModule.from_rows(field, n, rows_b)
         Pinv_w2 = Pw2.preimage_const(T)
         if pairing is not None and not cross_pair_zero(Pw2, Pinv_w2):
             continue
-        F_mod = PkerT.sum(Pw2)
-        G_mod = PkerT2.intersect(Pinv_w2)
-        fF = F_mod.fiber()
-        fG = G_mod.fiber()
+        F_lifts = _fiber_lifts(PkerT.sum(Pw2))
+        G_lifts = _fiber_lifts(PkerT2.intersect(Pinv_w2))
         # the maximal-intersection choice of the second lift
-        if wbar.intersect(fF).dim < delta[0] + alpha[1]:
+        if wbar.intersect(F_lifts[0]).dim < delta[0] + alpha[1]:
             continue
-        if wbar.intersect(fG).dim < delta[0] + delta[1]:
+        if wbar.intersect(G_lifts[0]).dim < delta[0] + delta[1]:
             continue
-        mods_c = [Pw2, F_mod, Pinv_w1, G_mod, Pinv_w2]
+        flag_c = [_fiber_lifts(Pw2), F_lifts, inv_w1_lifts, G_lifts, _fiber_lifts(Pinv_w2)]
         targets_c = (
             d1 + d2,
             delta[0] + alpha[1],
@@ -934,7 +836,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             delta[0] + delta[1],
             d1 + d2 + d3,
         )
-        for rows_c in drained(_lift_solutions(mods_c, wbar, targets_c, pairing=pairing)):
+        for rows_c in drained(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)):
             Pw = PolyModule.from_rows(field, n, rows_c)
             generic = _generic_point(h, y_from.mu, Pinv_w1, Pw2, Pw, PkerT, PkerT2)
             if generic != y_to:
@@ -956,7 +858,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
 
 
 def _generic_point(h, mu, Pinv_w1, Pw2, Pw, PkerT, PkerT2):
-    """Generic invariants of a lifted flag, via fraction-free ranks."""
+    """Generic invariants of a lifted flag, via generic ranks of stacked bases."""
     d1 = mu[0]
     total = Pw.rank
     k1 = Pw.generic_intersection_dim(PkerT)

@@ -181,16 +181,24 @@ def test_usage_error_exit_code(capsys):
          "--delta", "2,1,1", "--alpha", "2,1", "--beta", "1,1", "--p", "257"],
         ["lift", "verify", "--cases", "-1"],
         ["verify", "all", "--max-dim", "-1"],
+        ["polygon", "dom", "--h", "-1", "--a", "1", "--b", "1"],
+        ["polygon", "slopes", "--h", "2", "--d", "3,1"],
+        ["polygon", "eval", "--h", "2", "--d", "2,1", "--x", "5"],
     ],
     ids=["non-prime-p", "unsorted-mu", "negative-genus", "delta-out-of-range",
          "delta-wrong-length", "prime-above-127", "prime-257", "negative-cases",
-         "negative-max-dim"],
+         "negative-max-dim", "negative-h", "d-entry-above-h", "x-outside-polygon"],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "usage error:" in err
     assert "Traceback" not in err
+
+
+def test_negative_genus_names_its_flag(capsys):
+    assert main(["e3", "enum", "--polarized", "-1"]) == 2
+    assert "usage error: --polarized: expected a non-negative integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

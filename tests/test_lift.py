@@ -24,8 +24,6 @@ from prflags.lift import (
     StratOrderError,
     _combine,
     _fiber_lifts,
-    _fraction_free,
-    _strip_content,
     check_isotropic_feasible,
     check_lift_feasible,
     degenerate_step,
@@ -35,7 +33,6 @@ from prflags.lift import (
     padd,
     pconst,
     pdivmod,
-    pgcd,
     peval0,
     pmul,
     pnorm,
@@ -46,6 +43,69 @@ from prflags.lift import (
     verify_lift,
 )
 from prflags.verify import _generic_chain_ok, _special_chain_ok
+
+try:
+    from sympy import GF, symbols
+    from sympy.polys.matrices import DomainMatrix
+except ImportError:  # the sympy cross-check is optional
+    DomainMatrix = None
+
+
+# --- reference elimination: fraction-free, with the row content divided out --
+
+
+def pgcd(a, b, p):
+    while b:
+        a, b = b, pdivmod(a, b, p)[1]
+    if a and a[-1] != 1:
+        a = padd((), a, p, pow(a[-1], p - 2, p))
+    return a
+
+
+def strip_content(row, p):
+    g = ()
+    for e in row:
+        g = pgcd(g, e, p)
+    if not g or g == (1,):
+        return tuple(row)
+    return tuple(pdivmod(e, g, p)[0] for e in row)
+
+
+def fraction_free(p, rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over F_p[X], rows edited in place.
+
+    Each pivot is a shortest nonzero entry of its column; after every
+    elimination step the row's content is divided out to keep degrees
+    down.  Returns the (row, column) pivots; their number is the rank
+    over F_p(X).
+    """
+    m = len(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, m):
+            if rows[i][col] and (piv is None or len(rows[i][col]) < len(rows[piv][col])):
+                piv = i
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        for i in range(m):
+            if i == r or not rows[i][col]:
+                continue
+            c = rows[i][col]
+            rows[i] = [
+                padd(pmul(pv, x, p), pmul(c, y, p), p, -1) for x, y in zip(rows[i], rows[r])
+            ]
+            rows[i] = list(strip_content(rows[i], p))
+        pivots.append((r, col))
+        r += 1
+    return pivots
+
+
+def ref_rank(p, rows, ncols):
+    return len(fraction_free(p, [[pnorm(e) for e in r] for r in rows], ncols))
 
 
 def test_poly_arithmetic():
@@ -99,12 +159,88 @@ def test_poly_module_saturation():
     assert M.basis == (((1,), ()),)
     M2 = PolyModule.from_rows(F2, 2, [[(1,), (0, 1)], [(0, 1), (1,)]])
     assert M2.rank == 2
-    assert M2.fiber().dim == 2
+    assert M2.to_polymatrix().eval0_subspace().dim == 2
     # (1+X) * (1, X) generates the same generic line; saturation recovers it
     M3 = PolyModule.from_rows(F2, 2, [[(1,), (0, 1)], [(1, 1), (0, 1, 1)]])
     assert M3.rank == 1
     assert M3.basis == (((1,), (0, 1)),)
     assert M3 == PolyModule.from_rows(F2, 2, [[(1,), (0, 1)]])
+    # X * (1, X) saturates to (1, X); X * identity to the identity
+    assert PolyModule.from_rows(F2, 2, [[(0, 1), (0, 0, 1)]]).basis == (((1,), (0, 1)),)
+    diag = PolyModule.from_rows(F3, 2, [[(0, 1), ()], [(), (0, 1)]])
+    assert diag.basis == (((1,), ()), ((), (1,)))
+
+
+def _poly_rows(data, p, m, n, deg):
+    poly = st.lists(st.integers(0, p - 1), max_size=deg + 1).map(pnorm)
+    return [data.draw(st.lists(poly, min_size=n, max_size=n)) for _ in range(m)]
+
+
+def _product_rows(data, p, n):
+    """U A0 for random U (m x r) and A0 (r x n), degrees <= 1 and <= 2: of
+    rank at most r, and often a proper sublattice of its saturation."""
+    r = data.draw(st.integers(0, n))
+    m = data.draw(st.integers(1, n + 1))
+    U, A0 = _poly_rows(data, p, m, r, 1), _poly_rows(data, p, r, n, 2)
+    rows = []
+    for u in U:
+        row = [()] * n
+        for c, a in zip(u, A0):
+            row = [padd(x, pmul(c, y, p), p) for x, y in zip(row, a)]
+        rows.append(row)
+    return rows
+
+
+def _sympy_rank(p, rows, ncols):
+    x = symbols("x")
+    K = GF(p)[x].get_field()
+    entries = [[K.from_sympy(sum(c * x**i for i, c in enumerate(e))) for e in r] for r in rows]
+    return DomainMatrix(entries, (len(rows), ncols), K).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generic_rank_matches_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 5))
+    if data.draw(st.booleans()):
+        rows = _product_rows(data, p, n)
+    else:
+        rows = _poly_rows(data, p, data.draw(st.integers(1, 5)), n, 3)
+    rank = generic_rank(PolyMatrix(PrimeField(p), n, rows))
+    assert rank == ref_rank(p, rows, n)
+    if DomainMatrix is not None:
+        assert rank == _sympy_rank(p, rows, n)
+
+
+def pdet(p, M):
+    """Determinant over F_p[X] by cofactor expansion along the first row."""
+    if not M:
+        return (1,)
+    det = ()
+    for j, e in enumerate(M[0]):
+        if e:
+            minor = [r[:j] + r[j + 1 :] for r in M[1:]]
+            det = padd(det, pmul(e, pdet(p, minor), p), p, (-1) ** j)
+    return det
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_saturation_matches_minor_oracle(data):
+    # B = from_rows(A) spans the same F_p(X)-space as A, and the gcd of its
+    # maximal minors is 1, which makes it saturated; no Hermite form used
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 4))
+    A = _product_rows(data, p, n)
+    B = PolyModule.from_rows(PrimeField(p), n, A).basis
+    r = ref_rank(p, A, n)
+    assert len(B) == ref_rank(p, B, n) == r
+    assert ref_rank(p, list(B) + A, n) == r
+    g = ()
+    for cols in itertools.combinations(range(n), r):
+        g = pgcd(g, pdet(p, [[row[c] for c in cols] for row in B]), p)
+    assert g == (1,)
 
 
 def test_poly_module_operations():
@@ -112,7 +248,7 @@ def test_poly_module_operations():
     W = PolyModule.constant(Subspace.span(F2, 3, [[1, 0, 0]]))
     pre = W.preimage_const(T)
     assert pre.rank == 2
-    assert pre.fiber() == Subspace.span(F2, 3, [[1, 0, 0], [0, 1, 0]])
+    assert pre.to_polymatrix().eval0_subspace() == Subspace.span(F2, 3, [[1, 0, 0], [0, 1, 0]])
     inter = pre.intersect(PolyModule.constant(Subspace.span(F2, 3, [[0, 1, 0], [0, 0, 1]])))
     assert inter.rank == 1
     total = W.sum(pre)
@@ -129,7 +265,7 @@ def pneg(a, p):
 def ref_right_kernel(p, rows, ncols):
     """Polynomial spanning set of {u : A u = 0} over F_p(X), by cofactors."""
     A = [[pnorm(e) for e in r] for r in rows]
-    pivots = _fraction_free(p, A, ncols)
+    pivots = fraction_free(p, A, ncols)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for f in range(ncols):
@@ -147,7 +283,7 @@ def ref_right_kernel(p, rows, ncols):
                     if r2 != rr:
                         others = pmul(others, A[r2][c2], p)
                 u[cc] = pneg(pmul(A[rr][f], others, p), p)
-        basis.append(_strip_content(u, p))
+        basis.append(strip_content(u, p))
     return basis
 
 
@@ -205,7 +341,11 @@ def test_lattice_operations_match_cofactor_reference(data):
 def test_fiber_lifts_match_brute_force(data):
     field = PrimeField(data.draw(st.sampled_from([2, 3])))
     p, n = field.p, data.draw(st.integers(1, 4))
-    M = _poly_module(data, field, n)
+    # a constant module takes its lifts from its own rows, without an rref
+    if data.draw(st.booleans()):
+        M = PolyModule.constant(_subspace(data, field, n))
+    else:
+        M = _poly_module(data, field, n)
     fiber, lifts = _fiber_lifts(M)
     assert fiber == M.to_polymatrix().eval0_subspace()
     assert tuple(k for k, _ in lifts) == fiber.pivots
@@ -238,7 +378,7 @@ def test_constant_lattice_operations_match_gf(data):
     T = _operator(data, field, n)
     PA = PolyModule.constant(A)
     assert PA == PolyModule.from_rows(field, n, [[pconst(c, field.p) for c in r] for r in A.basis_coords()])
-    assert PA.fiber() == A
+    assert _fiber_lifts(PA)[0] == A
     assert PA.intersect(PolyModule.constant(B)) == PolyModule.constant(A.intersect(B))
     assert PA.preimage_const(T) == PolyModule.constant(preimage(T, A))
 

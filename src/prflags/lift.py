@@ -487,15 +487,12 @@ def _fiber_lifts(module):
     fiber's reduced echelon basis and its rows are their own lifts.
     """
     field, n, basis = module.field, module.n, module.basis
+    reduced = [field.pack([peval0(e) for e in b]) for b in basis]
     if all(len(e) < 2 for b in basis for e in b):
-        rows = [field.pack([peval0(e) for e in b]) for b in basis]
-        fib = Subspace(field, n, rows, _canonical=True)
+        fib = Subspace(field, n, reduced, _canonical=True)
         return fib, list(zip(fib.pivots, basis))
     m = len(basis)
-    joined = [
-        field.row_join(field.pack([peval0(e) for e in b]), field.unit_row(m, i), n)
-        for i, b in enumerate(basis)
-    ]
+    joined = [field.row_join(r, field.unit_row(m, i), n) for i, r in enumerate(reduced)]
     zero = ((),) * n
     lefts, lifts = [], []
     for piv, row in zip(*rref(field, joined)):

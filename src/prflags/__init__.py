@@ -23,7 +23,6 @@ from .gf import (
 from .polygon import Polygon, PolygonError
 from .tmodule import (
     ConcreteModule,
-    DeltaVector,
     JordanType,
     delta_vector,
     hodge_polygon,

@@ -130,7 +130,9 @@ def cmd_polygon(args):
 
 def _jordan(args):
     parts = _ints(args, "parts")
-    h = args.h if args.h else max(1, len(parts))
+    h = _count(args, "h") or max(1, len(parts))
+    if h < len(parts):
+        raise UsageError("--h: %d is below the %d --parts given" % (h, len(parts)))
     if len(parts) < h:
         parts = parts + (0,) * (h - len(parts))
     try:
@@ -146,6 +148,8 @@ def cmd_pr(args):
         _emit(_polygon_json(J.hodge_polygon()))
         return 0
     mu = _ints(args, "mu")
+    if len(mu) != J.e or min(mu) < 0:
+        raise UsageError("--mu: expected %d non-negative integers, got %r" % (J.e, mu))
     if args.action == "exists":
         verdict = prmod.pr_exists(J, mu)
         _emit("true" if verdict else "false")

@@ -174,13 +174,13 @@ def phi(D, h):
     check = validate_pr(D, mu)
     if not check:
         raise PRError("invalid PR datum: %s" % check.violation)
-    delta = delta_vector(M).entries
+    delta = delta_vector(M)
     if delta[0] > h:
         raise PRError("module needs %d generators, h = %d" % (delta[0], h))
     M2 = restrict_module(M, D.flag[2], e=2)
-    alpha = delta_vector(M2).entries
+    alpha = delta_vector(M2)
     quo = quotient_module(M, D.flag[1], e=2)
-    beta = delta_vector(quo).entries
+    beta = delta_vector(quo)
     return StrataPoint(h, mu, delta, alpha, beta)
 
 

@@ -159,9 +159,8 @@ class PolyMatrix:
 
     def gram(self, pairing):
         """Matrix of pairings <row_i, row_j> as polynomials."""
-        rows = [
-            [poly_bilinear(u, w, pairing) for w in self.rows] for u in self.rows
-        ]
+        Phi, p = pairing.coord_rows(), pairing.field.p
+        rows = [[_bilinear(u, w, Phi, p) for w in self.rows] for u in self.rows]
         return PolyMatrix(self.field, self.nrows, rows) if self.nrows else self
 
     def max_degree(self):
@@ -187,8 +186,11 @@ class PolyMatrix:
 
 def poly_bilinear(u, w, pairing):
     """<u, w> = u * Phi * w^T for polynomial rows and a constant form Phi."""
-    p = pairing.field.p
-    Phi = pairing.coord_rows()
+    return _bilinear(u, w, pairing.coord_rows(), pairing.field.p)
+
+
+def _bilinear(u, w, Phi, p):
+    """poly_bilinear for a form already unpacked to coordinate rows Phi."""
     acc = ()
     for i, ui in enumerate(u):
         if not ui:
@@ -541,8 +543,10 @@ def _lift_solutions(flag, special, targets, pairing=None, node_cap=500000):
         levels.append((bases, avoid0, shifted))
         prev_cut = cut
 
+    Phi = None if pairing is None else pairing.coord_rows()
+
     def pair_ok(f, finals):
-        return pairing is None or all(not poly_bilinear(f, g, pairing) for g in finals)
+        return Phi is None or all(not _bilinear(f, g, Phi, field.p) for g in finals)
 
     def rec(i, rows, pending, finals):
         # rows: the rows so far; pending: ids of rows awaiting a perturbation
@@ -801,10 +805,10 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     ]
     targets_b = (d1, alpha[0], d1 + d2)
 
+    Phi = None if pairing is None else pairing.coord_rows()
+
     def cross_pair_zero(A, B):
-        return all(
-            not poly_bilinear(u, w, pairing) for u in A.basis for w in B.basis
-        )
+        return all(not _bilinear(u, w, Phi, field.p) for u in A.basis for w in B.basis)
 
     def drained(gen):
         while True:

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from .gf import DEFAULT_ENUM_CAP, Subspace, image, preimage, subspaces_between
 from .polygon import Polygon
 from .tmodule import (
-    ConcreteModule,
     delta_vector,
     hodge_polygon,
-    jordan_type,
     power_image,
+    quotient_module,
+    restrict_module,
+    torsion_flag,
 )
 
 
@@ -118,18 +119,9 @@ def validate_pr(D, mu=None):
     return PRValidation(True)
 
 
-def _hodge_context(J, mu):
-    """Common domain endpoint for comparing Hdg(M) with P(mu)."""
-    nonzero = sum(1 for a in J.parts if a)
-    return max(1, nonzero, max(mu, default=0))
-
-
-def pr_exists(J_or_M, mu):
-    """Existence of a PR datum of type mu (Hodge-dominance criterion)."""
-    if isinstance(J_or_M, ConcreteModule):
-        J = jordan_type(J_or_M)
-    else:
-        J = J_or_M
+def pr_exists(J, mu):
+    """Existence of a PR datum of type mu on a module of Jordan type J
+    (Hodge-dominance criterion)."""
     mu = tuple(int(d) for d in mu)
     if len(mu) != J.e:
         raise PRError("type length %d != e = %d" % (len(mu), J.e))
@@ -137,7 +129,7 @@ def pr_exists(J_or_M, mu):
         raise PRError("negative graded dimension")
     if sum(mu) != J.dim:
         return False
-    h = _hodge_context(J, mu)
+    h = max(1, J.delta()[0], *mu)  # a domain [0, h] holding both polygons
     return hodge_polygon(J, h=h).dominates(Polygon.from_d(h, mu, J.e))
 
 
@@ -252,7 +244,7 @@ def pr_construct(M, mu):
     e = M.e
     if len(mu) != e:
         raise PRError("type length %d != e = %d" % (len(mu), e))
-    delta = delta_vector(M).entries
+    delta = delta_vector(M)
     mu_sorted = tuple(sorted(mu, reverse=True))
     if sum(mu) != M.dim:
         raise InfeasiblePRError(e, sum(mu), M.dim)
@@ -361,9 +353,6 @@ def check_hdg_filt(M, N, i):
     (i = 0 forces N = 0, i = e forces N = M) the star factor is empty
     and the claim collapses to Hdg(M) >= Hdg(M).
     """
-    from .tmodule import restrict_module, quotient_module
-    from .tmodule import torsion_flag
-
     e = M.e
     if not 0 <= i <= e:
         raise PRError("index %d outside [0, %d]" % (i, e))
@@ -377,8 +366,9 @@ def check_hdg_filt(M, N, i):
         return True
     sub = restrict_module(M, N, e=i)
     quo = quotient_module(M, N, e=e - i)
-    h = max(1, delta_vector(M).entries[0] if e else 1)
-    big = hodge_polygon(M, h=h)
+    delta = delta_vector(M)
+    h = max(1, delta[0])
+    big = Polygon.from_d(h, delta, e)
     left = hodge_polygon(sub, h=h)
     right = hodge_polygon(quo, h=h)
     return big.dominates(left.star(right))

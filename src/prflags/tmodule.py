@@ -4,16 +4,18 @@ A finite module over k[T]/T^e is a vector space with a nilpotent
 operator T, T^e = 0; its isomorphism class is the partition of part
 sizes (a_1, ..., a_h), padded with zeros up to the generator bound h.
 The socle-growth vector delta (delta_i = dim M[T^i] - dim M[T^{i-1}])
-is the conjugate partition, and the Hodge polygon can be computed
-either from the parts (slopes a_i/e) or as P(delta_1, ..., delta_e);
-the two agree, which `verify` criterion 2 and the tests check.
+is the conjugate partition, and the Hodge polygon is the one integer
+polygon Hdg(M) = P(delta_1, ..., delta_e) on [0, h].  A concrete module
+keeps the powers T^0, ..., T^e it multiplies out to check T^e = 0, and
+delta, torsion and images are read from them.  The slope form of the
+polygon (slopes a_i/e) is the independent reference that `verify`
+criterion 2 and the tests compare P(delta) against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .gf import Matrix, Subspace, image
 from .polygon import Polygon
@@ -23,36 +25,9 @@ class JordanTypeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DeltaVector:
-    """Socle growth (delta_1 >= ... >= delta_e) of a k[T]/T^e-module."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        e = tuple(int(x) for x in self.entries)
-        object.__setattr__(self, "entries", e)
-        if any(x < 0 for x in e):
-            raise JordanTypeError("delta entries must be non-negative")
-        if any(a < b for a, b in zip(e, e[1:])):
-            raise JordanTypeError("delta must be non-increasing: %r" % (e,))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def conjugate_parts(self):
-        """Part sizes (a_1 >= a_2 >= ...) of the module with this delta."""
-        e = len(self.entries)
-        return tuple(
-            sum(1 for i in range(e) if self.entries[i] > j)
-            for j in range(self.entries[0] if self.entries else 0)
-        )
+def _conjugate(parts, length):
+    """Entries 1..length of the conjugate partition: entry i counts parts >= i."""
+    return tuple(sum(1 for a in parts if a >= i) for i in range(1, length + 1))
 
 
 @dataclass(frozen=True)
@@ -81,30 +56,28 @@ class JordanType:
         return sum(self.parts)
 
     def delta(self):
-        return DeltaVector(
-            tuple(sum(1 for a in self.parts if a >= i) for i in range(1, self.e + 1))
-        )
+        """Socle growth (delta_1 >= ... >= delta_e)."""
+        return _conjugate(self.parts, self.e)
 
     @classmethod
     def from_delta(cls, e, delta, h=None):
-        delta = DeltaVector(tuple(delta))
+        delta = tuple(int(x) for x in delta)
+        if any(x < 0 for x in delta):
+            raise JordanTypeError("delta entries must be non-negative")
+        if any(a < b for a, b in zip(delta, delta[1:])):
+            raise JordanTypeError("delta must be non-increasing: %r" % (delta,))
         if len(delta) != e:
             raise JordanTypeError("delta has length %d, expected e=%d" % (len(delta), e))
-        parts = delta.conjugate_parts()
+        parts = _conjugate(delta, delta[0] if delta else 0)
         if h is None:
             h = max(len(parts), 1)
         if len(parts) > h:
             raise JordanTypeError("%d generators exceed the bound h=%d" % (len(parts), h))
-        parts = parts + (0,) * (h - len(parts))
-        return cls(e, parts)
+        return cls(e, parts + (0,) * (h - len(parts)))
 
     def hodge_polygon(self):
-        """Hodge polygon: slopes a_i/e; equals P(delta_1, ..., delta_e)."""
-        mults = {}
-        for a in self.parts:
-            s = Fraction(a, self.e)
-            mults[s] = mults.get(s, 0) + 1
-        return Polygon.from_slopes(self.h, mults.items(), self.e)
+        """Hodge polygon P(delta_1, ..., delta_e) on [0, h]."""
+        return Polygon.from_d(self.h, self.delta(), self.e)
 
     def to_json(self):
         return json.dumps({"e": self.e, "h": self.h, "parts": list(self.parts)})
@@ -120,18 +93,25 @@ class JordanType:
 
 
 class ConcreteModule:
-    """A vector space over a prime field with a nilpotent action T^e = 0."""
+    """A vector space over a prime field with a nilpotent action T^e = 0.
 
-    __slots__ = ("field", "e", "op")
+    `powers[i]` is T^i for i = 0..e; identity is (field, e, op) alone.
+    """
+
+    __slots__ = ("field", "e", "op", "powers")
 
     def __init__(self, field, e, op):
         if op.nrows != op.ncols:
             raise JordanTypeError("T must be square")
-        if not op.power(e).is_zero():
+        powers = [Matrix.identity(op.field, op.nrows)]
+        for _ in range(e):
+            powers.append(powers[-1].mul(op))
+        if not powers[-1].is_zero():
             raise JordanTypeError("T^%d != 0" % e)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "op", op)
+        object.__setattr__(self, "powers", tuple(powers))
 
     def __setattr__(self, *a):
         raise AttributeError("ConcreteModule is immutable")
@@ -184,46 +164,41 @@ def realize(J, field):
 
 
 def delta_vector(M):
-    """delta_i = dim M[T^i] - dim M[T^{i-1}], for i = 1..e."""
-    ranks = [M.op.power(i).rank() for i in range(M.e + 1)]
-    return DeltaVector(tuple(ranks[i - 1] - ranks[i] for i in range(1, M.e + 1)))
+    """(delta_1, ..., delta_e), delta_i = rank T^{i-1} - rank T^i."""
+    ranks = [P.rank() for P in M.powers]
+    return tuple(a - b for a, b in zip(ranks, ranks[1:]))
 
 
 def jordan_type(M, h=None):
     """Jordan type recovered from the ranks of the powers of T."""
-    parts = delta_vector(M).conjugate_parts()
-    if h is None:
-        h = max(len(parts), 1)
-    if len(parts) > h:
-        raise JordanTypeError("%d generators exceed the bound h=%d" % (len(parts), h))
-    return JordanType(M.e, parts + (0,) * (h - len(parts)))
+    return JordanType.from_delta(M.e, delta_vector(M), h)
 
 
 def torsion_flag(M, i):
     """The subspace M[T^i] = ker T^i."""
     if i < 0 or i > M.e:
         raise JordanTypeError("power %d outside [0, %d]" % (i, M.e))
-    return M.op.power(i).kernel()
+    return M.powers[i].kernel()
 
 
 def power_image(M, i):
     """The subspace T^i M."""
     if i < 0 or i > M.e:
         raise JordanTypeError("power %d outside [0, %d]" % (i, M.e))
-    return image(M.op.power(i), M.ambient())
+    return image(M.powers[i], M.ambient())
 
 
 def hodge_polygon(obj, h=None):
-    """Hodge polygon of a JordanType or ConcreteModule."""
-    if isinstance(obj, JordanType):
-        J = obj
-        if h is not None and h != J.h:
-            parts = tuple(a for a in J.parts if a)
-            if h < len(parts):
-                raise JordanTypeError("more than %d nonzero parts" % h)
-            J = JordanType(obj.e, parts + (0,) * (h - len(parts)))
-        return J.hodge_polygon()
-    return jordan_type(obj, h=h).hodge_polygon()
+    """Hodge polygon P(delta_1, ..., delta_e) on [0, h] of a JordanType or
+    ConcreteModule; h defaults to the type's bound (for a module, the
+    number of its parts) and may not be below the number of nonzero parts."""
+    J = obj if isinstance(obj, JordanType) else jordan_type(obj)
+    delta = J.delta()
+    if h is None:
+        h = J.h
+    elif h < max(delta[0], 1):
+        raise JordanTypeError("h=%d is below 1 or the %d nonzero parts" % (h, delta[0]))
+    return Polygon.from_d(h, delta, J.e)
 
 
 def restrict_module(M, S, e=None):

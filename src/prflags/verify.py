@@ -149,7 +149,8 @@ def criterion_pr_existence(max_dim):
     for parts in (q for n in range(max_dim + 1) for q in partitions(n, 3)):
         J = JordanType(3, parts or (0,))
         M = realize(J, F2)
-        delta = delta_vector(M).entries
+        delta = delta_vector(M)
+        images = [power_image(M, j) for j in range(4)]
         for mu in itertools.product(range(4), repeat=3):
             a = prmod.pr_exists(J, mu)
             b = prmod.pr_oracle_exists(M, mu)
@@ -166,7 +167,7 @@ def criterion_pr_existence(max_dim):
                 alpha = prmod.alpha_table(delta, mu_sorted)
                 for i in range(4):
                     for j in range(4):
-                        got = Ds.flag[i].intersect(power_image(M, j)).dim
+                        got = Ds.flag[i].intersect(images[j]).dim
                         if got != alpha[i][j]:
                             bad += 1
     for parts in (q for n in range(7) for q in partitions(n, 2)):

@@ -184,10 +184,18 @@ def test_usage_error_exit_code(capsys):
         ["polygon", "dom", "--h", "-1", "--a", "1", "--b", "1"],
         ["polygon", "slopes", "--h", "2", "--d", "3,1"],
         ["polygon", "eval", "--h", "2", "--d", "2,1", "--x", "5"],
+        ["pr", "exists", "--parts", "3", "--mu", "1,1"],
+        ["pr", "construct", "--parts", "3", "--mu", "1,1"],
+        ["pr", "oracle", "--parts", "3", "--mu", "1,1"],
+        ["pr", "exists", "--parts", "3", "--mu", "2,-1,2"],
+        ["pr", "hdg", "--parts", "3", "--h", "-2"],
+        ["pr", "exists", "--parts", "3,3", "--h", "1", "--mu", "1,1,1"],
     ],
     ids=["non-prime-p", "unsorted-mu", "negative-genus", "delta-out-of-range",
          "delta-wrong-length", "prime-above-127", "prime-257", "negative-cases",
-         "negative-max-dim", "negative-h", "d-entry-above-h", "x-outside-polygon"],
+         "negative-max-dim", "negative-h", "d-entry-above-h", "x-outside-polygon",
+         "exists-mu-wrong-length", "construct-mu-wrong-length", "oracle-mu-wrong-length",
+         "negative-mu-entry", "pr-negative-h", "h-below-parts"],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -280,6 +288,48 @@ def _pr_argv(draw):
 @settings(max_examples=60, deadline=None)
 @given(_pr_argv())
 def test_pr_commands_never_raise(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def _other_argv(draw):
+    """argv for every command outside pr and the point commands."""
+    command = draw(st.sampled_from(
+        ["polygon", "e3 enum", "strat dot", "strat closure", "lift"]))
+    if command == "polygon":
+        argv = ["polygon", draw(st.sampled_from(["dom", "star", "eval", "slopes"])),
+                "--h", str(draw(st.integers(-1, 3)))]
+        for flag in ("--a", "--b", "--d"):
+            argv += [flag, draw(_small_lists)]
+        return argv + ["--x", draw(st.sampled_from(["0", "1/2", "3", "-1", "x", "1/0"]))]
+    if command == "lift":
+        return ["lift", draw(st.sampled_from(["demo", "verify"])),
+                "--p", str(draw(st.sampled_from([2, 3, 5]))),
+                "--seed", str(draw(st.integers(0, 3))),
+                "--cases", str(draw(st.integers(-1, 2)))]
+    argv = command.split()
+    if draw(st.booleans()):
+        argv += ["--polarized", str(draw(st.integers(-1, 1)))]
+    else:
+        argv += ["--h", str(draw(st.integers(-1, 2))), "--mu", draw(_small_lists)]
+    if command == "strat closure":
+        for flag in ("--delta", "--alpha", "--beta"):
+            argv += [flag, draw(_small_lists)]
+    if command == "e3 enum":
+        argv += ["--format", draw(st.sampled_from(["json", "csv"])),
+                 "--p", str(draw(st.sampled_from([2, 3, 5])))]
+    else:
+        argv += ["--format", draw(st.sampled_from(["dot", "json"]))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_other_argv())
+def test_other_commands_never_raise(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -70,7 +70,7 @@ def test_construct_unique_flag_for_j3():
 def test_construct_t_zero_alpha_values():
     # T = 0: alpha_i^0 = d_1 + ... + d_i and alpha_i^j = 0 for j >= 1
     M = realize(JordanType(3, (1, 1, 1)), F2)
-    delta = delta_vector(M).entries
+    delta = delta_vector(M)
     alpha = alpha_table(delta, (1, 1, 1))
     for i in range(4):
         assert alpha[i][0] == i
@@ -84,7 +84,7 @@ def test_construct_alpha_exactness_j3_plus_j1():
     assert validate_pr(D, (2, 1, 1))
     TM = power_image(M, 1)
     assert D.flag[1].intersect(TM).dim == 1  # alpha_1^1 = min(delta_2, d_1) = 1
-    delta = delta_vector(M).entries
+    delta = delta_vector(M)
     alpha = alpha_table(delta, (2, 1, 1))
     for i in range(4):
         for j in range(4):

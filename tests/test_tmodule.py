@@ -9,7 +9,6 @@ from prflags.gf import F2, Matrix, PrimeField
 from prflags.polygon import Polygon
 from prflags.tmodule import (
     ConcreteModule,
-    DeltaVector,
     JordanType,
     JordanTypeError,
     delta_vector,
@@ -61,11 +60,11 @@ def test_jordan_type_validation():
 
 def test_delta_conjugacy():
     J = JordanType(3, (3, 1))
-    assert J.delta().entries == (2, 1, 1)
-    assert DeltaVector((2, 1, 1)).conjugate_parts() == (3, 1)
+    assert J.delta() == (2, 1, 1)
+    assert JordanType.from_delta(3, (2, 1, 1)).parts == (3, 1)
     assert JordanType.from_delta(3, (2, 1, 1), h=2) == J
     with pytest.raises(JordanTypeError):
-        DeltaVector((1, 2))
+        JordanType.from_delta(2, (1, 2))
 
 
 def test_realize_shapes():
@@ -103,7 +102,7 @@ def test_round_trip_all_small_types(p):
 
 def test_delta_vector_and_torsion():
     M = realize(JordanType(3, (3, 1)), F2)
-    assert delta_vector(M).entries == (2, 1, 1)
+    assert delta_vector(M) == (2, 1, 1)
     assert torsion_flag(M, 0).is_zero()
     assert torsion_flag(M, 3).dim == 4
     assert power_image(M, 3).is_zero()
@@ -135,9 +134,26 @@ def test_double_computation_identity():
             for parts in partitions(dim, e):
                 h = max(1, len(parts))
                 J = JordanType(e, parts + (0,) * (h - len(parts)))
-                from_parts = J.hodge_polygon()
-                from_delta = Polygon.from_d(h, J.delta().entries, e)
-                assert from_parts == from_delta
+                mults = {}
+                for a in J.parts:
+                    s = Fraction(a, e)
+                    mults[s] = mults.get(s, 0) + 1
+                from_parts = Polygon.from_slopes(h, mults.items(), e)
+                assert J.hodge_polygon() == from_parts
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_module_keeps_its_powers(p):
+    field = PrimeField(p)
+    for e in (1, 2, 3):
+        for dim in range(7):
+            for parts in partitions(dim, e):
+                J = JordanType(e, parts if parts else (0,))
+                M = realize(J, field)
+                assert len(M.powers) == e + 1
+                for i in range(e + 1):
+                    assert M.powers[i] == M.op.power(i)
+                assert hodge_polygon(M, h=J.h) == J.hodge_polygon()
 
 
 def test_hodge_h_padding():
@@ -152,7 +168,7 @@ def test_restrict_and_quotient():
     M = realize(JordanType(3, (3, 1)), F2)
     TM = power_image(M, 1)
     sub = restrict_module(M, TM, e=2)
-    assert delta_vector(sub).entries == (1, 1)
+    assert delta_vector(sub) == (1, 1)
     quo = quotient_module(M, torsion_flag(M, 1), e=2)
     assert quo.dim == 2
     from prflags.gf import Subspace

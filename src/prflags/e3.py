@@ -10,7 +10,8 @@ encoded here as integer vectors delta (length 3), alpha and beta
 delta_1 + max(d_2, delta_2) <= alpha_1 + beta_1.  `normal_form` builds
 a filtered module realizing any admissible triple, and
 `iso_classes_oracle` independently counts isomorphism classes by
-enumerating all flags and all T-commuting automorphisms.
+enumerating all flags and merging them under a generating set of the
+T-commuting automorphisms (`aut_generators`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .gf import Matrix, Subspace, preimage, rref
 from .polygon import Polygon
 from .pr import PRDatum, PRError, pr_all_data, subspace_in_flag, validate_pr
 from .tmodule import (
-    ConcreteModule,
     JordanType,
     delta_vector,
     partitions,
@@ -133,6 +133,8 @@ def in_Ypol(pt):
 def enum_Y(h, mu):
     """All points of Y for (h, mu), sorted lexicographically on (delta, alpha, beta)."""
     mu = tuple(int(x) for x in mu)
+    if len(mu) != 3:
+        raise ValueError("mu must have 3 entries, got %d" % len(mu))
     if list(mu) != sorted(mu, reverse=True):
         raise ValueError("mu must be sorted non-increasingly")
     if any(x < 0 or x > h for x in mu):
@@ -227,61 +229,47 @@ def normal_form(pt, field):
 # --- isomorphism oracle ----------------------------------------------------
 
 
-def hom_block_maps(parts, field, bi, bj):
-    """Basis of Hom_{k[T]}(block bi, block bj) as n x n coordinate matrices."""
-    offsets = [0]
-    for a in parts:
-        offsets.append(offsets[-1] + a)
-    n = offsets[-1]
-    s, t = parts[bi], parts[bj]
-    out = []
-    for m in range(min(s, t)):
-        exp = max(t - s, 0) + m
-        rows = [[0] * n for _ in range(n)]
-        for k in range(s):
-            tgt = t - s + k - exp
-            if 0 <= tgt < t:
-                rows[offsets[bj] + tgt][offsets[bi] + k] = 1
-        out.append(Matrix.from_rows(field, rows, n))
-    return out
-
-
 def aut_generators(J, field):
-    """Generators of the T-commuting automorphisms of realize(J, field).
+    """A generating set of the T-commuting automorphisms of realize(J, field).
 
-    Units of the endomorphism algebra are generated by block-elementary
-    maps 1 + c*E (E a basis hom between two distinct Jordan blocks, or a
-    positive T-power on one block) together with per-block scalars.
+    Block i of size s has basis e_0, ..., e_{s-1}, T e_k = e_{k-1}, T e_0 = 0.
+    N_i is T on block i; for blocks i != j of sizes s, t, E_ij is the
+    T-linear map of least depth e_k -> e_{k - max(s - t, 0)} from block i
+    to block j.  The generators are 1 + E_ij for i != j, 1 + N_i^a for
+    1 <= a < s, and, when p > 2, a primitive root of F_p on block i alone.
+
+    The unit group is generated by the spanning list 1 + c*T^m*E_ij,
+    1 + c*N_i^a (c in F_p^*) and the per-block scalars, and each of those
+    is a product of the generators:
+    - E_ij^2 = 0, so 1 + c*E_ij = (1 + E_ij)^c;
+    - the commutator A B A^-1 B^-1 of A = 1 + N_j^m and B = 1 + E_ij is
+      1 + T^m*E_ij, and these span the rest of Hom(block i, block j);
+    - (1 + N^a k[N]) / (1 + N^(a+1) k[N]) is isomorphic to F_p, generated
+      by the image of 1 + N^a, so downward induction on a gives 1 + c*N^a;
+    - F_p^* is cyclic.
     """
     parts = [a for a in J.parts if a]
     n = sum(parts)
-    ident = Matrix.identity(field, n)
+    offsets = [sum(parts[:i]) for i in range(len(parts))]
+    p = field.p
+    root = next(c for c in range(1, p) if len({pow(c, k, p) for k in range(1, p)}) == p - 1)
+
+    def unit(cells):
+        """The identity matrix with the entries {(row, col): value} set."""
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        for (r, c), v in cells.items():
+            rows[r][c] = v
+        return Matrix.from_rows(field, rows, n)
+
     gens = []
-    nb = len(parts)
-    for bi in range(nb):
-        for bj in range(nb):
-            if bi == bj:
-                continue
-            for E in hom_block_maps(parts, field, bi, bj):
-                for c in range(1, field.p):
-                    gens.append(ident.add(E.scale(c)))
-    offsets = [0]
-    for a in parts:
-        offsets.append(offsets[-1] + a)
-    for bi, s in enumerate(parts):
-        for a in range(1, s):
-            rows = [[0] * n for _ in range(n)]
-            for k in range(a, s):
-                rows[offsets[bi] + k - a][offsets[bi] + k] = 1
-            E = Matrix.from_rows(field, rows, n)
-            for c in range(1, field.p):
-                gens.append(ident.add(E.scale(c)))
-        for c in range(2, field.p):
-            rows = [[0] * n for _ in range(n)]
-            for k in range(n):
-                on_block = offsets[bi] <= k < offsets[bi] + s
-                rows[k][k] = c if on_block else 1
-            gens.append(Matrix.from_rows(field, rows, n))
+    for i, (oi, s) in enumerate(zip(offsets, parts)):
+        for j, (oj, t) in enumerate(zip(offsets, parts)):
+            if i != j:
+                lag = max(s - t, 0)
+                gens.append(unit({(oj + k - lag, oi + k): 1 for k in range(lag, s)}))
+        gens.extend(unit({(oi + k - a, oi + k): 1 for k in range(a, s)}) for a in range(1, s))
+        if p > 2:
+            gens.append(unit({(oi + k, oi + k): root for k in range(s)}))
     return gens
 
 
@@ -309,23 +297,15 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
             "total dimension %d exceeds the oracle bound %d" % (total, max_total_dim)
         )
     classes = []
-    if total == 0:
-        M = ConcreteModule(field, 3, Matrix.zero(field, 0, 0))
-        zero = Subspace.zero(field, 0)
-        D = PRDatum(M, (zero, zero, zero, zero))
-        pt = StrataPoint(h, mu, (0, 0, 0), (0, 0), (0, 0))
-        return IsoClasses(1, ((JordanType(3, (0,) * max(h, 1)), D, pt),))
     for parts in partitions(total, 3, h):
-        J = JordanType(3, parts + (0,) * (h - len(parts)))
+        J = JordanType(3, parts + (0,) * (max(h, 1) - len(parts)))
         M = realize(J, field)
-        flags = [(D.flag[1].rows, D.flag[2].rows, D) for D in pr_all_data(M, mu)]
+        flags = {(D.flag[1].rows, D.flag[2].rows): D for D in pr_all_data(M, mu)}
         if not flags:
             continue
         gens = aut_generators(J, field)
         seen = set()
-        index = {(a, b): D for a, b, D in flags}
-        for a, b, D in flags:
-            key = (a, b)
+        for key, D in flags.items():
             if key in seen:
                 continue
             orbit = {key}
@@ -341,7 +321,7 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
                         orbit.add(nxt)
                         frontier.append(nxt)
             seen |= orbit
-            if not index.keys() >= orbit:
+            if not flags.keys() >= orbit:
                 raise AssertionError("automorphism left the flag set")
             classes.append((J, D, phi(D, h)))
     return IsoClasses(len(classes), tuple(classes))

@@ -428,19 +428,6 @@ class Matrix:
             out = out.mul(self)
         return out
 
-    def add(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise AmbientMismatchError("matrix shapes differ")
-        f = self.field
-        return Matrix(
-            f, self.nrows, self.ncols,
-            [f.row_add(a, b) for a, b in zip(self.rows, other.rows)],
-        )
-
-    def scale(self, c):
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols, [f.row_scale(r, c) for r in self.rows])
-
     def transpose(self):
         f = self.field
         cols = []

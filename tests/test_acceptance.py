@@ -4,6 +4,7 @@ Each test prints a PASS/FAIL line and enforces the stated runtime bound;
 all arithmetic is exact, so the tolerances are zero everywhere.
 """
 
+import pathlib
 import subprocess
 import sys
 import time
@@ -87,3 +88,14 @@ def test_acceptance_9_determinism():
     assert first.returncode == 0, first.stdout.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout, "reports differ between runs"
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks: BENCHMARK.json limits, the acceptance-bound
+    # table above, failure accounting and the tracer's import sites
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        capture_output=True, cwd=root,
+    )
+    assert proc.returncode == 0, (proc.stdout + proc.stderr).decode()

@@ -166,6 +166,15 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 2
 
 
+_MU_LENGTH_ARGV = [
+    ["e3", "enum", "--h", "2", "--mu", "1,1"],
+    ["e3", "enum", "--h", "2", "--mu", "1,1,1,1"],
+    ["strat", "dot", "--h", "2", "--mu", "1,1"],
+    ["strat", "dot", "--h", "2", "--mu", "1,1,1,1"],
+]
+_MU_LENGTH_IDS = ["enum-mu-2-entries", "enum-mu-4-entries", "dot-mu-2-entries", "dot-mu-4-entries"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -190,18 +199,26 @@ def test_usage_error_exit_code(capsys):
         ["pr", "exists", "--parts", "3", "--mu", "2,-1,2"],
         ["pr", "hdg", "--parts", "3", "--h", "-2"],
         ["pr", "exists", "--parts", "3,3", "--h", "1", "--mu", "1,1,1"],
+        *_MU_LENGTH_ARGV,
     ],
     ids=["non-prime-p", "unsorted-mu", "negative-genus", "delta-out-of-range",
          "delta-wrong-length", "prime-above-127", "prime-257", "negative-cases",
          "negative-max-dim", "negative-h", "d-entry-above-h", "x-outside-polygon",
          "exists-mu-wrong-length", "construct-mu-wrong-length", "oracle-mu-wrong-length",
-         "negative-mu-entry", "pr-negative-h", "h-below-parts"],
+         "negative-mu-entry", "pr-negative-h", "h-below-parts", *_MU_LENGTH_IDS],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "usage error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", _MU_LENGTH_ARGV, ids=_MU_LENGTH_IDS)
+def test_mu_of_wrong_length_names_mu(capsys, argv):
+    assert main(argv) == 2
+    n = len(argv[argv.index("--mu") + 1].split(","))
+    assert "usage error: mu must have 3 entries, got %d" % n in capsys.readouterr().err
 
 
 def test_negative_genus_names_its_flag(capsys):

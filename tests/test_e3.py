@@ -1,10 +1,12 @@
 """The e=3 classification: enumeration, phi, normal forms, the orbit oracle."""
 
 import itertools
+import math
+import operator
 
 import pytest
 
-from prflags.gf import F2, Matrix, Subspace
+from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, rref
 from prflags.e3 import (
     AdmissibilityError,
     OracleBoundError,
@@ -21,7 +23,9 @@ from prflags.e3 import (
     phi,
 )
 from prflags.pr import pr_all_data, pr_construct, validate_pr
-from prflags.tmodule import JordanType, jordan_type, realize
+from prflags.tmodule import JordanType, jordan_type, partitions, realize
+
+F5 = PrimeField(5)
 
 
 def sorted_mus(h):
@@ -168,6 +172,11 @@ def test_oracle_counts():
     assert iso_classes_oracle(1, (1, 1, 1), F2).count == 1
     assert iso_classes_oracle(2, (1, 1, 1), F2).count == 4
     assert iso_classes_oracle(2, (0, 0, 0), F2).count == 1
+    for h in (0, 2):
+        (J, D, pt), = iso_classes_oracle(h, (0, 0, 0), F2).classes
+        assert J == JordanType(3, (0,) * max(h, 1))
+        assert D.module.dim == 0 and all(S.dim == 0 for S in D.flag)
+        assert pt == StrataPoint(h, (0, 0, 0), (0, 0, 0), (0, 0), (0, 0))
 
 
 def test_oracle_bound():
@@ -246,6 +255,120 @@ def test_orbit_oracle_against_full_group_scan():
                 seen |= orbit
                 got += 1
             assert got == want, (parts, mu)
+
+
+def spanning_list(J, field):
+    """The oracle's former automorphism list, kept as a reference: 1 + c*E
+    for every basis hom E between distinct blocks and every c in F_p^*,
+    1 + c*N^a on each block, and each scalar c >= 2 on each block."""
+    parts = [a for a in J.parts if a]
+    n, p = sum(parts), field.p
+    offsets = [sum(parts[:b]) for b in range(len(parts))]
+
+    def identity_plus(cells, c):
+        rows = [[int(r == k) for k in range(n)] for r in range(n)]
+        for r, k in cells:
+            rows[r][k] = (rows[r][k] + c) % p
+        return Matrix.from_rows(field, rows, n)
+
+    gens = []
+    for bi, s in enumerate(parts):
+        for bj, t in enumerate(parts):
+            if bi == bj:
+                continue
+            for m in range(min(s, t)):
+                exp = max(t - s, 0) + m
+                cells = [(offsets[bj] + t - s + k - exp, offsets[bi] + k)
+                         for k in range(s) if 0 <= t - s + k - exp < t]
+                gens += [identity_plus(cells, c) for c in range(1, p)]
+    for bi, s in enumerate(parts):
+        for a in range(1, s):
+            cells = [(offsets[bi] + k - a, offsets[bi] + k) for k in range(a, s)]
+            gens += [identity_plus(cells, c) for c in range(1, p)]
+        block = [(offsets[bi] + k, offsets[bi] + k) for k in range(s)]
+        gens += [identity_plus(block, c - 1) for c in range(2, p)]
+    return gens
+
+
+def flag_orbits(field, flags, gens):
+    """The flags, keyed by their (M_1, M_2) rows, partitioned into orbits under gens."""
+    orbits, seen = set(), set()
+    for key in flags:
+        if key in seen:
+            continue
+        orbit, frontier = {key}, [key]
+        while frontier:
+            r1, r2 = frontier.pop()
+            for g in gens:
+                nxt = (rref(field, [g.apply(r) for r in r1])[1],
+                       rref(field, [g.apply(r) for r in r2])[1])
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def test_generating_set_has_the_spanning_list_orbits():
+    families = 0
+    for field, cap in ((F2, 5), (F3, 4), (F5, 3)):
+        for n in range(1, cap + 1):
+            for parts in partitions(n, 3):
+                J = JordanType(3, parts)
+                M = realize(J, field)
+                for mu in sorted_mus(n):
+                    if sum(mu) != n:
+                        continue
+                    families += 1
+                    flags = [(D.flag[1].rows, D.flag[2].rows) for D in pr_all_data(M, mu)]
+                    got = flag_orbits(field, flags, aut_generators(J, field))
+                    want = flag_orbits(field, flags, spanning_list(J, field))
+                    assert got == want, (field.p, parts, mu)
+    assert families == 99
+
+
+def _mul(A, B, p):
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in A)
+
+
+def _signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        yield (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2)), perm
+
+
+def _det(A, p, signed_perms):
+    """The Leibniz expansion of det(A) mod p."""
+    return sum(s * math.prod(A[i][j] for i, j in enumerate(perm)) for s, perm in signed_perms) % p
+
+
+def test_aut_generators_generate_the_whole_group():
+    for field, cap in ((F3, 3), (F5, 2)):
+        p = field.p
+        for n in range(1, cap + 1):
+            for parts in partitions(n, 3):
+                J = JordanType(3, parts)
+                T = realize(J, field).op.coord_rows()
+                signed = list(_signed_permutations(n))
+                gens = [G.coord_rows() for G in aut_generators(J, field)]
+                for G in gens:
+                    assert _mul(G, T, p) == _mul(T, G, p) and _det(G, p, signed), (p, parts, G)
+                # brute force: every invertible n x n matrix commuting with T
+                want = 0
+                for entries in itertools.product(range(p), repeat=n * n):
+                    G = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+                    want += _mul(G, T, p) == _mul(T, G, p) and _det(G, p, signed) != 0
+                one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+                group, frontier = {one}, [one]
+                while frontier:
+                    x = frontier.pop()
+                    for G in gens:
+                        y = _mul(x, G, p)
+                        if y not in group:
+                            group.add(y)
+                            frontier.append(y)
+                assert len(group) == want, (p, parts)
 
 
 def test_ypol_inside_yadm():

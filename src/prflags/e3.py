@@ -11,7 +11,9 @@ delta_1 + max(d_2, delta_2) <= alpha_1 + beta_1.  `normal_form` builds
 a filtered module realizing any admissible triple, and
 `iso_classes_oracle` independently counts isomorphism classes by
 enumerating all flags and merging them under a generating set of the
-T-commuting automorphisms (`aut_generators`).
+T-commuting automorphisms (`aut_generators`).  The merge is indexed:
+each generator maps every distinct M_1 and M_2 once, and a union-find
+joins flags through the resulting tables of member numbers.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ class StrataPoint:
 
     def to_json_dict(self):
         return {"delta": list(self.delta), "alpha": list(self.alpha), "beta": list(self.beta)}
-
-    @classmethod
-    def from_json_dict(cls, h, mu, data):
-        return cls(h, tuple(mu), tuple(data["delta"]), tuple(data["alpha"]), tuple(data["beta"]))
 
 
 def _y_conditions(pt):
@@ -273,6 +271,14 @@ def aut_generators(J, field):
     return gens
 
 
+def _find(root, x):
+    """The root of x in a union-find forest, halving the path on the way."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
 @dataclass(frozen=True)
 class IsoClasses:
     """Oracle output: one representative PR datum per isomorphism class."""
@@ -287,6 +293,14 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
     Enumerates, for every Jordan type of the right dimension on at most
     h generators, all PR data of type mu, then merges them into orbits
     under the unit group of the T-commuting endomorphism algebra.
+
+    The merge works on integer indices: the distinct M_1 and M_2 are
+    numbered once, each generator maps every member once into a table of
+    indices, and a union-find joins each flag (a, b) with the flag
+    (img[a], img[b]).  An image outside the enumerated members or flags
+    raises AssertionError.  Unions keep the smaller position as root, so
+    each class is represented by the first flag of its orbit in
+    enumeration order, and classes come in order of first appearance.
     """
     mu = tuple(int(x) for x in mu)
     if list(mu) != sorted(mu, reverse=True):
@@ -300,28 +314,23 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
     for parts in partitions(total, 3, h):
         J = JordanType(3, parts + (0,) * (max(h, 1) - len(parts)))
         M = realize(J, field)
-        flags = {(D.flag[1].rows, D.flag[2].rows): D for D in pr_all_data(M, mu)}
-        if not flags:
+        data = list(pr_all_data(M, mu))
+        if not data:
             continue
-        gens = aut_generators(J, field)
-        seen = set()
-        for key, D in flags.items():
-            if key in seen:
-                continue
-            orbit = {key}
-            frontier = [key]
-            while frontier:
-                r1, r2 = frontier.pop()
-                for g in gens:
-                    nxt = (
-                        rref(field, [g.apply(r) for r in r1])[1],
-                        rref(field, [g.apply(r) for r in r2])[1],
-                    )
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-            seen |= orbit
-            if not flags.keys() >= orbit:
-                raise AssertionError("automorphism left the flag set")
-            classes.append((J, D, phi(D, h)))
+        index = {}  # rows of a distinct M_1 or M_2 -> its number
+        flags = {}  # (number of M_1, number of M_2) -> position in data
+        for D in data:
+            a = index.setdefault(D.flag[1].rows, len(index))
+            b = index.setdefault(D.flag[2].rows, len(index))
+            flags[a, b] = len(flags)
+        root = list(range(len(flags)))  # union-find forest over the positions
+        for g in aut_generators(J, field):
+            img = [index.get(rref(field, [g.apply(r) for r in rows])[1]) for rows in index]
+            for (a, b), pos in flags.items():
+                other = flags.get((img[a], img[b]))
+                if other is None:
+                    raise AssertionError("automorphism left the flag set")
+                x, y = _find(root, pos), _find(root, other)
+                root[max(x, y)] = min(x, y)
+        classes.extend((J, D, phi(D, h)) for pos, D in enumerate(data) if _find(root, pos) == pos)
     return IsoClasses(len(classes), tuple(classes))

@@ -91,9 +91,6 @@ class PrimeField:
             return 1 << i
         return bytes(i) + b"\1" + bytes(n - i - 1)
 
-    def row_add(self, a, b):
-        return self.row_add_scaled(a, b, 1)
-
     def row_add_scaled(self, a, b, c):
         """a + c*b, for any integer c."""
         if self.p == 2:
@@ -319,9 +316,6 @@ class Subspace:
 
     def __hash__(self):
         return self._hash
-
-    def __le__(self, other):
-        return other.contains(self)
 
     def __repr__(self):
         return "Subspace(F%d^%d, dim=%d)" % (self.field.p, self.n, self.dim)

@@ -163,9 +163,6 @@ class PolyMatrix:
         rows = [[_bilinear(u, w, Phi, p) for w in self.rows] for u in self.rows]
         return PolyMatrix(self.field, self.nrows, rows) if self.nrows else self
 
-    def max_degree(self):
-        return max((len(e) - 1 for r in self.rows for e in r if e), default=-1)
-
     def to_coeff_lists(self):
         return [[list(e) for e in r] for r in self.rows]
 

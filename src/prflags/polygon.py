@@ -109,9 +109,6 @@ class Polygon:
         k = den // len(self.d)
         return tuple(x for x in self.d for _ in range(k))
 
-    def slope_multiplicities(self):
-        return dict(self.slopes)
-
     def breakpoints(self):
         """Vertices [(x, y), ...] of the graph, x integer, y exact."""
         pts = [(0, Fraction(0))]
@@ -123,12 +120,6 @@ class Polygon:
         return pts
 
     # operations ---------------------------------------------------------
-
-    def refine(self, k):
-        """The same function viewed at denominator k*den."""
-        if k < 1:
-            raise PolygonError("refinement factor must be >= 1")
-        return Polygon(self.h, self.d, self.den * k)
 
     def star(self, other):
         """Weighted concatenation: the d-multisets merge, denominators add."""

@@ -302,7 +302,8 @@ def pr_permute(D, i):
 
 
 def pr_oracle_exists(M, mu, cap=None):
-    """Exhaustive search for a PR datum of type mu (depth-first, pruned).
+    """Exhaustive search for a PR datum of type mu (depth-first, pruned by
+    the forced floors).
 
     Independent of the Hodge-dominance criterion: asks `pr_all_data`,
     which enumerates nested chains with the defining constraints only,
@@ -317,7 +318,19 @@ def pr_oracle_exists(M, mu, cap=None):
 
 
 def pr_all_data(M, mu, cap=None):
-    """Every PR datum of type mu on M (for the isomorphism oracle)."""
+    """Every PR datum of type mu on M (for the isomorphism oracle).
+
+    The conditions T M <= M_{e-1} and T M_{i+1} <= M_i force the floor
+    M_i >= T^{e-i} M, by descending induction from M_e = M.  So M_{i+1}
+    is enumerated between M_i + T^{e-i-1} M and the ceiling T^{-1}(M_i).
+    The floor lies in the ceiling: T M_i <= M_{i-1} <= M_i, and
+    T^{e-i} M <= M_i is the floor of M_i.  The floor of M_e is M itself,
+    so the last member is forced and T M <= M_{e-1} holds by construction.
+
+    The floors follow from the defining conditions alone, not from Hodge
+    dominance, so `pr_oracle_exists` stays independent of `pr_exists`.
+    Each T^k M is taken once, when the search first reaches its level.
+    """
     if cap is None:
         cap = DEFAULT_ENUM_CAP
     mu = tuple(int(d) for d in mu)
@@ -328,18 +341,21 @@ def pr_all_data(M, mu, cap=None):
     dims = [0]
     for d in mu:
         dims.append(dims[-1] + d)
+    powers = {}  # level i -> T^{e-i-1} M
 
     def search(level, chain):
-        current = chain[-1]
         if level == e - 1:
-            if preimage(M.op, current).dim == M.dim:
-                yield PRDatum(M, tuple(chain) + (full,))
+            yield PRDatum(M, tuple(chain) + (full,))
+            return
+        if level not in powers:
+            powers[level] = power_image(M, e - level - 1)
+        current = chain[-1]
+        floor = current.sum(powers[level]) if level else powers[level]
+        want = dims[level + 1]
+        if want < floor.dim:
             return
         ceiling = preimage(M.op, current)
-        want = dims[level + 1]
-        if want > ceiling.dim:
-            return
-        for cand in subspaces_between(current, ceiling, want, cap=cap):
+        for cand in subspaces_between(floor, ceiling, want, cap=cap):
             yield from search(level + 1, chain + [cand])
 
     yield from search(0, [Subspace.zero(M.field, M.dim)])

@@ -41,9 +41,6 @@ class StrataPoset:
         n = len(pts)
         self._le = [[leq(pts[i], pts[j]) for j in range(n)] for i in range(n)]
 
-    def __len__(self):
-        return len(self.points)
-
     def index(self, p):
         try:
             return self.points.index(p)
@@ -54,15 +51,6 @@ class StrataPoset:
         """The up-set {q : q >= p}; combinatorial shadow of the stratum closure."""
         i = self.index(p)
         return [q for j, q in enumerate(self.points) if self._le[i][j]]
-
-    def minimum(self):
-        """The unique minimal point, or None if there is none."""
-        mins = [
-            p
-            for i, p in enumerate(self.points)
-            if all(self._le[i][j] for j in range(len(self.points)))
-        ]
-        return mins[0] if len(mins) == 1 else None
 
     def hasse(self):
         """Covering pairs (lower, upper): the transitive reduction."""

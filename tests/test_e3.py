@@ -1,11 +1,13 @@
 """The e=3 classification: enumeration, phi, normal forms, the orbit oracle."""
 
+import functools
 import itertools
 import math
 import operator
 
 import pytest
 
+from prflags import e3
 from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, rref
 from prflags.e3 import (
     AdmissibilityError,
@@ -310,22 +312,59 @@ def flag_orbits(field, flags, gens):
     return orbits
 
 
+@functools.cache
+def generated_orbits(field, parts, mu):
+    """The (M_1, M_2) rows of every flag of type mu on the module of Jordan
+    type parts, in `pr_all_data` order, and their orbits under
+    `aut_generators`; two tests share them."""
+    J = JordanType(3, parts)
+    flags = [(D.flag[1].rows, D.flag[2].rows) for D in pr_all_data(realize(J, field), mu)]
+    return flags, flag_orbits(field, flags, aut_generators(J, field))
+
+
 def test_generating_set_has_the_spanning_list_orbits():
     families = 0
     for field, cap in ((F2, 5), (F3, 4), (F5, 3)):
         for n in range(1, cap + 1):
             for parts in partitions(n, 3):
                 J = JordanType(3, parts)
-                M = realize(J, field)
                 for mu in sorted_mus(n):
                     if sum(mu) != n:
                         continue
                     families += 1
-                    flags = [(D.flag[1].rows, D.flag[2].rows) for D in pr_all_data(M, mu)]
-                    got = flag_orbits(field, flags, aut_generators(J, field))
+                    flags, got = generated_orbits(field, parts, mu)
                     want = flag_orbits(field, flags, spanning_list(J, field))
                     assert got == want, (field.p, parts, mu)
     assert families == 99
+
+
+def test_oracle_represents_each_orbit_by_its_first_flag():
+    families = 0
+    for field, cap in ((F2, 5), (F3, 4), (F5, 3)):
+        for n in range(1, cap + 1):
+            for mu in sorted_mus(n):
+                if sum(mu) != n:
+                    continue
+                want = []
+                for parts in partitions(n, 3):
+                    families += 1
+                    flags, orbits = generated_orbits(field, parts, mu)
+                    position = {key: i for i, key in enumerate(flags)}
+                    want += [(parts, flags[i]) for i in sorted(min(map(position.get, o)) for o in orbits)]
+                res = iso_classes_oracle(n, mu, field, max_total_dim=n)
+                got = [(tuple(a for a in J.parts if a), (D.flag[1].rows, D.flag[2].rows))
+                       for J, D, _ in res.classes]
+                assert got == want, (field.p, mu)
+    assert families == 99
+
+
+def test_oracle_rejects_a_map_that_leaves_the_flag_set(monkeypatch):
+    # swapping e_0 and e_2 of one Jordan block of size 3 does not commute with T
+    swap = Matrix.from_rows(F2, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], 3)
+    generators = e3.aut_generators
+    monkeypatch.setattr(e3, "aut_generators", lambda J, field: generators(J, field) + [swap])
+    with pytest.raises(AssertionError, match="automorphism left the flag set"):
+        iso_classes_oracle(1, (1, 1, 1), F2, max_total_dim=3)
 
 
 def _mul(A, B, p):
@@ -386,4 +425,4 @@ def test_ypol_inside_yadm():
 def test_json_round_trip():
     y = enum_Yadm(2, (1, 1, 1))[0]
     data = y.to_json_dict()
-    assert StrataPoint.from_json_dict(2, (1, 1, 1), data) == y
+    assert StrataPoint(2, (1, 1, 1), **data) == y

@@ -31,7 +31,7 @@ def brute_span(field, n, vectors):
         v = frontier.pop()
         for w in list(seen):
             for c in range(1, field.p):
-                u = field.row_add(w, field.row_scale(v, c))
+                u = field.row_add_scaled(w, v, c)
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
@@ -341,7 +341,7 @@ def test_fp_kernel_matches_coordinate_gauss_jordan(p, data):
     a, b = (data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
     c = data.draw(st.integers(-2 * p, 2 * p))
     pa, pb = field.pack(a), field.pack(b)
-    assert field.unpack(field.row_add(pa, pb), n) == tuple((x + y) % p for x, y in zip(a, b))
+    assert field.unpack(field.row_add_scaled(pa, pb, 1), n) == tuple((x + y) % p for x, y in zip(a, b))
     assert field.unpack(field.row_scale(pa, c), n) == tuple(x * c % p for x in a)
     assert field.unpack(field.row_add_scaled(pa, pb, c), n) == tuple(
         (x + c * y) % p for x, y in zip(a, b)

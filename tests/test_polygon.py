@@ -47,11 +47,6 @@ def test_eval_domain_error():
         P(-1)
 
 
-def test_slope_multiplicities():
-    P = Polygon.from_d(2, [2, 1])
-    assert P.slope_multiplicities() == {Fraction(1, 2): 1, Fraction(1): 1}
-
-
 def test_construction_validation():
     with pytest.raises(PolygonError):
         Polygon.from_d(2, [])
@@ -99,25 +94,6 @@ def test_recover_roundtrip_random(hd):
     h, d = hd
     P = Polygon.from_d(h, d)
     assert P.d_list(len(d)) == tuple(sorted(d, reverse=True))
-
-
-def test_refine_is_function_identity():
-    P = Polygon.from_d(2, [2])
-    Q = P.refine(2)
-    assert Q == P
-    assert Q.d_list() == (2, 2)
-    assert Q == Polygon.from_d(2, [2, 2])
-    assert P.refine(1) == P
-
-
-@settings(max_examples=60, deadline=None)
-@given(d_lists, st.integers(1, 3))
-def test_refine_pointwise(hd, k):
-    h, d = hd
-    P = Polygon.from_d(h, d)
-    Q = P.refine(k)
-    for x in range(h + 1):
-        assert P(x) == Q(x)
 
 
 def test_star_concatenates():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from prflags.gf import F2, Subspace
+from prflags.gf import F2, F3, PrimeField, Subspace, preimage, subspaces_between
 from prflags.pr import (
     InfeasiblePRError,
     InfeasibleTargetError,
@@ -203,6 +203,48 @@ def test_all_data_enumeration():
     for D in data:
         assert validate_pr(D, (1, 1, 0))
     assert len({(D.flag[1].rows, D.flag[2].rows) for D in data}) == len(data)
+
+
+def unpruned_all_data(M, mu):
+    """The former `pr_all_data`, kept as a reference: each member runs from
+    the previous one up to its T-preimage, and the last level checks
+    T M <= M_{e-1}."""
+    e, full = M.e, Subspace.full(M.field, M.dim)
+    if sum(mu) != M.dim:
+        return
+    dims = list(itertools.accumulate(mu, initial=0))
+
+    def search(level, chain):
+        current = chain[-1]
+        if level == e - 1:
+            if preimage(M.op, current).dim == M.dim:
+                yield PRDatum(M, tuple(chain) + (full,))
+            return
+        ceiling = preimage(M.op, current)
+        if dims[level + 1] > ceiling.dim:
+            return
+        for cand in subspaces_between(current, ceiling, dims[level + 1]):
+            yield from search(level + 1, chain + [cand])
+
+    yield from search(0, [Subspace.zero(M.field, M.dim)])
+
+
+def test_floors_keep_the_unpruned_enumeration():
+    families = data = 0
+    for field, cap in ((F2, 5), (F3, 4), (PrimeField(5), 3)):
+        for e in (1, 2, 3):
+            for n in range(cap + 1):
+                for parts in partitions(n, e):
+                    M = realize(JordanType(e, parts or (0,)), field)
+                    for mu in itertools.product(range(n + 1), repeat=e):
+                        if sum(mu) != n:
+                            continue
+                        families += 1
+                        got = [D.flag for D in pr_all_data(M, mu)]
+                        assert got == [D.flag for D in unpruned_all_data(M, mu)], (
+                            field.p, parts, mu)
+                        data += len(got)
+    assert (families, data) == (477, 10621)
 
 
 def test_filtration_dominance_examples():

@@ -70,9 +70,9 @@ def test_unique_minimum():
             pts = enum_Yadm(h, mu)
             if not pts:
                 continue
-            poset = StrataPoset(pts)
-            m = poset.minimum()
-            assert m is not None
+            mins = [p for p in pts if all(leq(p, q) for q in pts)]
+            assert len(mins) == 1
+            m = mins[0]
             d1, d2, d3 = mu
             assert m.delta == tuple(sorted(mu, reverse=True))
             assert m.alpha == tuple(sorted((d1, d2), reverse=True))

@@ -118,7 +118,7 @@ def test_hodge_polygon_examples():
     J = JordanType(3, (3, 1))
     hp = J.hodge_polygon()
     assert hp == Polygon.from_d(2, [2, 1, 1])
-    assert hp.slope_multiplicities() == {Fraction(1, 3): 1, Fraction(1): 1}
+    assert dict(hp.slopes) == {Fraction(1, 3): 1, Fraction(1): 1}
 
 
 def test_hodge_polygon_mass():

@@ -17,7 +17,6 @@ from .gf import (
     gaussian_binomial,
     image,
     preimage,
-    quotient_dim,
     subspaces_between,
 )
 from .polygon import Polygon, PolygonError

@@ -291,10 +291,12 @@ class Subspace:
         return _right_block(f, n, ext)
 
     def complement_in(self, other):
-        """Packed vectors extending this basis to a basis of `other`."""
+        """Packed vectors extending this basis to a basis of `other`.
+
+        The residues extend this basis to one of self + other, which is
+        `other` exactly when its dimension is dim other.
+        """
         self._check(other)
-        if not other.contains(self):
-            raise AmbientMismatchError("complement_in requires containment")
         ext = []
         span = self
         for r in other.rows:
@@ -302,6 +304,8 @@ class Subspace:
             if not self.field.row_is_zero(res):
                 ext.append(res)
                 span = Subspace(self.field, self.n, span.rows + (res,))
+        if self.dim + len(ext) != other.dim:
+            raise AmbientMismatchError("complement_in requires containment")
         return tuple(ext)
 
     # dunder -------------------------------------------------------------
@@ -348,13 +352,6 @@ class Matrix:
     @classmethod
     def identity(cls, field, n):
         return cls(field, n, n, [field.unit_row(n, i) for i in range(n)])
-
-    @classmethod
-    def zero(cls, field, nrows, ncols):
-        return cls(field, nrows, ncols, [field.zero_row(ncols)] * nrows)
-
-    def entry(self, i, j):
-        return self.field.row_get(self.rows[i], j)
 
     def coord_rows(self):
         return tuple(self.field.unpack(r, self.ncols) for r in self.rows)
@@ -515,13 +512,6 @@ def _right_block(f, n, joined_rows):
     return Subspace(f, n, right, _canonical=True)
 
 
-def quotient_dim(A, B):
-    """dim A - dim B for nested subspaces B <= A."""
-    if not A.contains(B):
-        raise AmbientMismatchError("quotient_dim requires B <= A")
-    return A.dim - B.dim
-
-
 def _check_op(T, W):
     if T.field != W.field or T.ncols != W.n or T.nrows != W.n:
         raise AmbientMismatchError("operator does not act on the ambient space")
@@ -577,11 +567,9 @@ def enumerate_subspaces(field, n, d, cap=DEFAULT_ENUM_CAP):
 
 def subspaces_between(floor, ceiling, d, cap=DEFAULT_ENUM_CAP):
     """Yield every subspace S with floor <= S <= ceiling and dim S = d."""
-    if not ceiling.contains(floor):
-        raise AmbientMismatchError("floor must sit inside ceiling")
+    comp = floor.complement_in(ceiling)
     if d < floor.dim or d > ceiling.dim:
         return
-    comp = floor.complement_in(ceiling)
     q = len(comp)
     f, n = floor.field, floor.n
     for small in enumerate_subspaces(f, q, d - floor.dim, cap=cap):

@@ -181,13 +181,9 @@ class PolyMatrix:
         return "PolyMatrix(F%d[X], %dx%d)" % (self.field.p, self.nrows, self.ncols)
 
 
-def poly_bilinear(u, w, pairing):
-    """<u, w> = u * Phi * w^T for polynomial rows and a constant form Phi."""
-    return _bilinear(u, w, pairing.coord_rows(), pairing.field.p)
-
-
 def _bilinear(u, w, Phi, p):
-    """poly_bilinear for a form already unpacked to coordinate rows Phi."""
+    """<u, w> = u * Phi * w^T for polynomial rows and a constant form Phi,
+    given as coordinate rows."""
     acc = ()
     for i, ui in enumerate(u):
         if not ui:

@@ -12,6 +12,7 @@ intersection with the T-power flag achieves the extreme value
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .gf import DEFAULT_ENUM_CAP, Subspace, image, preimage, subspaces_between
@@ -134,56 +135,60 @@ def pr_exists(J, mu):
 
 
 def alpha_table(delta, mu_sorted):
-    """alpha[i][j] = forced dim(M_i  T^j M) for the greedy flag, 0<=i,j<=e."""
+    """alpha[i][j] = forced dim(M_i ^ T^j M) for the greedy flag, 0<=i,j<=e.
+
+    With D the prefix sums of delta padded by e zeros and S those of mu,
+    alpha[i][j] = min over l <= i of (D[j+l] - D[j]) + (S[i] - S[l]).
+    """
     e = len(mu_sorted)
-    dsum = [0]
-    for d in mu_sorted:
-        dsum.append(dsum[-1] + d)
-
-    def delta_at(t):
-        return delta[t - 1] if 1 <= t <= e else 0
-
-    table = []
-    for i in range(e + 1):
-        row = []
-        for j in range(e + 1):
-            best = None
-            for l in range(i + 1):
-                val = sum(delta_at(j + t) for t in range(1, l + 1)) + (dsum[i] - dsum[l])
-                if best is None or val < best:
-                    best = val
-            row.append(best)
-        table.append(row)
-    return table
+    D = list(itertools.accumulate(tuple(delta) + (0,) * e, initial=0))
+    S = list(itertools.accumulate(mu_sorted, initial=0))
+    return [
+        [min(D[j + l] - D[j] + S[i] - S[l] for l in range(i + 1)) for j in range(e + 1)]
+        for i in range(e + 1)
+    ]
 
 
 def subspace_in_flag(flag, floor, target_dim, target_intersections):
-    """A subspace S with floor <= S <= flag top and dim(S  F_j) as targeted.
+    """A subspace S with floor <= S <= flag top and dim(S ^ F_j) as targeted.
 
-    `flag` is an ascending chain of subspaces whose last member bounds S;
+    `flag` is a nested chain F_0 <= F_1 <= ... whose last member bounds S;
     `target_intersections` aligns with the flag members and must end with
     `target_dim`.  Vectors are added greedily from the smallest flag
-    member outwards, always avoiding the previous member, so settled
+    member outwards, always avoiding floor + F_{j-1}, so settled
     intersection counts never move again.
+
+    Every count comes from one sum floor + F_j per member.  The picks P
+    made before F_j lie in F_{j-1} <= F_j and are independent modulo the
+    floor, so by the modular law dim(S ^ F_j) = c_j + |P|, where
+    c_j = dim(floor ^ F_j) = dim floor + dim F_j - dim(floor + F_j).
+    F_j thus needs (t_j - t_{j-1}) - (c_j - c_{j-1}) picks.  The "target
+    below floor" and "floor forces a larger step" checks make that number
+    >= 0; the "exceeds member" and "step" checks make it at most
+    dim F_j/((floor + F_{j-1}) ^ F_j) = dim(floor + F_j) - dim(floor + F_{j-1}),
+    the number of rows of F_j that the scan finds outside floor + F_{j-1}.
     """
     spaces = list(flag)
     targets = [int(t) for t in target_intersections]
     if len(targets) != len(spaces):
         raise InfeasibleTargetError("one target per flag member required")
+    if not spaces:
+        raise InfeasibleTargetError("empty flag")
     if targets[-1] != target_dim:
         raise InfeasibleTargetError(
             "top target must equal target_dim",
             "%d != %d" % (targets[-1], target_dim),
         )
-    top = spaces[-1]
-    if not top.contains(floor):
+    if not spaces[-1].contains(floor):
         raise InfeasibleTargetError("floor not inside flag top")
-    # feasibility: monotone, step-bounded, floor-forced growth
+    f, n = floor.field, floor.n
+    picks = []
     prev_space = None
-    prev_target = None
-    prev_floor_cut = None
+    prev_target = prev_floor_cut = 0
+    avoid = floor  # floor + F_{j-1}, grown by the picks from F_j
     for space, t in zip(spaces, targets):
-        floor_cut = floor.intersect(space).dim
+        joint = floor.sum(space)
+        floor_cut = floor.dim + space.dim - joint.dim
         if t < floor_cut:
             raise InfeasibleTargetError(
                 "target below floor",
@@ -195,6 +200,8 @@ def subspace_in_flag(flag, floor, target_dim, target_intersections):
                 "target %d > %d" % (t, space.dim),
             )
         if prev_space is not None:
+            if not space.contains(prev_space):
+                raise InfeasibleTargetError("flag members are not nested")
             if t < prev_target:
                 raise InfeasibleTargetError("non-monotone targets")
             if t - prev_target > space.dim - prev_space.dim:
@@ -207,31 +214,16 @@ def subspace_in_flag(flag, floor, target_dim, target_intersections):
                     "floor forces a larger step",
                     "%d - %d < %d - %d" % (t, prev_target, floor_cut, prev_floor_cut),
                 )
-        prev_space, prev_target, prev_floor_cut = space, t, floor_cut
-
-    S = floor
-    f = floor.field
-    prev = None
-    for space, t in zip(spaces, targets):
-        need = t - S.intersect(space).dim
-        assert need >= 0, "settled intersection overshot its target"
-        avoid = S.sum(prev) if prev is not None else S
-        while need > 0:
-            picked = None
-            for r in space.rows:
-                if not avoid.contains_row(r):
-                    picked = r
-                    break
-            if picked is None:
-                raise InfeasibleTargetError(
-                    "flag member exhausted", "no vector of F left outside S + F_prev"
-                )
-            S = Subspace(f, S.n, S.rows + (picked,))
-            avoid = Subspace(f, S.n, avoid.rows + (picked,))
-            need -= 1
-        prev = space
-    assert S.dim == target_dim
-    return S
+        need = (t - prev_target) - (floor_cut - prev_floor_cut)
+        for r in space.rows:
+            if not need:
+                break
+            if not avoid.contains_row(r):
+                picks.append(r)
+                avoid = Subspace(f, n, avoid.rows + (r,))
+                need -= 1
+        prev_space, prev_target, prev_floor_cut, avoid = space, t, floor_cut, joint
+    return Subspace(f, n, floor.rows + tuple(picks))
 
 
 def pr_construct(M, mu):

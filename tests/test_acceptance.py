@@ -99,3 +99,11 @@ def test_benchmark_selftest_passes():
         capture_output=True, cwd=root,
     )
     assert proc.returncode == 0, (proc.stdout + proc.stderr).decode()
+
+
+def test_readme_library_example():
+    # README's ```python block must run as printed
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```", 1)[0], "README.md", "exec"), {})

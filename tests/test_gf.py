@@ -17,7 +17,6 @@ from prflags.gf import (
     gaussian_binomial,
     image,
     preimage,
-    quotient_dim,
     rref,
     subspaces_between,
 )
@@ -111,17 +110,13 @@ def test_preimage_examples():
     assert got == Subspace.span(F2, 3, [[1, 0, 0], [0, 1, 0]])
     assert got == brute_preimage(F2, 3, J3, W)
     assert preimage(J3, Subspace.full(F2, 3)) == Subspace.full(F2, 3)
-    assert preimage(Matrix.zero(F2, 3, 3), W) == Subspace.full(F2, 3)
+    assert preimage(Matrix.from_rows(F2, [[0] * 3] * 3), W) == Subspace.full(F2, 3)
 
 
 def test_image_and_quotient_dim():
     J3 = Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert image(J3, Subspace.full(F2, 3)) == Subspace.span(F2, 3, [[1, 0, 0], [0, 1, 0]])
     assert image(J3, Subspace.zero(F2, 3)).is_zero()
-    A = Subspace.span(F2, 3, [[1, 0, 0], [0, 1, 0]])
-    assert quotient_dim(A, A) == 0
-    with pytest.raises(AmbientMismatchError):
-        quotient_dim(Subspace.span(F2, 3, [[1, 0, 0]]), A)
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,6 +186,19 @@ def test_subspaces_between():
     for S in mids:
         assert S.contains(floor) and ceil.contains(S) and S.dim == 2
     assert len(set(mids)) == 3
+
+
+def test_floor_outside_ceiling_is_refused():
+    line = Subspace.span(F2, 4, [[0, 0, 0, 1]])
+    ceil = Subspace.span(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    plane = Subspace.span(F2, 4, [[1, 0, 0, 0], [0, 0, 0, 1]])
+    for floor in (line, plane):
+        with pytest.raises(AmbientMismatchError):
+            floor.complement_in(ceil)
+        for d in (0, 2, 3, 4):  # in range and out of range
+            with pytest.raises(AmbientMismatchError):
+                list(subspaces_between(floor, ceil, d))
+    assert line.complement_in(line.sum(ceil)) == ceil.rows
 
 
 def test_matrix_inverse_mul_kernel():

@@ -1,8 +1,10 @@
 """PR data: validation, existence, the greedy construction, the oracle."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prflags.gf import F2, F3, PrimeField, Subspace, preimage, subspaces_between
 from prflags.pr import (
@@ -162,6 +164,174 @@ def test_subspace_in_flag_errors():
     with pytest.raises(InfeasibleTargetError) as err:
         subspace_in_flag([e1, full], zero, 3, [0, 3])
     assert err.value.constraint == "step exceeds flag step"
+    with pytest.raises(InfeasibleTargetError) as err:
+        subspace_in_flag([], zero, 0, [])
+    assert err.value.constraint == "empty flag"
+    # unchecked, this flag would yield e1, which meets e1 in dimension 1, not 0
+    e13 = Subspace.span(F2, 3, [[1, 0, 1]])
+    with pytest.raises(InfeasibleTargetError) as err:
+        subspace_in_flag([e1, e13, full], zero, 1, [0, 0, 1])
+    assert err.value.constraint == "flag members are not nested"
+
+
+def ref_alpha_table(delta, mu_sorted):
+    """The former `alpha_table`, kept as a reference: the triple loop."""
+    e = len(mu_sorted)
+    dsum = [0]
+    for d in mu_sorted:
+        dsum.append(dsum[-1] + d)
+
+    def delta_at(t):
+        return delta[t - 1] if 1 <= t <= e else 0
+
+    table = []
+    for i in range(e + 1):
+        row = []
+        for j in range(e + 1):
+            best = None
+            for l in range(i + 1):
+                val = sum(delta_at(j + t) for t in range(1, l + 1)) + (dsum[i] - dsum[l])
+                if best is None or val < best:
+                    best = val
+            row.append(best)
+        table.append(row)
+    return table
+
+
+def ref_subspace_in_flag(flag, floor, target_dim, target_intersections):
+    """The former `subspace_in_flag`, kept as a reference: it checks
+    feasibility in a first pass, then picks vectors while re-intersecting
+    S with every member."""
+    spaces = list(flag)
+    targets = [int(t) for t in target_intersections]
+    if len(targets) != len(spaces):
+        raise InfeasibleTargetError("one target per flag member required")
+    if targets[-1] != target_dim:
+        raise InfeasibleTargetError(
+            "top target must equal target_dim",
+            "%d != %d" % (targets[-1], target_dim),
+        )
+    top = spaces[-1]
+    if not top.contains(floor):
+        raise InfeasibleTargetError("floor not inside flag top")
+    prev_space = None
+    prev_target = None
+    prev_floor_cut = None
+    for space, t in zip(spaces, targets):
+        floor_cut = floor.intersect(space).dim
+        if t < floor_cut:
+            raise InfeasibleTargetError(
+                "target below floor",
+                "target %d < dim(floor  F) = %d" % (t, floor_cut),
+            )
+        if t > space.dim:
+            raise InfeasibleTargetError(
+                "target exceeds flag member dimension",
+                "target %d > %d" % (t, space.dim),
+            )
+        if prev_space is not None:
+            if t < prev_target:
+                raise InfeasibleTargetError("non-monotone targets")
+            if t - prev_target > space.dim - prev_space.dim:
+                raise InfeasibleTargetError(
+                    "step exceeds flag step",
+                    "%d - %d > %d - %d" % (t, prev_target, space.dim, prev_space.dim),
+                )
+            if t - prev_target < floor_cut - prev_floor_cut:
+                raise InfeasibleTargetError(
+                    "floor forces a larger step",
+                    "%d - %d < %d - %d" % (t, prev_target, floor_cut, prev_floor_cut),
+                )
+        prev_space, prev_target, prev_floor_cut = space, t, floor_cut
+
+    S = floor
+    f = floor.field
+    prev = None
+    for space, t in zip(spaces, targets):
+        need = t - S.intersect(space).dim
+        assert need >= 0, "settled intersection overshot its target"
+        avoid = S.sum(prev) if prev is not None else S
+        while need > 0:
+            picked = None
+            for r in space.rows:
+                if not avoid.contains_row(r):
+                    picked = r
+                    break
+            if picked is None:
+                raise InfeasibleTargetError(
+                    "flag member exhausted", "no vector of F left outside S + F_prev"
+                )
+            S = Subspace(f, S.n, S.rows + (picked,))
+            avoid = Subspace(f, S.n, avoid.rows + (picked,))
+            need -= 1
+        prev = space
+    assert S.dim == target_dim
+    return S
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InfeasibleTargetError as exc:
+        return exc.constraint, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_subspace_in_flag_matches_reference(data):
+    field = PrimeField(data.draw(st.sampled_from([2, 3, 5]), label="p"))
+    n = data.draw(st.integers(1, 6), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+
+    def span(rows):
+        return Subspace.span(field, n, rows)
+
+    def vectors(count):
+        return [[rng.randrange(field.p) for _ in range(n)] for _ in range(count)]
+
+    def combos(basis, count):
+        """`count` random combinations of the basis vectors."""
+        out = []
+        for _ in range(count):
+            coeffs = [rng.randrange(field.p) for _ in basis]
+            out.append([sum(c * v[i] for c, v in zip(coeffs, basis)) % field.p
+                        for i in range(n)])
+        return out
+
+    # a nested flag: spans of growing prefixes of one list of vectors
+    gens = vectors(rng.randint(1, n + 1))
+    cuts = sorted(rng.randint(0, len(gens)) for _ in range(rng.randint(1, 4)))
+    flag = [span(gens[:c]) for c in cuts]
+    top = gens[:cuts[-1]]
+    if rng.randrange(10) == 0:
+        floor = span(vectors(rng.randint(0, 3)))
+    else:
+        floor = span(combos(top, rng.randint(0, 3)))
+    # targets met by some S between floor and top, then maybe perturbed
+    S = floor.sum(span(combos(top, rng.randint(0, 3))))
+    targets = [S.intersect(F).dim for F in flag]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        targets[rng.randrange(len(flag))] += rng.choice([-1, 1])
+    target_dim = targets[-1] + (rng.randrange(20) == 0)
+
+    want = _outcome(ref_subspace_in_flag, flag, floor, target_dim, targets)
+    assert _outcome(subspace_in_flag, flag, floor, target_dim, targets) == want
+    if isinstance(want, Subspace):
+        assert [want.intersect(F).dim for F in flag] == targets
+
+
+def test_alpha_table_matches_reference():
+    checked = 0
+    for e in (1, 2, 3):
+        mus = [mu for mu in itertools.product(range(9), repeat=e)
+               if sum(mu) <= 8 and list(mu) == sorted(mu, reverse=True)]
+        for n in range(9):
+            for parts in partitions(n, e):
+                delta = JordanType(e, parts or (0,)).delta()
+                for mu in mus:
+                    assert alpha_table(delta, mu) == ref_alpha_table(delta, mu), (delta, mu)
+                    checked += 1
+    assert checked == 2387
 
 
 def test_oracle_matches_examples():

@@ -78,7 +78,7 @@ def test_realize_shapes():
 
 def test_jordan_type_examples():
     assert jordan_type(realize(JordanType(3, (3,)), F2)).parts == (3,)
-    T0 = ConcreteModule(F2, 3, Matrix.zero(F2, 3, 3))
+    T0 = ConcreteModule(F2, 3, Matrix.from_rows(F2, [[0] * 3] * 3))
     assert jordan_type(T0).parts == (1, 1, 1)
     M = realize(JordanType(3, (2, 1)), F2)
     assert M.op.rank() == 1 and M.op.power(2).rank() == 0

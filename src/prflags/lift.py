@@ -20,6 +20,7 @@ pairing; the stratum degeneration chains three such lifts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -315,13 +316,12 @@ class PolyModule:
         return PolyModule(self.field, self.n, _hermite(self.field.p, joined, self.n))
 
     def generic_intersection_dim(self, other):
-        stacked = PolyMatrix(self.field, self.n, list(self.basis) + list(other.basis))
-        return self.rank + other.rank - generic_rank(stacked)
+        """Both bases are canonical, so they go to `_hermite` as they stand."""
+        return self.rank + other.rank - len(_hermite(self.field.p, self.basis + other.basis))
 
     def contains_generic(self, pm):
         """Whether every row of the PolyMatrix lies in the generic span."""
-        stacked = PolyMatrix(self.field, self.n, list(self.basis) + list(pm.rows))
-        return generic_rank(stacked) == self.rank
+        return len(_hermite(self.field.p, self.basis + pm.rows)) == self.rank
 
     def __eq__(self, other):
         return (
@@ -743,6 +743,37 @@ def embed_normal_form(D, h):
     return T, images[1], images[2], images[3]
 
 
+@functools.lru_cache(maxsize=16)
+def _free_module(field, h, polarized):
+    """T on (k[T]/T^3)^h, its pairing (None unless polarized), ker T, and
+    the constant modules of ker T and ker T^2."""
+    if polarized:
+        T, pairing = standard_symplectic(field, h // 2)
+    else:
+        T, pairing = _free_module_op(field, h), None
+    kerT = T.kernel()
+    return (
+        T,
+        pairing,
+        kerT,
+        PolyModule.constant(kerT),
+        PolyModule.constant(T.power(2).kernel()),
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _normal_flag(y_from, field, polarized):
+    """The normal-form flag w1bar <= w2bar <= wbar of y_from in the free
+    module, with T^{-1}(w1bar) and ker T ^ T^{-1}(w1bar)."""
+    if polarized:
+        _, _, w1bar, w2bar, wbar = polarized_normal_form(y_from, field)
+    else:
+        _, w1bar, w2bar, wbar = embed_normal_form(normal_form(y_from, field), y_from.h)
+    T, _, kerT, _, _ = _free_module(field, y_from.h, polarized)
+    inv_w1 = preimage(T, w1bar)
+    return w1bar, w2bar, wbar, inv_w1, kerT.intersect(inv_w1)
+
+
 def degenerate_step(y_from, y_to, field, polarized=False):
     """Deform the normal form of y_from so its generic invariants equal y_to.
 
@@ -751,6 +782,17 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     module over (truncated series)[T]/T^3, asserting the three dimension
     inequalities before the final lift; the generic fiber of the result
     is recomputed independently and must equal y_to.
+
+    What depends only on (field, h) -- T, the pairing, ker T and the
+    constant modules of ker T and ker T^2 -- is built once per (field, h)
+    (`_free_module`), and the normal-form flag of y_from with its
+    T-preimages once per source point (`_normal_flag`).  Both caches are
+    safe to share between calls: their keys (fields, strata points,
+    booleans) are hashable values, and what they hold (matrices,
+    subspaces, modules) is immutable.  They are bounded (16 and 1,024
+    entries; every pair at h = 3, 4 plus polarized g = 2 uses 3 and
+    157), so a long-running caller does not grow them without limit.
+    The stage-b modules and their fiber lifts are rebuilt on every call.
     """
     if (y_from.h, y_from.mu) != (y_to.h, y_to.mu):
         raise StratOrderError("points live over different (h, mu)")
@@ -758,20 +800,16 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         raise StratOrderError(
             "degeneration requires y_to <= y_from; pair is not so ordered"
         )
-    if polarized:
-        if not (in_Ypol(y_from) and in_Ypol(y_to)):
-            raise StratOrderError("polarized degeneration requires points of Y^pol")
-        T, pairing, w1bar, w2bar, wbar = polarized_normal_form(y_from, field)
-    else:
-        D = normal_form(y_from, field)
-        T, w1bar, w2bar, wbar = embed_normal_form(D, y_from.h)
-        pairing = None
+    if polarized and not (in_Ypol(y_from) and in_Ypol(y_to)):
+        raise StratOrderError("polarized degeneration requires points of Y^pol")
+    w1bar, w2bar, wbar, inv_w1, kerT_inv_w1 = _normal_flag(y_from, field, polarized)
 
     h = y_from.h
     n = 3 * h  # free of rank h over the truncated ring (h = 2g when polarized)
+    T, pairing, _, PkerT, PkerT2 = _free_module(field, h, polarized)
     d1, d2, d3 = y_from.mu
     delta, alpha, beta = y_to.delta, y_to.alpha, y_to.beta
-    deltap, alphap, betap = y_from.delta, y_from.alpha, y_from.beta
+    deltap, betap = y_from.delta, y_from.beta
 
     # the three inequalities that make the final lift feasible
     if not (delta[0] + alpha[1] <= min(deltap[0] + alpha[1], betap[0] + d1)):
@@ -783,17 +821,13 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             "delta1 + delta2 <= min(delta1' + delta2', alpha1 + beta1')"
         )
 
-    kerT = T.kernel()
-    inv_w1 = preimage(T, w1bar)
     Pw1 = PolyModule.constant(w1bar)
-    PkerT = PolyModule.constant(kerT)
-    PkerT2 = PolyModule.constant(T.power(2).kernel())
     Pinv_w1 = PolyModule.constant(inv_w1)
     inv_w1_lifts = _fiber_lifts(Pinv_w1)
     # omega_1 lifts constantly; omega_2 lifts inside T^{-1} omega_{1,R}
     flag_b = [
         _fiber_lifts(Pw1),
-        _fiber_lifts(PolyModule.constant(kerT.intersect(inv_w1))),
+        _fiber_lifts(PolyModule.constant(kerT_inv_w1)),
         inv_w1_lifts,
     ]
     targets_b = (d1, alpha[0], d1 + d2)

@@ -192,7 +192,7 @@ def subspace_in_flag(flag, floor, target_dim, target_intersections):
         if t < floor_cut:
             raise InfeasibleTargetError(
                 "target below floor",
-                "target %d < dim(floor  F) = %d" % (t, floor_cut),
+                "target %d < dim(floor ^ F) = %d" % (t, floor_cut),
             )
         if t > space.dim:
             raise InfeasibleTargetError(
@@ -253,7 +253,12 @@ def pr_construct(M, mu):
     flag = [Subspace.zero(M.field, M.dim)]
     for i in range(1, e + 1):
         U = preimage(M.op, flag[-1])
-        members = [power_flags[j].intersect(U) for j in range(e, -1, -1)]
+        # T^e M = 0 and T^0 M = M meet U in 0 and U; a full U meets each
+        # T^j M in T^j M itself
+        middle = power_flags[e - 1:0:-1]
+        if U.dim < M.dim:
+            middle = [P.intersect(U) for P in middle]
+        members = [power_flags[e], *middle, U]
         targets = [alpha[i][j] for j in range(e, -1, -1)]
         nxt = subspace_in_flag(members, flag[-1], alpha[i][0], targets)
         flag.append(nxt)

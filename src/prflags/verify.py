@@ -54,11 +54,15 @@ def _eval_definition(h, d, x):
     return Fraction(sum(max(0, x + di - h) for di in d), len(d))
 
 
-def _pointwise_dominates(h, d1, d2):
-    return all(
-        _eval_definition(h, d1, x) >= _eval_definition(h, d2, x)
-        for x in range(h + 1)
-    )
+def _pointwise_dominates(h, d1, d2, values):
+    """Compare the defining sums at x = 0..h; `values` keeps each list of
+    sums by (h, d), so every d-list is evaluated once per criterion run."""
+    sums = []
+    for d in (tuple(d1), tuple(d2)):
+        if (h, d) not in values:
+            values[h, d] = [_eval_definition(h, d, x) for x in range(h + 1)]
+        sums.append(values[h, d])
+    return all(a >= b for a, b in zip(*sums))
 
 
 def _all_d_lists(h, max_n):
@@ -92,13 +96,14 @@ def _random_subspace(rng, S, dim):
 
 def criterion_dominance(seed):
     rng = random.Random((seed, "dominance").__repr__())
+    values = {}
     checked = bad = 0
     for _ in range(10000):
         h = rng.randint(1, 6)
         d1 = [rng.randint(0, h) for _ in range(rng.randint(1, 4))]
         d2 = [rng.randint(0, h) for _ in range(rng.randint(1, 4))]
         got = Polygon.from_d(h, d1).dominates(Polygon.from_d(h, d2))
-        want = _pointwise_dominates(h, d1, d2)
+        want = _pointwise_dominates(h, d1, d2, values)
         checked += 1
         if got != want:
             bad += 1
@@ -108,7 +113,7 @@ def criterion_dominance(seed):
         for d1, P1 in polys:
             for d2, P2 in polys:
                 got = P1.dominates(P2)
-                want = _pointwise_dominates(h, d1, d2)
+                want = _pointwise_dominates(h, d1, d2, values)
                 checked += 1
                 if got != want:
                     bad += 1

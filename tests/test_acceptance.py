@@ -4,7 +4,9 @@ Each test prints a PASS/FAIL line and enforces the stated runtime bound;
 all arithmetic is exact, so the tolerances are zero everywhere.
 """
 
+import json
 import pathlib
+import runpy
 import subprocess
 import sys
 import time
@@ -99,6 +101,26 @@ def test_benchmark_selftest_passes():
         capture_output=True, cwd=root,
     )
     assert proc.returncode == 0, (proc.stdout + proc.stderr).decode()
+
+
+def test_traced_degenerate_pass_gives_every_layer_metric():
+    # `perfbench/run.py --trace 1` fails when a per-layer metric has no value,
+    # e.g. when a traced public function is hidden behind a cache wrapper
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"),
+         "--workload", "degenerate", "--seed", "1", "--mode", "traced"],
+        capture_output=True, cwd=root, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    values = json.loads(proc.stdout.strip().splitlines()[-1])["trace"]["values"]
+    layers = ("gf", "pr", "e3", "strat", "lift")
+    wanted = [
+        name for name, *_ in runpy.run_path(str(root / "perfbench" / "spec.py"))["PER_LAYER"]
+        if name.split(".")[0] in layers
+    ]
+    assert {name.split(".")[0] for name in wanted} == set(layers)
+    assert [name for name in wanted if name not in values] == []
 
 
 def test_readme_library_example():

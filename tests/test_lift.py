@@ -1,7 +1,9 @@
 """Polynomial flags, the lifting lemma, its isotropic variant, degeneration."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,8 @@ from prflags.lift import (
     _bilinear,
     _combine,
     _fiber_lifts,
+    _free_module,
+    _normal_flag,
     check_isotropic_feasible,
     check_lift_feasible,
     degenerate_step,
@@ -595,3 +599,43 @@ def test_degenerate_step_polarized_g1():
                 assert _special_chain_ok(res)
                 gram = res.omega.gram(Phi)
                 assert all(not e for r in gram.rows for e in r)
+
+
+def _degenerate_family():
+    """Every ordered and unordered pair at h <= 3 over F_2 and F_3, and every
+    polarized pair at g <= 2 over F_2."""
+    pairs = []
+    for field in (F2, F3):
+        for h in (1, 2, 3):
+            for mu in itertools.product(range(h, -1, -1), repeat=3):
+                if mu[0] >= mu[1] >= mu[2]:
+                    pts = enum_Yadm(h, mu)
+                    pairs += [(a, b, field, False) for a, b in itertools.product(pts, repeat=2)]
+    for g in (1, 2):
+        pts = enum_Ypol(g)
+        pairs += [(a, b, F2, True) for a, b in itertools.product(pts, repeat=2)]
+    return pairs
+
+
+def _degenerate_outcome(y_from, y_to, field, polarized):
+    try:
+        res = degenerate_step(y_from, y_to, field, polarized=polarized)
+    except StratOrderError as exc:
+        return "refused: %s" % exc
+    return json.dumps(res.to_json_dict(), sort_keys=True)
+
+
+# computed before degenerate_step cached its free modules and normal-form flags
+DEGENERATE_FAMILY_SHA256 = "49adf575b347646a6caa7249fa59c78ef34d579f521f6850974f1ef75da502e1"
+
+
+def test_degenerate_step_results_pinned_with_cold_and_warm_caches():
+    pairs = _degenerate_family()
+    _free_module.cache_clear()
+    _normal_flag.cache_clear()
+    cold = [_degenerate_outcome(*pair) for pair in pairs]
+    digest = hashlib.sha256("\n".join(cold).encode()).hexdigest()
+    assert (len(pairs), sum(c.startswith("{") for c in cold)) == (454, 269)
+    assert digest == DEGENERATE_FAMILY_SHA256
+    warm = [_degenerate_outcome(*pair) for pair in reversed(pairs)]
+    assert warm[::-1] == cold

@@ -161,6 +161,9 @@ def test_subspace_in_flag_errors():
     with pytest.raises(InfeasibleTargetError) as err:
         subspace_in_flag([full], e1, 0, [0])
     assert err.value.constraint == "target below floor"
+    assert str(err.value) == (
+        "infeasible targets: target below floor (target 0 < dim(floor ^ F) = 1)"
+    )
     with pytest.raises(InfeasibleTargetError) as err:
         subspace_in_flag([e1, full], zero, 3, [0, 3])
     assert err.value.constraint == "step exceeds flag step"
@@ -222,7 +225,7 @@ def ref_subspace_in_flag(flag, floor, target_dim, target_intersections):
         if t < floor_cut:
             raise InfeasibleTargetError(
                 "target below floor",
-                "target %d < dim(floor  F) = %d" % (t, floor_cut),
+                "target %d < dim(floor ^ F) = %d" % (t, floor_cut),
             )
         if t > space.dim:
             raise InfeasibleTargetError(

@@ -216,7 +216,7 @@ def normal_form(pt, field):
     U = preimage(M.op, M1)
     floor = M1.sum(TM)
     M2 = subspace_in_flag(
-        [U.intersect(kerT), U],
+        [kerT, U],  # U = T^{-1} M_1 contains ker T
         floor,
         d1 + d2,
         [pt.alpha[0], d1 + d2],

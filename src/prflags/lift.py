@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from dataclasses import dataclass
 
 from .gf import Matrix, Subspace, image, preimage, rref, subspaces_between
@@ -607,9 +608,23 @@ def _lift_solutions(flag, special, targets, pairing=None, node_cap=500000):
                         Subspace(field, n, avoid.rows + (v,)),
                     )
 
-            yield from assign(0, rows2, finals_base, avoid0)
+            try:
+                yield from assign(0, rows2, finals_base, avoid0)
+            finally:
+                assign = None  # it refers to itself: break the cycle
 
-    yield from rec(0, [], [], [])
+    try:
+        yield from rec(0, [], [], [])
+    finally:
+        rec = None  # likewise, so a finished search leaves no cyclic garbage
+
+
+def _searched(gen):
+    """The solutions of a lift search, until it ends or exhausts its budget."""
+    try:
+        yield from gen
+    except LiftConstructionError:
+        return
 
 
 def lift_subspace(problem):
@@ -774,6 +789,74 @@ def _normal_flag(y_from, field, polarized):
     return w1bar, w2bar, wbar, inv_w1, kerT.intersect(inv_w1)
 
 
+class _SecondLifts:
+    """The stage-b pairs (omega_2, T^{-1} omega_2) of `degenerate_step` for
+    one key, in search order: `pairs` holds those derived so far (a
+    polarized pair only once omega_2 pairs to zero with T^{-1} omega_2),
+    `drawn` how many search solutions they came from, and `exhausted`
+    whether the search has ended or run out of budget.  Nothing else is
+    kept -- no live search, no fiber lifts, no F and G -- because every
+    entry of the cache holds one of these.  `lock` makes storing a pair
+    and counting its solution one step, so replays in several threads
+    never store a solution twice."""
+
+    __slots__ = ("pairs", "drawn", "exhausted", "lock")
+
+    def __init__(self):
+        self.pairs = []
+        self.drawn = 0
+        self.exhausted = False
+        self.lock = threading.Lock()
+
+    def replay(self, flag_b, w2bar, targets_b, T, pairing):
+        """The pairs already derived, then, when the caller wants more,
+        those of the search run again from its start, past the solutions
+        already drawn.  The search is deterministic and a re-run prefix
+        spends the budget a fresh search spends on it, so every caller sees
+        the sequence that one uncached search gives."""
+        field, n = w2bar.field, w2bar.n
+        Phi = None if pairing is None else pairing.coord_rows()
+        i = 0
+        while True:
+            while i < len(self.pairs):
+                yield self.pairs[i]
+                i += 1
+            if self.exhausted and i == len(self.pairs):
+                return
+            search = _searched(_lift_solutions(flag_b, w2bar, targets_b, pairing=pairing))
+            for k, rows in enumerate(search):
+                if i < len(self.pairs):
+                    break  # another replay stored pairs meanwhile: give those first
+                if k < self.drawn:
+                    continue
+                Pw2 = PolyModule.from_rows(field, n, rows)
+                Pinv_w2 = Pw2.preimage_const(T)
+                kept = Phi is None or all(
+                    not _bilinear(u, w, Phi, field.p)
+                    for u in Pw2.basis
+                    for w in Pinv_w2.basis
+                )
+                with self.lock:
+                    if k != self.drawn:
+                        break  # another replay stored this solution first
+                    if kept:
+                        self.pairs.append((Pw2, Pinv_w2))
+                    self.drawn += 1
+                if kept:
+                    i += 1
+                    yield Pw2, Pinv_w2
+            else:
+                self.exhausted = True
+
+
+@functools.lru_cache(maxsize=1024)
+def _second_lifts(field, polarized, w1bar, w2bar, targets_b):
+    """The stage-b replay of one (field, polarized, w1bar, w2bar, targets_b):
+    the search depends on nothing else, as T and the pairing come from
+    (field, h, polarized) and the stage-b flag from w1bar."""
+    return _SecondLifts()
+
+
 def degenerate_step(y_from, y_to, field, polarized=False):
     """Deform the normal form of y_from so its generic invariants equal y_to.
 
@@ -786,13 +869,21 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     What depends only on (field, h) -- T, the pairing, ker T and the
     constant modules of ker T and ker T^2 -- is built once per (field, h)
     (`_free_module`), and the normal-form flag of y_from with its
-    T-preimages once per source point (`_normal_flag`).  Both caches are
-    safe to share between calls: their keys (fields, strata points,
-    booleans) are hashable values, and what they hold (matrices,
-    subspaces, modules) is immutable.  They are bounded (16 and 1,024
-    entries; every pair at h = 3, 4 plus polarized g = 2 uses 3 and
-    157), so a long-running caller does not grow them without limit.
-    The stage-b modules and their fiber lifts are rebuilt on every call.
+    T-preimages once per source point (`_normal_flag`).  Stage b, the
+    lift of w2bar with omega_2 and T^{-1} omega_2 for each solution,
+    depends only on (field, polarized, w1bar, w2bar, targets_b), that is
+    on the source flag and alpha_1 of y_to, so its pairs are derived once
+    per such key and replayed for every target that shares it
+    (`_second_lifts`).  That cache keeps only the pairs, not the search
+    or anything derived from a pair: the F and G modules, the fiber lifts
+    and stage c stay per call, which keeps its memory small.  All three
+    caches are safe to share between calls: their keys (fields, strata
+    points, subspaces, tuples, booleans) are hashable values, the first
+    two hold immutable matrices, subspaces and modules, and a replay only
+    appends what one deterministic search yields.  They are bounded (16,
+    1,024 and 1,024 entries; every pair at h = 3, 4 plus polarized g = 2
+    uses 3, 157 and 91), so a long-running caller does not grow them
+    without limit.
     """
     if (y_from.h, y_from.mu) != (y_to.h, y_to.mu):
         raise StratOrderError("points live over different (h, mu)")
@@ -831,24 +922,8 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         inv_w1_lifts,
     ]
     targets_b = (d1, alpha[0], d1 + d2)
-
-    Phi = None if pairing is None else pairing.coord_rows()
-
-    def cross_pair_zero(A, B):
-        return all(not _bilinear(u, w, Phi, field.p) for u in A.basis for w in B.basis)
-
-    def drained(gen):
-        while True:
-            try:
-                yield next(gen)
-            except (StopIteration, LiftConstructionError):
-                return
-
-    for rows_b in drained(_lift_solutions(flag_b, w2bar, targets_b, pairing=pairing)):
-        Pw2 = PolyModule.from_rows(field, n, rows_b)
-        Pinv_w2 = Pw2.preimage_const(T)
-        if pairing is not None and not cross_pair_zero(Pw2, Pinv_w2):
-            continue
+    second = _second_lifts(field, polarized, w1bar, w2bar, targets_b)
+    for Pw2, Pinv_w2 in second.replay(flag_b, w2bar, targets_b, T, pairing):
         F_lifts = _fiber_lifts(PkerT.sum(Pw2))
         G_lifts = _fiber_lifts(PkerT2.intersect(Pinv_w2))
         # the maximal-intersection choice of the second lift
@@ -864,7 +939,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             delta[0] + delta[1],
             d1 + d2 + d3,
         )
-        for rows_c in drained(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)):
+        for rows_c in _searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)):
             Pw = PolyModule.from_rows(field, n, rows_c)
             generic = _generic_point(h, y_from.mu, Pinv_w1, Pw2, Pw, PkerT, PkerT2)
             if generic != y_to:

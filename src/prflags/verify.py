@@ -49,20 +49,20 @@ def _timed(key, fn):
 # --- helpers ----------------------------------------------------------------
 
 
-def _eval_definition(h, d, x):
-    """The defining sum (1/N) * sum_i max(0, x + d_i - h), independently."""
-    return Fraction(sum(max(0, x + di - h) for di in d), len(d))
-
-
 def _pointwise_dominates(h, d1, d2, values):
-    """Compare the defining sums at x = 0..h; `values` keeps each list of
-    sums by (h, d), so every d-list is evaluated once per criterion run."""
+    """Compare the defining sums (1/N) sum_i max(0, x + d_i - h) at
+    x = 0..h, in integers: S1/N1 >= S2/N2 exactly when N2 S1 >= N1 S2.
+    `values` keeps each d-list's N and integer sums S by (h, d), so every
+    d-list is evaluated once per criterion run."""
     sums = []
     for d in (tuple(d1), tuple(d2)):
         if (h, d) not in values:
-            values[h, d] = [_eval_definition(h, d, x) for x in range(h + 1)]
+            values[h, d] = len(d), [
+                sum(max(0, x + di - h) for di in d) for x in range(h + 1)
+            ]
         sums.append(values[h, d])
-    return all(a >= b for a, b in zip(*sums))
+    (n1, s1), (n2, s2) = sums
+    return all(n2 * a >= n1 * b for a, b in zip(s1, s2))
 
 
 def _all_d_lists(h, max_n):

@@ -1,15 +1,19 @@
 """Polynomial flags, the lifting lemma, its isotropic variant, degeneration."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, preimage
-from prflags.e3 import enum_Yadm, enum_Ypol
+from prflags.e3 import StrataPoint, enum_Yadm, enum_Ypol
 from prflags.lift import (
     INEQ_LE_SPECIAL,
     INEQ_MONOTONE,
@@ -29,6 +33,7 @@ from prflags.lift import (
     _fiber_lifts,
     _free_module,
     _normal_flag,
+    _second_lifts,
     check_isotropic_feasible,
     check_lift_feasible,
     degenerate_step,
@@ -46,6 +51,7 @@ from prflags.lift import (
     standard_symplectic,
     verify_lift,
 )
+from prflags.strat import leq
 from prflags.verify import _generic_chain_ok, _special_chain_ok
 
 try:
@@ -587,8 +593,6 @@ def test_degenerate_step_refuses_incomparable():
 
 def test_degenerate_step_polarized_g1():
     pol = enum_Ypol(1)
-    from prflags.strat import leq
-
     _, Phi = standard_symplectic(F2, 1)
     for y1 in pol:
         for y2 in pol:
@@ -629,13 +633,109 @@ def _degenerate_outcome(y_from, y_to, field, polarized):
 DEGENERATE_FAMILY_SHA256 = "49adf575b347646a6caa7249fa59c78ef34d579f521f6850974f1ef75da502e1"
 
 
+def _clear_degenerate_caches():
+    for cache in (_free_module, _normal_flag, _second_lifts):
+        cache.cache_clear()
+
+
 def test_degenerate_step_results_pinned_with_cold_and_warm_caches():
     pairs = _degenerate_family()
-    _free_module.cache_clear()
-    _normal_flag.cache_clear()
+    _clear_degenerate_caches()
     cold = [_degenerate_outcome(*pair) for pair in pairs]
     digest = hashlib.sha256("\n".join(cold).encode()).hexdigest()
     assert (len(pairs), sum(c.startswith("{") for c in cold)) == (454, 269)
     assert digest == DEGENERATE_FAMILY_SHA256
     warm = [_degenerate_outcome(*pair) for pair in reversed(pairs)]
     assert warm[::-1] == cold
+
+
+def test_degenerate_step_outcomes_do_not_depend_on_call_order():
+    # the stage-b replay is filled by whichever caller of a key comes first
+    pairs = _degenerate_family()
+    order = list(range(len(pairs)))
+    outcomes = []
+    for shuffle in (list.reverse, random.Random(14).shuffle):
+        shuffle(order)
+        _clear_degenerate_caches()
+        got = {i: _degenerate_outcome(*pairs[i]) for i in order}
+        outcomes.append([got[i] for i in range(len(pairs))])
+    assert outcomes[0] == outcomes[1]
+    digest = hashlib.sha256("\n".join(outcomes[0]).encode()).hexdigest()
+    assert digest == DEGENERATE_FAMILY_SHA256
+
+
+def test_second_lift_replay_resumes_past_an_earlier_caller():
+    # over F_2 the first target below needs one stage-b pair, the second nine
+    mu = (2, 1, 1)
+    y_from = StrataPoint(3, mu, (3, 1, 0), (3, 0), (2, 0))
+    early = StrataPoint(3, mu, (2, 1, 1), (2, 1), (1, 1))
+    late = StrataPoint(3, mu, (3, 1, 0), (2, 1), (2, 0))
+    _clear_degenerate_caches()
+    cold = _degenerate_outcome(y_from, late, F2, False)
+    _clear_degenerate_caches()
+    _degenerate_outcome(y_from, early, F2, False)
+    w1bar, w2bar = _normal_flag(y_from, F2, False)[:2]
+    assert early.alpha[0] == late.alpha[0] == 2  # so both share the key below
+    replay = _second_lifts(F2, False, w1bar, w2bar, (2, 2, 3))
+    assert (replay.drawn, len(replay.pairs), replay.exhausted) == (1, 1, False)
+    assert _degenerate_outcome(y_from, late, F2, False) == cold
+    assert (replay.drawn, len(replay.pairs), replay.exhausted) == (9, 9, False)
+    assert _second_lifts.cache_info().currsize == 1
+
+
+def test_second_lift_replay_is_shared_safely_between_threads():
+    # four threads fill one F_3 replay (55 pairs), racing for the same
+    # solutions from the first target on, then in different target orders
+    mu = (2, 1, 1)
+    y_from = StrataPoint(3, mu, (3, 1, 0), (3, 0), (2, 0))
+    late = StrataPoint(3, mu, (3, 1, 0), (2, 1), (2, 0))  # draws all 55
+    targets = [b for b in enum_Yadm(3, mu) if leq(b, y_from) and b.alpha[0] == 2]
+    cold = {}
+    for b in targets:
+        _clear_degenerate_caches()
+        cold[b] = _degenerate_outcome(y_from, b, F3, False)
+    _clear_degenerate_caches()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(t):
+        order = [b for b in targets if b != late]
+        random.Random(t).shuffle(order)
+        order.insert(0, late)
+        barrier.wait()
+        results[t] = {b: _degenerate_outcome(y_from, b, F3, False) for b in order}
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [cold] * 4
+    w1bar, w2bar = _normal_flag(y_from, F3, False)[:2]
+    replay = _second_lifts(F3, False, w1bar, w2bar, (2, 2, 3))
+    assert (replay.drawn, len(replay.pairs)) == (55, 55)
+
+
+def test_lift_searches_leave_no_cyclic_garbage():
+    pts = enum_Yadm(3, (2, 1, 1))
+    pairs = [(a, b) for a in pts for b in pts if _degenerate_outcome(a, b, F2, False)[0] == "{"]
+    flag = (Subspace.span(F2, 2, [[1, 0]]), Subspace.full(F2, 2))
+    problem = LiftProblem(flag, Subspace.span(F2, 2, [[1, 0]]), (0, 1))
+    _clear_degenerate_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        for a, b in pairs:
+            degenerate_step(a, b, F2)
+            degenerate_step(a, b, F3)
+        for _ in range(3):
+            lift_subspace(problem)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

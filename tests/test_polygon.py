@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prflags.polygon import Polygon, PolygonError
+from prflags.verify import _all_d_lists, _pointwise_dominates
 
 
 def eval_definition(h, d, x):
@@ -140,6 +141,20 @@ def test_dominates_matches_pointwise(hd, data):
         eval_definition(h, d1, x) >= eval_definition(h, d2, x) for x in range(h + 1)
     )
     assert got == want
+
+
+def test_criterion_one_oracle_matches_fraction_reference():
+    # verify's integer comparison against the Fraction sums, every pair at h <= 3
+    values = {}
+    for h in range(4):
+        lists = list(_all_d_lists(h, 3))
+        for d1 in lists:
+            for d2 in lists:
+                want = all(
+                    eval_definition(h, d1, x) >= eval_definition(h, d2, x)
+                    for x in range(h + 1)
+                )
+                assert _pointwise_dominates(h, d1, d2, values) == want
 
 
 @settings(max_examples=80, deadline=None)

@@ -119,28 +119,18 @@ class PolyMatrix:
         return len(self.rows)
 
     @classmethod
-    def from_const(cls, field, coord_rows, ncols=None):
-        coord_rows = [tuple(r) for r in coord_rows]
-        if ncols is None:
-            ncols = len(coord_rows[0]) if coord_rows else 0
-        return cls(
-            field, ncols, [[pconst(c, field.p) for c in r] for r in coord_rows]
-        )
-
-    @classmethod
     def from_packed(cls, field, n, packed_rows):
-        return cls.from_const(field, [field.unpack(r, n) for r in packed_rows], n)
+        """The constant matrix of packed rows of length n."""
+        p = field.p
+        return cls(field, n, [[pconst(c, p) for c in field.unpack(r, n)] for r in packed_rows])
 
     def stack(self, other):
         if self.ncols != other.ncols or self.field != other.field:
             raise ValueError("stack shape mismatch")
         return PolyMatrix(self.field, self.ncols, self.rows + other.rows)
 
-    def eval0_coords(self):
-        return [tuple(peval0(e) for e in r) for r in self.rows]
-
     def eval0_subspace(self):
-        return Subspace.span(self.field, self.ncols, self.eval0_coords())
+        return Subspace.span(self.field, self.ncols, [[peval0(e) for e in r] for r in self.rows])
 
     def apply_const(self, T):
         """Row-wise image under a constant operator: each row v becomes T v."""
@@ -510,32 +500,36 @@ def _combine(field, row, terms, v):
     return row
 
 
-def _lift_solutions(flag, special, targets, pairing=None, node_cap=500000):
+# nodes one lift search may visit before it gives up
+_NODE_CAP = 500000
+
+
+def _lift_solutions(flag, special, targets, pairing=None):
     """All lifts of `special` along a module flag, lazily, backtrackably.
 
     Each flag member is given by its `_fiber_lifts` pair, so a caller
     that reuses a module computes the pair once.  Yields lists of
     polynomial rows.  With a `pairing`, every finalized row must pair to
     zero with the rows finalized before it (isotropy); the first yielded
-    solution is the plain greedy one.
+    solution is the plain greedy one.  The search visits at most
+    `_NODE_CAP` nodes and raises `LiftConstructionError` past that.
     """
     field = special.field
     n = special.n
     l = len(flag)
-    budget = [node_cap]
+    budget = [_NODE_CAP]
     zero = ((),) * n
     # per level, once: lifts of the special vectors new at that level, the
-    # span perturbations must avoid, and the fiber lifts times X
-    fibers, levels = [], []
-    prev_cut = Subspace.zero(field, n)
+    # span perturbations must avoid, the fiber and its lifts times X
+    levels = []
+    prev_fib, prev_cut = None, Subspace.zero(field, n)
     for fib, lifts in flag:
         cut = special.intersect(fib)
         bases = [_combine(field, zero, lifts, w) for w in prev_cut.complement_in(cut)]
-        avoid0 = fibers[-1].sum(cut) if fibers else cut
+        avoid0 = cut if prev_fib is None else prev_fib.sum(cut)
         shifted = [(k, tuple((0,) + e if e else () for e in t)) for k, t in lifts]
-        fibers.append(fib)
-        levels.append((bases, avoid0, shifted))
-        prev_cut = cut
+        levels.append((bases, avoid0, fib, shifted))
+        prev_fib, prev_cut = fib, cut
 
     Phi = None if pairing is None else pairing.coord_rows()
 
@@ -543,7 +537,9 @@ def _lift_solutions(flag, special, targets, pairing=None, node_cap=500000):
         return Phi is None or all(not _bilinear(f, g, Phi, field.p) for g in finals)
 
     def rec(i, rows, pending, finals):
-        # rows: the rows so far; pending: ids of rows awaiting a perturbation
+        # rows: the rows so far; pending: ids of rows awaiting a perturbation.
+        # Level i keeps `take` of its new rows, leaves the others pending,
+        # and perturbs the first q pending rows when it must keep more.
         if budget[0] <= 0:
             raise LiftConstructionError("search budget exhausted")
         budget[0] -= 1
@@ -551,72 +547,48 @@ def _lift_solutions(flag, special, targets, pairing=None, node_cap=500000):
             if not pending:
                 yield list(rows)
             return
-        bases, avoid0, shifted = levels[i]
-        k_i = len(bases)
+        bases, avoid0 = levels[i][:2]
         keep = targets[i] - (targets[i - 1] if i else 0)
-        if keep < 0:
+        take = min(keep, len(bases))
+        q = keep - take
+        if keep < 0 or q > len(pending):
             return
-        if keep <= k_i:
-            for subset in itertools.combinations(range(k_i), keep):
-                chosen = set(subset)
-                rows2 = list(rows)
-                pending2 = list(pending)
-                finals2 = list(finals)
-                ok = True
-                for idx in range(k_i):
-                    base = bases[idx]
-                    if idx in chosen:
-                        if not pair_ok(base, finals2):
-                            ok = False
-                            break
-                        rows2.append(base)
-                        finals2.append(base)
-                    else:
-                        pending2.append(len(rows2))
-                        rows2.append(base)  # perturbation appended later
-                if ok:
-                    yield from rec(i + 1, rows2, pending2, finals2)
-        else:
-            q = keep - k_i
-            if q > len(pending):
-                return
-            rows2 = list(rows)
-            finals_base = list(finals)
-            for base in bases:
-                if not pair_ok(base, finals_base):
-                    return
+        for subset in itertools.combinations(range(len(bases)), take):
+            rows2, pending2, finals2 = list(rows), list(pending), list(finals)
+            for idx, base in enumerate(bases):
+                if idx not in subset:
+                    pending2.append(len(rows2))  # perturbation applied later
+                elif pair_ok(base, finals2):
+                    finals2.append(base)
+                else:
+                    break
                 rows2.append(base)
-                finals_base.append(base)
+            else:
+                yield from assign(i, q, pending2, 0, rows2, finals2, avoid0)
 
-            def assign(j, rows3, finals3, avoid):
-                if j == q:
-                    yield from rec(i + 1, rows3, list(pending[q:]), finals3)
-                    return
-                rid = pending[j]
-                for v in fibers[i].vectors():
-                    if avoid.contains_row(v):
-                        continue
-                    f = _combine(field, rows3[rid], shifted, v)
-                    if not pair_ok(f, finals3):
-                        continue
-                    rows4 = list(rows3)
-                    rows4[rid] = f
-                    yield from assign(
-                        j + 1,
-                        rows4,
-                        finals3 + [f],
-                        Subspace(field, n, avoid.rows + (v,)),
-                    )
-
-            try:
-                yield from assign(0, rows2, finals_base, avoid0)
-            finally:
-                assign = None  # it refers to itself: break the cycle
+    def assign(i, q, pending, j, rows, finals, avoid):
+        # perturb pending[j:q] by X-multiples of fiber lifts outside `avoid`
+        if j == q:
+            yield from rec(i + 1, rows, pending[q:], finals)
+            return
+        _, _, fib, shifted = levels[i]
+        rid = pending[j]
+        for v in fib.vectors():
+            if avoid.contains_row(v):
+                continue
+            f = _combine(field, rows[rid], shifted, v)
+            if not pair_ok(f, finals):
+                continue
+            rows2 = list(rows)
+            rows2[rid] = f
+            yield from assign(
+                i, q, pending, j + 1, rows2, finals + [f], Subspace(field, n, avoid.rows + (v,))
+            )
 
     try:
         yield from rec(0, [], [], [])
     finally:
-        rec = None  # likewise, so a finished search leaves no cyclic garbage
+        rec = assign = None  # they refer to each other: leave no cyclic garbage
 
 
 def _searched(gen):
@@ -732,7 +704,8 @@ def _free_module_op(field, h):
 
 
 def embed_normal_form(D, h):
-    """Embed a PR datum into the free module of rank h over k[T]/T^3.
+    """Embed a PR datum into the free module of rank h over k[T]/T^3, and
+    return the images (w1bar, w2bar, wbar) of its three flag steps.
 
     Block j of size s lands in free block j starting at depth 3 - s, so
     the image is the span of e_1..e_{delta_3}, T e_{delta_3+1}, ...,
@@ -751,11 +724,7 @@ def embed_normal_form(D, h):
             iota_rows[3 * j + 2 - k][off + k] = 1
         off += s
     iota = Matrix.from_rows(field, iota_rows, M.dim)
-    T = _free_module_op(field, h)
-    images = []
-    for S in D.flag:
-        images.append(Subspace(field, n, [iota.apply(r) for r in S.rows]))
-    return T, images[1], images[2], images[3]
+    return tuple(Subspace(field, n, [iota.apply(r) for r in S.rows]) for S in D.flag[1:])
 
 
 @functools.lru_cache(maxsize=16)
@@ -779,42 +748,45 @@ def _free_module(field, h, polarized):
 @functools.lru_cache(maxsize=1024)
 def _normal_flag(y_from, field, polarized):
     """The normal-form flag w1bar <= w2bar <= wbar of y_from in the free
-    module, with T^{-1}(w1bar) and ker T ^ T^{-1}(w1bar)."""
+    module, with T^{-1}(w1bar)."""
     if polarized:
-        _, _, w1bar, w2bar, wbar = polarized_normal_form(y_from, field)
+        w1bar, w2bar, wbar = polarized_normal_form(y_from, field)
     else:
-        _, w1bar, w2bar, wbar = embed_normal_form(normal_form(y_from, field), y_from.h)
-    T, _, kerT, _, _ = _free_module(field, y_from.h, polarized)
-    inv_w1 = preimage(T, w1bar)
-    return w1bar, w2bar, wbar, inv_w1, kerT.intersect(inv_w1)
+        w1bar, w2bar, wbar = embed_normal_form(normal_form(y_from, field), y_from.h)
+    T = _free_module(field, y_from.h, polarized)[0]
+    return w1bar, w2bar, wbar, preimage(T, w1bar)
 
 
 class _SecondLifts:
     """The stage-b pairs (omega_2, T^{-1} omega_2) of `degenerate_step` for
-    one key, in search order: `pairs` holds those derived so far (a
-    polarized pair only once omega_2 pairs to zero with T^{-1} omega_2),
-    `drawn` how many search solutions they came from, and `exhausted`
-    whether the search has ended or run out of budget.  Nothing else is
-    kept -- no live search, no fiber lifts, no F and G -- because every
-    entry of the cache holds one of these.  `lock` makes storing a pair
-    and counting its solution one step, so replays in several threads
-    never store a solution twice."""
+    one key (field, polarized, w1bar, w2bar, targets_b), in search order:
+    `pairs` holds those derived so far (a polarized pair only once omega_2
+    pairs to zero with T^{-1} omega_2), `drawn` how many search solutions
+    they came from, and `exhausted` whether the search has ended or run
+    out of budget.  Besides its key nothing else is kept -- no live
+    search, no fiber lifts, no F and G -- because every entry of the cache
+    holds one of these; a replay builds its search from the key.  `lock`
+    makes storing a pair and counting its solution one step, so replays
+    in several threads never store a solution twice."""
 
-    __slots__ = ("pairs", "drawn", "exhausted", "lock")
+    __slots__ = ("key", "pairs", "drawn", "exhausted", "lock")
 
-    def __init__(self):
+    def __init__(self, key):
+        self.key = key
         self.pairs = []
         self.drawn = 0
         self.exhausted = False
         self.lock = threading.Lock()
 
-    def replay(self, flag_b, w2bar, targets_b, T, pairing):
+    def replay(self):
         """The pairs already derived, then, when the caller wants more,
         those of the search run again from its start, past the solutions
         already drawn.  The search is deterministic and a re-run prefix
         spends the budget a fresh search spends on it, so every caller sees
         the sequence that one uncached search gives."""
-        field, n = w2bar.field, w2bar.n
+        field, polarized, w1bar, w2bar, targets_b = self.key
+        n = w2bar.n
+        T, pairing, kerT, _, _ = _free_module(field, n // 3, polarized)
         Phi = None if pairing is None else pairing.coord_rows()
         i = 0
         while True:
@@ -823,7 +795,11 @@ class _SecondLifts:
                 i += 1
             if self.exhausted and i == len(self.pairs):
                 return
-            search = _searched(_lift_solutions(flag_b, w2bar, targets_b, pairing=pairing))
+            # omega_1 lifts constantly; omega_2 lifts inside T^{-1} omega_{1,R}
+            inv_w1 = preimage(T, w1bar)
+            members = (w1bar, kerT.intersect(inv_w1), inv_w1)
+            flag = [_fiber_lifts(PolyModule.constant(S)) for S in members]
+            search = _searched(_lift_solutions(flag, w2bar, targets_b, pairing=pairing))
             for k, rows in enumerate(search):
                 if i < len(self.pairs):
                     break  # another replay stored pairs meanwhile: give those first
@@ -854,7 +830,7 @@ def _second_lifts(field, polarized, w1bar, w2bar, targets_b):
     """The stage-b replay of one (field, polarized, w1bar, w2bar, targets_b):
     the search depends on nothing else, as T and the pairing come from
     (field, h, polarized) and the stage-b flag from w1bar."""
-    return _SecondLifts()
+    return _SecondLifts((field, polarized, w1bar, w2bar, targets_b))
 
 
 def degenerate_step(y_from, y_to, field, polarized=False):
@@ -868,22 +844,23 @@ def degenerate_step(y_from, y_to, field, polarized=False):
 
     What depends only on (field, h) -- T, the pairing, ker T and the
     constant modules of ker T and ker T^2 -- is built once per (field, h)
-    (`_free_module`), and the normal-form flag of y_from with its
-    T-preimages once per source point (`_normal_flag`).  Stage b, the
+    (`_free_module`), and the normal-form flag of y_from with
+    T^{-1}(w1bar) once per source point (`_normal_flag`).  Stage b, the
     lift of w2bar with omega_2 and T^{-1} omega_2 for each solution,
     depends only on (field, polarized, w1bar, w2bar, targets_b), that is
     on the source flag and alpha_1 of y_to, so its pairs are derived once
     per such key and replayed for every target that shares it
-    (`_second_lifts`).  That cache keeps only the pairs, not the search
-    or anything derived from a pair: the F and G modules, the fiber lifts
-    and stage c stay per call, which keeps its memory small.  All three
-    caches are safe to share between calls: their keys (fields, strata
-    points, subspaces, tuples, booleans) are hashable values, the first
-    two hold immutable matrices, subspaces and modules, and a replay only
-    appends what one deterministic search yields.  They are bounded (16,
-    1,024 and 1,024 entries; every pair at h = 3, 4 plus polarized g = 2
-    uses 3, 157 and 91), so a long-running caller does not grow them
-    without limit.
+    (`_second_lifts`).  The replay builds its search from that key, and
+    only when it has to search.  That cache keeps only the key and the
+    pairs, not the search or anything derived from a pair: the F and G
+    modules, the fiber lifts and stage c stay per call, which keeps its
+    memory small.  All three caches are safe to share between calls:
+    their keys (fields, strata points, subspaces, tuples, booleans) are
+    hashable values, the first two hold immutable matrices, subspaces and
+    modules, and a replay only appends what one deterministic search
+    yields.  They are bounded (16, 1,024 and 1,024 entries; every pair at
+    h = 3, 4 plus polarized g = 2 uses 3, 157 and 91), so a long-running
+    caller does not grow them without limit.
     """
     if (y_from.h, y_from.mu) != (y_to.h, y_to.mu):
         raise StratOrderError("points live over different (h, mu)")
@@ -893,7 +870,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         )
     if polarized and not (in_Ypol(y_from) and in_Ypol(y_to)):
         raise StratOrderError("polarized degeneration requires points of Y^pol")
-    w1bar, w2bar, wbar, inv_w1, kerT_inv_w1 = _normal_flag(y_from, field, polarized)
+    w1bar, w2bar, wbar, inv_w1 = _normal_flag(y_from, field, polarized)
 
     h = y_from.h
     n = 3 * h  # free of rank h over the truncated ring (h = 2g when polarized)
@@ -912,18 +889,10 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             "delta1 + delta2 <= min(delta1' + delta2', alpha1 + beta1')"
         )
 
-    Pw1 = PolyModule.constant(w1bar)
     Pinv_w1 = PolyModule.constant(inv_w1)
     inv_w1_lifts = _fiber_lifts(Pinv_w1)
-    # omega_1 lifts constantly; omega_2 lifts inside T^{-1} omega_{1,R}
-    flag_b = [
-        _fiber_lifts(Pw1),
-        _fiber_lifts(PolyModule.constant(kerT_inv_w1)),
-        inv_w1_lifts,
-    ]
-    targets_b = (d1, alpha[0], d1 + d2)
-    second = _second_lifts(field, polarized, w1bar, w2bar, targets_b)
-    for Pw2, Pinv_w2 in second.replay(flag_b, w2bar, targets_b, T, pairing):
+    second = _second_lifts(field, polarized, w1bar, w2bar, (d1, alpha[0], d1 + d2))
+    for Pw2, Pinv_w2 in second.replay():
         F_lifts = _fiber_lifts(PkerT.sum(Pw2))
         G_lifts = _fiber_lifts(PkerT2.intersect(Pinv_w2))
         # the maximal-intersection choice of the second lift
@@ -949,7 +918,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
                 y_to,
                 n,
                 T,
-                Pw1.to_polymatrix(),
+                PolyModule.constant(w1bar).to_polymatrix(),
                 Pw2.to_polymatrix(),
                 Pw.to_polymatrix(),
                 generic,
@@ -996,7 +965,8 @@ def standard_symplectic(field, g):
 
 
 def polarized_normal_form(y, field):
-    """A flag inside the polarized free module realizing y in Y^pol.
+    """A flag (w1bar, w2bar, wbar) inside the polarized free module of
+    `_free_module` realizing y in Y^pol.
 
     The module is pinned by delta = (r, g, 2g - r): full blocks on the
     first 2g - r hyperbolic pairs, a depth-1 and a depth-2 truncation
@@ -1008,7 +978,7 @@ def polarized_normal_form(y, field):
         raise StratOrderError("point is not in Y^pol")
     g = y.h // 2
     r = y.delta[0]
-    T, pairing = standard_symplectic(field, g)
+    T, pairing, kerT, _, _ = _free_module(field, y.h, True)
     n = 6 * g
     gens = []
     for b in range(2 * g - r):
@@ -1026,20 +996,19 @@ def polarized_normal_form(y, field):
     wbar = Subspace.span(field, n, coords)
     assert wbar.dim == 3 * g
 
-    T2 = T.power(2)
     Tw = image(T, wbar)
-    T2w = image(T2, wbar)
-    kerT = T.kernel()
+    T2w = image(T, Tw)
     wkT = wbar.intersect(kerT)
     cut1 = y.beta[0] + g - y.delta[0]
 
     for w1 in subspaces_between(T2w, wkT, g):
         if w1.intersect(Tw).dim != cut1:
             continue
-        if perp(w1, pairing) != preimage(T2, w1):
+        inv_w1 = preimage(T, w1)
+        if perp(w1, pairing) != preimage(T, inv_w1):  # T^{-2} w1
             continue
         floor = w1.sum(Tw)
-        ceil = preimage(T, w1).intersect(wbar)
+        ceil = inv_w1.intersect(wbar)
         found = None
         for w2 in subspaces_between(floor, ceil, 2 * g):
             if w2.intersect(kerT).dim != y.alpha[0]:
@@ -1049,5 +1018,5 @@ def polarized_normal_form(y, field):
             found = w2
             break
         if found is not None:
-            return T, pairing, w1, found, wbar
+            return w1, found, wbar
     raise TheoremGapError("no polarized flag matched %r" % (y.sort_key(),))

@@ -15,7 +15,6 @@ built in); `den` feeds the star product but is ignored by equality.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -146,15 +145,7 @@ class Polygon:
                 return False
         return True
 
-    # serialization and dunder --------------------------------------------
-
-    def to_json(self):
-        return json.dumps({"h": self.h, "d": list(self.d_list())})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls.from_d(data["h"], data["d"])
+    # dunder ---------------------------------------------------------------
 
     def __eq__(self, other):
         return (

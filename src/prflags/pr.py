@@ -298,7 +298,7 @@ def pr_permute(D, i):
     return PRDatum(M, flag)
 
 
-def pr_oracle_exists(M, mu, cap=None):
+def pr_oracle_exists(M, mu, cap=DEFAULT_ENUM_CAP):
     """Exhaustive search for a PR datum of type mu (depth-first, pruned by
     the forced floors).
 
@@ -314,7 +314,7 @@ def pr_oracle_exists(M, mu, cap=None):
     return any(True for _ in pr_all_data(M, mu, cap))
 
 
-def pr_all_data(M, mu, cap=None):
+def pr_all_data(M, mu, cap=DEFAULT_ENUM_CAP):
     """Every PR datum of type mu on M (for the isomorphism oracle).
 
     The conditions T M <= M_{e-1} and T M_{i+1} <= M_i force the floor
@@ -328,8 +328,6 @@ def pr_all_data(M, mu, cap=None):
     dominance, so `pr_oracle_exists` stays independent of `pr_exists`.
     Each T^k M is taken once, when the search first reaches its level.
     """
-    if cap is None:
-        cap = DEFAULT_ENUM_CAP
     mu = tuple(int(d) for d in mu)
     e = M.e
     if sum(mu) != M.dim or any(d < 0 for d in mu):

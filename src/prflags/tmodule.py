@@ -14,7 +14,6 @@ criterion 2 and the tests compare P(delta) against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .gf import Matrix, Subspace, image
@@ -78,18 +77,6 @@ class JordanType:
     def hodge_polygon(self):
         """Hodge polygon P(delta_1, ..., delta_e) on [0, h]."""
         return Polygon.from_d(self.h, self.delta(), self.e)
-
-    def to_json(self):
-        return json.dumps({"e": self.e, "h": self.h, "parts": list(self.parts)})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        parts = tuple(data["parts"])
-        h = data.get("h", len(parts))
-        if len(parts) < h:
-            parts = parts + (0,) * (h - len(parts))
-        return cls(data["e"], parts)
 
 
 class ConcreteModule:

@@ -304,7 +304,7 @@ def _random_lift_problem(rng, field):
     return liftmod.LiftProblem(tuple(flag), L, targets)
 
 
-def _corrupt_targets(rng, problem, kind):
+def _corrupt_targets(problem, kind):
     """Return corrupted targets violating exactly the named inequality."""
     hs = [F.dim for F in problem.flag]
     ds = list(problem.special_dims())
@@ -318,15 +318,14 @@ def _corrupt_targets(rng, problem, kind):
         for i in range(1, l - 1):
             if dp[i - 1] > 0:
                 dp[i] = dp[i - 1] - 1
-                if dp[i - 1] - dp[i] >= 0:
-                    return tuple(dp)
+                return tuple(dp)
         return None
     if kind == liftmod.INEQ_STEP:
         for i in range(l - 1):
             prev = dp[i - 1] if i else 0
             prev_h = hs[i - 1] if i else 0
             want = prev + (hs[i] - prev_h) + 1
-            if want <= dp[i + 1] if i + 1 < l else False:
+            if want <= dp[i + 1]:
                 dp[i] = want
                 return tuple(dp)
         return None
@@ -368,7 +367,7 @@ def criterion_lifting_lemma(seed):
         field = F2 if attempts % 2 == 0 else F3
         prob = _random_lift_problem(rng, field)
         kind = kinds[rejected % len(kinds)]
-        corrupted = _corrupt_targets(rng, prob, kind)
+        corrupted = _corrupt_targets(prob, kind)
         if corrupted is None:
             continue
         try:

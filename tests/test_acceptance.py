@@ -4,8 +4,10 @@ Each test prints a PASS/FAIL line and enforces the stated runtime bound;
 all arithmetic is exact, so the tolerances are zero everywhere.
 """
 
+import ast
 import json
 import pathlib
+import re
 import runpy
 import subprocess
 import sys
@@ -129,3 +131,35 @@ def test_readme_library_example():
     blocks = readme.split("```python\n")[1:]
     assert len(blocks) == 1
     exec(compile(blocks[0].split("```", 1)[0], "README.md", "exec"), {})
+
+
+def test_every_public_name_has_a_use():
+    # a public function, class or method of the library must be named on some
+    # line of src/, perfbench/ or README other than a def or class line
+    root = pathlib.Path(__file__).resolve().parent.parent
+    public = []
+    for path in sorted((root / "src" / "prflags").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                public.append((path.stem, node.name, node.name))
+            if isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                public += [
+                    (path.stem, "%s.%s" % (node.name, m.name), m.name)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and m.name[0] != "_"
+                ]
+    files = sorted((root / "src").rglob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    text = "\n".join(
+        line
+        for path in files + [root / "README.md"]
+        for line in path.read_text().splitlines()
+        if not re.match(r"\s*(def|class)\s", line)
+    )
+    unused = [
+        "%s.%s" % (module, qualname)
+        for module, qualname, name in public
+        if not re.search(r"\b%s\b" % re.escape(name), text)
+    ]
+    assert len(public) > 100 and unused == []

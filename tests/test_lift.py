@@ -23,6 +23,7 @@ from prflags.lift import (
     POL_PERP,
     POL_TOP,
     Degeneration,
+    LiftConstructionError,
     LiftInfeasibleError,
     LiftProblem,
     PolyMatrix,
@@ -32,6 +33,7 @@ from prflags.lift import (
     _combine,
     _fiber_lifts,
     _free_module,
+    _lift_solutions,
     _normal_flag,
     _second_lifts,
     check_isotropic_feasible,
@@ -51,8 +53,17 @@ from prflags.lift import (
     standard_symplectic,
     verify_lift,
 )
+from prflags import lift as lift_module
 from prflags.strat import leq
-from prflags.verify import _generic_chain_ok, _special_chain_ok
+from prflags.verify import (
+    _extend_isotropic_to,
+    _generic_chain_ok,
+    _random_isotropic_flag,
+    _random_lift_problem,
+    _random_polarized_targets,
+    _special_chain_ok,
+    _symplectic_form,
+)
 
 try:
     from sympy import GF, symbols
@@ -127,7 +138,7 @@ def test_poly_arithmetic():
 
 
 def test_generic_rank_examples():
-    const = PolyMatrix.from_const(F2, [[1, 0], [1, 1]])
+    const = PolyMatrix.from_packed(F2, 2, [F2.pack([1, 0]), F2.pack([1, 1])])
     assert generic_rank(const) == 2
     diag = PolyMatrix(F2, 2, [[(0, 1), ()], [(), (1,)]])
     assert generic_rank(diag) == 2
@@ -506,6 +517,194 @@ def test_isotropic_feasibility_names():
     assert err.value.constraint == POL_PERP
 
 
+# --- reference lift search: two branches per level --------------------------
+
+
+def ref_lift_solutions(flag, special, targets, pairing=None, node_cap=500000):
+    """All lifts of `special` along a module flag, lazily, backtrackably:
+    the search as it was before its two branches per level became one
+    loop, kept as the reference `_lift_solutions` must match solution for
+    solution and in where its node budget runs out.
+
+    Each flag member is given by its `_fiber_lifts` pair, so a caller
+    that reuses a module computes the pair once.  Yields lists of
+    polynomial rows.  With a `pairing`, every finalized row must pair to
+    zero with the rows finalized before it (isotropy); the first yielded
+    solution is the plain greedy one.
+    """
+    field = special.field
+    n = special.n
+    l = len(flag)
+    budget = [node_cap]
+    zero = ((),) * n
+    # per level, once: lifts of the special vectors new at that level, the
+    # span perturbations must avoid, and the fiber lifts times X
+    fibers, levels = [], []
+    prev_cut = Subspace.zero(field, n)
+    for fib, lifts in flag:
+        cut = special.intersect(fib)
+        bases = [_combine(field, zero, lifts, w) for w in prev_cut.complement_in(cut)]
+        avoid0 = fibers[-1].sum(cut) if fibers else cut
+        shifted = [(k, tuple((0,) + e if e else () for e in t)) for k, t in lifts]
+        fibers.append(fib)
+        levels.append((bases, avoid0, shifted))
+        prev_cut = cut
+
+    Phi = None if pairing is None else pairing.coord_rows()
+
+    def pair_ok(f, finals):
+        return Phi is None or all(not _bilinear(f, g, Phi, field.p) for g in finals)
+
+    def rec(i, rows, pending, finals):
+        # rows: the rows so far; pending: ids of rows awaiting a perturbation
+        if budget[0] <= 0:
+            raise LiftConstructionError("search budget exhausted")
+        budget[0] -= 1
+        if i == l:
+            if not pending:
+                yield list(rows)
+            return
+        bases, avoid0, shifted = levels[i]
+        k_i = len(bases)
+        keep = targets[i] - (targets[i - 1] if i else 0)
+        if keep < 0:
+            return
+        if keep <= k_i:
+            for subset in itertools.combinations(range(k_i), keep):
+                chosen = set(subset)
+                rows2 = list(rows)
+                pending2 = list(pending)
+                finals2 = list(finals)
+                ok = True
+                for idx in range(k_i):
+                    base = bases[idx]
+                    if idx in chosen:
+                        if not pair_ok(base, finals2):
+                            ok = False
+                            break
+                        rows2.append(base)
+                        finals2.append(base)
+                    else:
+                        pending2.append(len(rows2))
+                        rows2.append(base)  # perturbation appended later
+                if ok:
+                    yield from rec(i + 1, rows2, pending2, finals2)
+        else:
+            q = keep - k_i
+            if q > len(pending):
+                return
+            rows2 = list(rows)
+            finals_base = list(finals)
+            for base in bases:
+                if not pair_ok(base, finals_base):
+                    return
+                rows2.append(base)
+                finals_base.append(base)
+
+            def assign(j, rows3, finals3, avoid):
+                if j == q:
+                    yield from rec(i + 1, rows3, list(pending[q:]), finals3)
+                    return
+                rid = pending[j]
+                for v in fibers[i].vectors():
+                    if avoid.contains_row(v):
+                        continue
+                    f = _combine(field, rows3[rid], shifted, v)
+                    if not pair_ok(f, finals3):
+                        continue
+                    rows4 = list(rows3)
+                    rows4[rid] = f
+                    yield from assign(
+                        j + 1,
+                        rows4,
+                        finals3 + [f],
+                        Subspace(field, n, avoid.rows + (v,)),
+                    )
+
+            try:
+                yield from assign(0, rows2, finals_base, avoid0)
+            finally:
+                assign = None  # it refers to itself: break the cycle
+
+    try:
+        yield from rec(0, [], [], [])
+    finally:
+        rec = None  # likewise, so a finished search leaves no cyclic garbage
+
+
+def _random_isotropic_problem(rng, field):
+    """A random isotropic lift problem from verify's generators, or None;
+    its targets need not be feasible."""
+    g = rng.randint(1, 2)
+    Phi = _symplectic_form(field, g)
+    flag = _random_isotropic_flag(rng, field, Phi, g, rng.randint(2, 4))
+    if flag is None:
+        return None
+    L = _extend_isotropic_to(rng, field, Phi, Subspace.zero(field, 2 * g), g)
+    targets = _random_polarized_targets(rng, flag, L, g)
+    return None if targets is None else LiftProblem(flag, L, targets, pairing=Phi)
+
+
+def _random_search_problems(seed, plain, isotropic):
+    rng = random.Random(seed)
+    problems = [_random_lift_problem(rng, (F2, F3)[k % 2]) for k in range(plain)]
+    k = 0
+    while len(problems) < plain + isotropic:
+        k += 1
+        prob = _random_isotropic_problem(rng, (F2, F3)[k % 2])
+        if prob is not None:
+            problems.append(prob)
+    return problems
+
+
+def _drawn(search, limit):
+    """The first `limit` solutions of a search, then "exhausted" if its
+    budget ran out before it ended or reached the limit."""
+    out = []
+    try:
+        for rows in search:
+            out.append(rows)
+            if len(out) == limit:
+                break
+    except LiftConstructionError:
+        out.append("exhausted")
+    return out
+
+
+def _both_searches(prob, limit, node_cap=500000):
+    flag = [_fiber_lifts(PolyModule.constant(F)) for F in prob.flag]
+    args = (flag, prob.special, prob.targets, prob.pairing)
+    return (
+        _drawn(_lift_solutions(*args), limit),
+        _drawn(ref_lift_solutions(*args, node_cap=node_cap), limit),
+    )
+
+
+def test_lift_search_yields_the_reference_sequence():
+    perturbed = isotropic_solutions = 0
+    for prob in _random_search_problems(15, 600, 100):
+        got, want = _both_searches(prob, 51)
+        assert got == want
+        solutions = [rows for rows in got if rows != "exhausted"]
+        perturbed += any(_degree(PolyMatrix(prob.special.field, prob.special.n, rows)) > 0
+                         for rows in solutions)
+        isotropic_solutions += prob.pairing is not None and bool(solutions)
+    # both kinds of level occur: some solutions carry X-perturbations
+    assert perturbed > 0 and isotropic_solutions > 0
+
+
+def test_lift_search_exhausts_its_budget_where_the_reference_does(monkeypatch):
+    problems = _random_search_problems(16, 300, 60)
+    exhausted = 0
+    for cap in (1, 3, 7, 20):
+        monkeypatch.setattr(lift_module, "_NODE_CAP", cap)
+        for prob in problems:
+            got, want = _both_searches(prob, None, node_cap=cap)
+            assert got == want
+            exhausted += got[-1:] == ["exhausted"]
+    assert exhausted > 0
+
+
 def test_perp():
     Phi = Matrix.from_rows(
         F2,
@@ -538,8 +737,9 @@ def test_standard_symplectic_compatibilities():
 
 
 def test_polarized_normal_forms_g1():
+    T, Phi = standard_symplectic(F2, 1)
     for y in enum_Ypol(1):
-        T, Phi, w1, w2, w = polarized_normal_form(y, F2)
+        w1, w2, w = polarized_normal_form(y, F2)
         assert w.dim == 3 and w1.dim == 1 and w2.dim == 2
         assert perp(w1, Phi).contains(w1)
         assert perp(w, Phi) == w  # maximal isotropic

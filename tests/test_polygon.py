@@ -188,12 +188,6 @@ def test_integer_form_is_canonical(hd, k):
     assert sum(m for _, m in P.slopes) == h
 
 
-def test_json_round_trip():
-    P = Polygon.from_d(2, [2, 1])
-    assert Polygon.from_json(P.to_json()) == P
-    assert P.to_json() == '{"h": 2, "d": [2, 1]}'
-
-
 def test_breakpoints():
     P = Polygon.from_d(2, [2, 1])
     assert P.breakpoints() == [(0, Fraction(0)), (1, Fraction(1, 2)), (2, Fraction(3, 2))]

@@ -6,7 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prflags.gf import F2, F3, PrimeField, Subspace, preimage, subspaces_between
+from prflags.gf import (
+    DEFAULT_ENUM_CAP,
+    F2,
+    F3,
+    EnumerationCapError,
+    PrimeField,
+    Subspace,
+    preimage,
+    subspaces_between,
+)
 from prflags.pr import (
     InfeasiblePRError,
     InfeasibleTargetError,
@@ -341,6 +350,26 @@ def test_oracle_matches_examples():
     M = realize(JordanType(3, (3,)), F2)
     assert pr_oracle_exists(M, (1, 1, 1))
     assert not pr_oracle_exists(M, (1, 1, 0))
+
+
+def test_enumeration_cap_reaches_subspaces_between_unchanged(monkeypatch):
+    import prflags.pr as prmod
+
+    seen = []
+
+    def recording(floor, ceiling, d, cap):
+        seen.append(cap)
+        return subspaces_between(floor, ceiling, d, cap=cap)
+
+    monkeypatch.setattr(prmod, "subspaces_between", recording)
+    M = realize(JordanType(3, (3, 2, 1)), F2)
+    for kwargs, cap in (({}, DEFAULT_ENUM_CAP), ({"cap": 50}, 50), ({"cap": None}, None)):
+        seen.clear()
+        assert pr_oracle_exists(M, (3, 2, 1), **kwargs)
+        list(pr_all_data(M, (2, 2, 2), **kwargs))
+        assert seen and set(seen) == {cap}
+    with pytest.raises(EnumerationCapError):
+        pr_oracle_exists(M, (3, 2, 1), cap=0)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -178,9 +178,3 @@ def test_restrict_and_quotient():
         restrict_module(M, not_stable)
     with pytest.raises(JordanTypeError):
         quotient_module(M, not_stable)
-
-
-def test_json_round_trip():
-    J = JordanType(3, (3, 1))
-    assert JordanType.from_json(J.to_json()) == J
-    assert '"e": 3' in J.to_json()

@@ -109,10 +109,13 @@ def in_Y(pt):
     return all(ok for _, ok in _y_conditions(pt))
 
 
-def is_admissible(pt):
-    if not in_Y(pt):
-        return False
+def admissibility_holds(pt):
+    """Whether pt meets ADMISSIBILITY; membership in Y is not checked."""
     return pt.delta[0] + max(pt.mu[1], pt.delta[1]) <= pt.alpha[0] + pt.beta[0]
+
+
+def is_admissible(pt):
+    return in_Y(pt) and admissibility_holds(pt)
 
 
 def in_Ypol(pt):
@@ -194,7 +197,7 @@ def normal_form(pt, field):
     for name, ok in _y_conditions(pt):
         if not ok:
             raise AdmissibilityError(name)
-    if pt.delta[0] + max(pt.mu[1], pt.delta[1]) > pt.alpha[0] + pt.beta[0]:
+    if not admissibility_holds(pt):
         raise AdmissibilityError(ADMISSIBILITY)
 
     d1, d2, d3 = pt.mu

@@ -448,16 +448,6 @@ class Matrix:
             basis.append(f.pack(coords))
         return Subspace(f, self.ncols, basis)
 
-    def inverse(self):
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        f, n = self.field, self.nrows
-        aug = [f.row_join(r, f.unit_row(n, i), n) for i, r in enumerate(self.rows)]
-        pivots, red = rref(f, aug)
-        if tuple(pivots) != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix(f, n, n, [f.row_split(r, n)[1] for r in red])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -26,7 +26,7 @@ import threading
 from dataclasses import dataclass
 
 from .gf import Matrix, Subspace, image, preimage, rref, subspaces_between
-from .e3 import StrataPoint, in_Ypol, normal_form
+from .e3 import ADMISSIBILITY, StrataPoint, admissibility_holds, in_Y, in_Ypol, normal_form
 from .strat import leq
 from .tmodule import jordan_type
 
@@ -418,12 +418,9 @@ def check_lift_feasible(problem):
 
 
 def perp(S, pairing):
-    """Orthogonal complement of a subspace under a constant perfect form."""
-    if S.is_zero():
-        return Subspace.full(S.field, S.n)
-    Pt = pairing.transpose()
-    rows = [Pt.apply(r) for r in S.rows]
-    return Matrix(S.field, len(rows), S.n, rows).kernel()
+    """Orthogonal complement of a subspace under a constant perfect form:
+    the kernel of (basis of S) * pairing."""
+    return Matrix(S.field, S.dim, S.n, S.rows).mul(pairing).kernel()
 
 
 def check_isotropic_feasible(problem):
@@ -662,11 +659,11 @@ def verify_lift(problem, pm):
 
 
 class StratOrderError(ValueError):
-    """The requested pair is not ordered in the stratification poset."""
+    """The requested pair is no ordered pair of admissible points."""
 
 
 class TheoremGapError(RuntimeError):
-    """A dimension inequality the theorems guarantee failed at desk scale."""
+    """A construction the theorems guarantee found nothing at desk scale."""
 
 
 @dataclass(frozen=True)
@@ -836,11 +833,22 @@ def _second_lifts(field, polarized, w1bar, w2bar, targets_b):
 def degenerate_step(y_from, y_to, field, polarized=False):
     """Deform the normal form of y_from so its generic invariants equal y_to.
 
-    Requires y_to <= y_from in the stratification order (refused
-    otherwise).  Successively lifts the three flag steps inside a free
-    module over (truncated series)[T]/T^3, asserting the three dimension
-    inequalities before the final lift; the generic fiber of the result
-    is recomputed independently and must equal y_to.
+    Two gates refuse bad input with StratOrderError: first the order (the
+    same (h, mu), y_to <= y_from, both in Y^pol when polarized), then the
+    integer test ADMISSIBILITY on y_to.  Together they give the bounds the
+    final lift needs (primes on y_from): delta1 + alpha2 <= min(delta1' +
+    alpha2, beta1' + d1), beta1 <= beta1' and delta1 + delta2 <=
+    min(delta1' + delta2', alpha1 + beta1').  Dominance is by prefix sums,
+    so the order gives delta1 <= delta1', delta1 + delta2 <= delta1' +
+    delta2' and beta1 <= beta1'; admissibility gives delta1 + max(d2,
+    delta2) <= alpha1 + beta1 <= alpha1 + beta1', which with alpha2 = d1 +
+    d2 - alpha1 also gives delta1 + alpha2 <= beta1' + d1.
+
+    The three flag steps are lifted in turn inside a free module over
+    (truncated series)[T]/T^3; the generic fiber of the result is
+    recomputed independently and must equal y_to.  When no lift does, a
+    y_to outside Y is refused with StratOrderError; for a y_to in Y^adm,
+    which the theorems say is always reached, TheoremGapError is raised.
 
     What depends only on (field, h) -- T, the pairing, ker T and the
     constant modules of ker T and ker T^2 -- is built once per (field, h)
@@ -870,6 +878,8 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         )
     if polarized and not (in_Ypol(y_from) and in_Ypol(y_to)):
         raise StratOrderError("polarized degeneration requires points of Y^pol")
+    if not admissibility_holds(y_to):
+        raise StratOrderError("y_to %r fails %s" % (y_to.sort_key(), ADMISSIBILITY))
     w1bar, w2bar, wbar, inv_w1 = _normal_flag(y_from, field, polarized)
 
     h = y_from.h
@@ -877,17 +887,6 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     T, pairing, _, PkerT, PkerT2 = _free_module(field, h, polarized)
     d1, d2, d3 = y_from.mu
     delta, alpha, beta = y_to.delta, y_to.alpha, y_to.beta
-    deltap, betap = y_from.delta, y_from.beta
-
-    # the three inequalities that make the final lift feasible
-    if not (delta[0] + alpha[1] <= min(deltap[0] + alpha[1], betap[0] + d1)):
-        raise TheoremGapError("delta1 + alpha2 <= min(delta1' + alpha2, beta1' + d1)")
-    if not (beta[0] + d1 <= betap[0] + d1):
-        raise TheoremGapError("beta1 + d1 <= beta1' + d1")
-    if not (delta[0] + delta[1] <= min(deltap[0] + deltap[1], alpha[0] + betap[0])):
-        raise TheoremGapError(
-            "delta1 + delta2 <= min(delta1' + delta2', alpha1 + beta1')"
-        )
 
     Pinv_w1 = PolyModule.constant(inv_w1)
     inv_w1_lifts = _fiber_lifts(Pinv_w1)
@@ -923,6 +922,8 @@ def degenerate_step(y_from, y_to, field, polarized=False):
                 Pw.to_polymatrix(),
                 generic,
             )
+    if not in_Y(y_to):
+        raise StratOrderError("y_to %r is not a point of Y" % (y_to.sort_key(),))
     raise TheoremGapError(
         "no lift realized the generic invariants %r from %r"
         % (y_to.sort_key(), y_from.sort_key())
@@ -994,7 +995,6 @@ def polarized_normal_form(y, field):
         v[idx] = 1
         coords.append(v)
     wbar = Subspace.span(field, n, coords)
-    assert wbar.dim == 3 * g
 
     Tw = image(T, wbar)
     T2w = image(T, Tw)

@@ -190,12 +190,13 @@ def hodge_polygon(obj, h=None):
 
 def restrict_module(M, S, e=None):
     """The T-stable subspace S as a module in its own basis coordinates."""
-    if not all(S.contains_row(M.op.apply(r)) for r in S.rows):
-        raise JordanTypeError("subspace is not T-stable")
+    try:
+        cols = [S.coordinates_of(M.op.apply(r)) for r in S.rows]
+    except ValueError:
+        raise JordanTypeError("subspace is not T-stable") from None
     if e is None:
         e = M.e
     f = M.field
-    cols = [S.coordinates_of(M.op.apply(r)) for r in S.rows]
     rows = [[cols[j][i] for j in range(S.dim)] for i in range(S.dim)]
     return ConcreteModule(f, e, Matrix.from_rows(f, rows, S.dim))
 

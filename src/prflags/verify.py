@@ -395,12 +395,13 @@ def _symplectic_form(field, g):
 
 
 def _extend_isotropic_to(rng, field, Phi, cur, dim):
-    """cur grown to dimension `dim` by random vectors orthogonal to it, or None."""
+    """The isotropic cur grown to dimension `dim` <= g by random vectors
+    orthogonal to it.  A choice always exists: Phi is a perfect alternating
+    form on F_p^{2g}, so while dim cur = k < g its perp has dimension
+    2g - k > k and holds vectors outside cur."""
     n = cur.n
     while cur.dim < dim:
         choices = [v for v in liftmod.perp(cur, Phi).vectors() if not cur.contains_row(v)]
-        if not choices:
-            return None
         cur = Subspace(field, n, cur.rows + (choices[rng.randrange(len(choices))],))
     return cur
 
@@ -410,7 +411,11 @@ def _random_isotropic_flag(rng, field, Phi, g, l):
 
     Members below the middle are random nested isotropics; when l is
     even the self-paired middle member is a Lagrangian; the upper half
-    is forced by taking orthogonal complements.
+    is forced by taking orthogonal complements.  No step can fail: every
+    extension succeeds (see `_extend_isotropic_to`); the members are the
+    (l - 1) // 2 lower ones, as many perps, a Lagrangian when l is even
+    and the full space, l in all; and they are nested because perp
+    reverses inclusion and an isotropic S lies in perp(S).
     """
     n = 2 * g
     k0 = (l - 1) // 2
@@ -419,25 +424,13 @@ def _random_isotropic_flag(rng, field, Phi, g, l):
     dims = sorted(rng.choices(range(0, g + 1), k=k0)) if k0 else []
     for d in dims:
         cur = _extend_isotropic_to(rng, field, Phi, cur, d)
-        if cur is None:
-            return None
         lower.append(cur)
     flag = list(lower)
     if l % 2 == 0:
-        lag = _extend_isotropic_to(
-            rng, field, Phi, lower[-1] if lower else Subspace.zero(field, n), g
-        )
-        if lag is None:
-            return None
-        flag.append(lag)
+        flag.append(_extend_isotropic_to(rng, field, Phi, cur, g))
     for S in reversed(lower):
         flag.append(liftmod.perp(S, Phi))
     flag.append(Subspace.full(field, n))
-    if len(flag) != l:
-        return None
-    for a, b in zip(flag, flag[1:]):
-        if not b.contains(a):
-            return None
     return tuple(flag)
 
 
@@ -452,7 +445,7 @@ def _random_polarized_targets(rng, flag, L, g):
         mate = l - 2 - i
         if dp[i] is not None:
             continue
-        lo = dp[i - 1] if i and dp[i - 1] is not None else 0
+        lo = dp[i - 1] if i else 0
         choices = []
         for v in range(lo, min(ds[i], g) + 1):
             mv = g - hs[i] + v
@@ -466,8 +459,6 @@ def _random_polarized_targets(rng, flag, L, g):
         v = choices[rng.randrange(len(choices))]
         dp[i] = v
         dp[mate] = g - hs[i] + v
-    if any(v is None for v in dp):
-        return None
     return tuple(dp)
 
 
@@ -483,8 +474,6 @@ def criterion_isotropic(seed):
         Phi = _symplectic_form(field, g)
         l = rng.randint(2, 4)
         flag = _random_isotropic_flag(rng, field, Phi, g, l)
-        if flag is None:
-            continue
         L = _extend_isotropic_to(rng, field, Phi, Subspace.zero(field, 2 * g), g)
         targets = _random_polarized_targets(rng, flag, L, g)
         if targets is None:

@@ -134,8 +134,9 @@ def test_readme_library_example():
 
 
 def test_every_public_name_has_a_use():
-    # a public function, class or method of the library must be named on some
-    # line of src/, perfbench/ or README other than a def or class line
+    # a public function, class or method of the library must be referenced:
+    # a name or attribute in the code of src/ or perfbench/, or an identifier
+    # in backticks in README (string literals and prose do not count)
     root = pathlib.Path(__file__).resolve().parent.parent
     public = []
     for path in sorted((root / "src" / "prflags").glob("*.py")):
@@ -151,15 +152,13 @@ def test_every_public_name_has_a_use():
                     if isinstance(m, ast.FunctionDef) and m.name[0] != "_"
                 ]
     files = sorted((root / "src").rglob("*.py")) + sorted((root / "perfbench").glob("*.py"))
-    text = "\n".join(
-        line
-        for path in files + [root / "README.md"]
-        for line in path.read_text().splitlines()
-        if not re.match(r"\s*(def|class)\s", line)
-    )
-    unused = [
-        "%s.%s" % (module, qualname)
-        for module, qualname, name in public
-        if not re.search(r"\b%s\b" % re.escape(name), text)
-    ]
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    for span in re.findall(r"`([^`]*)`", (root / "README.md").read_text()):
+        used.update(re.findall(r"[A-Za-z_]\w*", span))
+    unused = ["%s.%s" % (module, qualname) for module, qualname, name in public if name not in used]
     assert len(public) > 100 and unused == []

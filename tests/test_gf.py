@@ -201,10 +201,7 @@ def test_floor_outside_ceiling_is_refused():
     assert line.complement_in(line.sum(ceil)) == ceil.rows
 
 
-def test_matrix_inverse_mul_kernel():
-    T = Matrix.from_rows(F3, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
-    if T.rank() == 3:
-        assert T.mul(T.inverse()) == Matrix.identity(F3, 3)
+def test_matrix_kernel():
     K = Matrix.from_rows(F2, [[1, 1, 0], [0, 0, 0], [1, 1, 0]])
     ker = K.kernel()
     assert ker.dim == 2
@@ -284,17 +281,6 @@ def test_f2_kernel_matches_coordinate_gauss_jordan(mat, masks):
     assert A.kernel() == Subspace.span(F2, n, ref_kernel)
     assert A.kernel().dim == n - len(pivots)
 
-    if len(coords) == n:
-        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(coords)]
-        aug_pivots, aug_rows = reference_rref(aug, 2 * n)
-        if aug_pivots[:n] == tuple(range(n)):
-            inv = A.inverse()
-            assert inv.coord_rows() == tuple(row[n:] for row in aug_rows[:n])
-            assert A.mul(inv) == Matrix.identity(F2, n)
-        else:
-            with pytest.raises(ValueError):
-                A.inverse()
-
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 127])
 @settings(max_examples=80, deadline=None)
@@ -334,17 +320,6 @@ def test_fp_kernel_matches_coordinate_gauss_jordan(p, data):
         tuple(sum(row[k] * B[k][j] for k in range(n)) % p for j in range(m)) for row in coords
     )
     assert A.mul(Matrix.from_rows(field, B, m)).coord_rows() == want
-
-    if len(coords) == n:
-        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(coords)]
-        aug_pivots, aug_rows = reference_rref(aug, 2 * n, p)
-        if aug_pivots[:n] == tuple(range(n)):
-            inv = A.inverse()
-            assert inv.coord_rows() == tuple(row[n:] for row in aug_rows[:n])
-            assert A.mul(inv) == Matrix.identity(field, n)
-        else:
-            with pytest.raises(ValueError):
-                A.inverse()
 
     a, b = (data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
     c = data.draw(st.integers(-2 * p, 2 * p))

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, preimage
-from prflags.e3 import StrataPoint, enum_Yadm, enum_Ypol
+from prflags.e3 import (
+    StrataPoint,
+    admissibility_holds,
+    enum_Y,
+    enum_Yadm,
+    enum_Ypol,
+    in_Y,
+    is_admissible,
+)
 from prflags.lift import (
     INEQ_LE_SPECIAL,
     INEQ_MONOTONE,
@@ -61,6 +69,7 @@ from prflags.verify import (
     _random_isotropic_flag,
     _random_lift_problem,
     _random_polarized_targets,
+    _sorted_mus,
     _special_chain_ok,
     _symplectic_form,
 )
@@ -638,8 +647,6 @@ def _random_isotropic_problem(rng, field):
     g = rng.randint(1, 2)
     Phi = _symplectic_form(field, g)
     flag = _random_isotropic_flag(rng, field, Phi, g, rng.randint(2, 4))
-    if flag is None:
-        return None
     L = _extend_isotropic_to(rng, field, Phi, Subspace.zero(field, 2 * g), g)
     targets = _random_polarized_targets(rng, flag, L, g)
     return None if targets is None else LiftProblem(flag, L, targets, pairing=Phi)
@@ -789,6 +796,53 @@ def test_degenerate_step_refuses_incomparable():
     bottom = next(p for p in pts if p.delta == (1, 1, 1))
     with pytest.raises(StratOrderError):
         degenerate_step(bottom, m1, F2)  # wrong direction
+
+
+def test_order_and_admissibility_give_the_final_lift_bounds():
+    # the bounds degenerate_step leaves to its two gates hold on every ordered pair
+    pairs = 0
+    for h in range(1, 6):
+        for mu in _sorted_mus(h):
+            pts = enum_Yadm(h, mu)
+            for y, yp in itertools.product(pts, repeat=2):
+                if not leq(y, yp):
+                    continue
+                pairs += 1
+                (D1, D2, _), (A1, A2), (B1, _) = y.delta, y.alpha, y.beta
+                (D1p, D2p, _), (B1p, _) = yp.delta, yp.beta
+                assert D1 + A2 <= min(D1p + A2, B1p + mu[0])
+                assert B1 <= B1p
+                assert D1 + D2 <= min(D1p + D2p, A1 + B1p)
+    assert pairs == 1254
+
+
+def test_degenerate_step_refuses_targets_outside_yadm():
+    # in Y but not admissible: refused by the integer gate
+    y_from = StrataPoint(2, (1, 1, 1), (2, 1, 0), (2, 0), (1, 1))
+    y_to = StrataPoint(2, (1, 1, 1), (2, 1, 0), (1, 1), (1, 1))
+    assert is_admissible(y_from) and in_Y(y_to) and leq(y_to, y_from)
+    with pytest.raises(StratOrderError, match="fails delta1"):
+        degenerate_step(y_from, y_to, F2)
+    # outside Y but meeting the inequality: refused once the search finds nothing
+    y_from = StrataPoint(2, (2, 2, 2), (2, 2, 2), (2, 2), (2, 2))
+    y_to = StrataPoint(2, (2, 2, 2), (2, 2, 2), (2, 2), (2, 1))
+    assert is_admissible(y_from) and admissibility_holds(y_to) and not in_Y(y_to)
+    assert leq(y_to, y_from)
+    with pytest.raises(StratOrderError, match="not a point of Y"):
+        degenerate_step(y_from, y_to, F2)
+    # every target in Y but not admissible at h <= 3, under each admissible source above it
+    refused = 0
+    for h in (1, 2, 3):
+        for mu in _sorted_mus(h):
+            sources = enum_Yadm(h, mu)
+            for y_to in enum_Y(h, mu):
+                for y_from in sources:
+                    if is_admissible(y_to) or not leq(y_to, y_from):
+                        continue
+                    with pytest.raises(StratOrderError):
+                        degenerate_step(y_from, y_to, F2)
+                    refused += 1
+    assert refused == 39
 
 
 def test_degenerate_step_polarized_g1():

@@ -175,9 +175,16 @@ def cmd_pr(args):
 
 
 def _point(args):
-    vectors = [_ints(args, flag) for flag in ("mu", "delta", "alpha", "beta")]
+    """The point --delta/--alpha/--beta over --h/--mu, or over h = 2g and
+    mu = (g, g, g) for --polarized g."""
+    if args.polarized is not None:
+        g = _count(args, "polarized")
+        h, mu = 2 * g, (g, g, g)
+    else:
+        h, mu = _required(args, "h"), _ints(args, "mu")
+    vectors = [_ints(args, flag) for flag in ("delta", "alpha", "beta")]
     try:
-        return e3mod.StrataPoint(_required(args, "h"), *vectors)
+        return e3mod.StrataPoint(h, mu, *vectors)
     except ValueError as err:
         raise UsageError(str(err))
 
@@ -206,22 +213,19 @@ def cmd_e3(args):
             for p in pts:
                 _emit(_dumps(p.to_json_dict()))
         return 0
+    if args.polarized is not None:
+        raise UsageError("--polarized applies to e3 enum only")
     pt = _point(args)
+    try:
+        D = e3mod.normal_form(pt, field)
+    except e3mod.AdmissibilityError as err:
+        _emit("not admissible: %s" % err)
+        return 1
     if args.action == "normal-form":
-        try:
-            D = e3mod.normal_form(pt, field)
-        except e3mod.AdmissibilityError as err:
-            _emit("not admissible: %s" % err)
-            return 1
         _emit(_dumps(D.to_json_dict()))
         return 0
     if args.action == "phi":
-        try:
-            D = e3mod.normal_form(pt, field)
-        except e3mod.AdmissibilityError as err:
-            _emit("not admissible: %s" % err)
-            return 1
-        back = e3mod.phi(D, args.h)
+        back = e3mod.phi(D, pt.h)
         _emit(_dumps(back.to_json_dict()))
         return 0 if back == pt else 1
     raise UsageError("unknown e3 action %r" % args.action)

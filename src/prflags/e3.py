@@ -6,10 +6,12 @@ is classified up to isomorphism by the triple of polygons
     phi = (Hdg(M), Hdg(M_2), Hdg(M/M_1)),
 
 encoded here as integer vectors delta (length 3), alpha and beta
-(length 2).  The admissible set is cut out inside Y by the inequality
-delta_1 + max(d_2, delta_2) <= alpha_1 + beta_1.  `normal_form` builds
-a filtered module realizing any admissible triple, and
-`iso_classes_oracle` independently counts isomorphism classes by
+(length 2), their d-lists.  Y is cut out by sum conditions and polygon
+inequalities, each a prefix-sum test on those integers
+(`polygon.dominates_d`), and the admissible set inside Y by the
+inequality delta_1 + max(d_2, delta_2) <= alpha_1 + beta_1.
+`normal_form` builds a filtered module realizing any admissible triple,
+and `iso_classes_oracle` independently counts isomorphism classes by
 enumerating all flags and merging them under a generating set of the
 T-commuting automorphisms (`aut_generators`).  The merge is indexed:
 each generator maps every distinct M_1 and M_2 once, and a union-find
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import Matrix, Subspace, preimage, rref
-from .polygon import Polygon
+from .polygon import dominates_d
 from .pr import PRDatum, PRError, pr_all_data, subspace_in_flag, validate_pr
 from .tmodule import (
     JordanType,
@@ -73,15 +75,6 @@ class StrataPoint:
             if any(a < b for a, b in zip(vec, vec[1:])):
                 raise ValueError("%s must be non-increasing" % name)
 
-    def P1(self):
-        return Polygon.from_d(self.h, self.delta)
-
-    def P2(self):
-        return Polygon.from_d(self.h, self.alpha)
-
-    def P3(self):
-        return Polygon.from_d(self.h, self.beta)
-
     def sort_key(self):
         return (self.delta, self.alpha, self.beta)
 
@@ -90,16 +83,19 @@ class StrataPoint:
 
 
 def _y_conditions(pt):
-    """The defining conditions of Y as (name, bool) pairs, in order."""
+    """The defining conditions of Y as (name, bool) pairs, in order.
+
+    P1, P2, P3 are P(delta), P(alpha), P(beta); a star product is the
+    sorted concatenation of the d-lists."""
     d1, d2, d3 = pt.mu
-    P1, P2, P3 = pt.P1(), pt.P2(), pt.P3()
-    yield ("sum(delta) == d1+d2+d3", sum(pt.delta) == d1 + d2 + d3)
-    yield ("sum(alpha) == d1+d2", sum(pt.alpha) == d1 + d2)
-    yield ("sum(beta) == d2+d3", sum(pt.beta) == d2 + d3)
-    yield ("P1 >= P2 * P(d3)", P1.dominates(P2.star(Polygon.from_d(pt.h, [d3]))))
-    yield ("P1 >= P3 * P(d1)", P1.dominates(P3.star(Polygon.from_d(pt.h, [d1]))))
-    yield ("P2 >= P(d1, d2)", P2.dominates(Polygon.from_d(pt.h, [d1, d2])))
-    yield ("P3 >= P(d2, d3)", P3.dominates(Polygon.from_d(pt.h, [d2, d3])))
+    delta, alpha, beta = pt.delta, pt.alpha, pt.beta
+    yield ("sum(delta) == d1+d2+d3", sum(delta) == d1 + d2 + d3)
+    yield ("sum(alpha) == d1+d2", sum(alpha) == d1 + d2)
+    yield ("sum(beta) == d2+d3", sum(beta) == d2 + d3)
+    yield ("P1 >= P2 * P(d3)", dominates_d(delta, sorted(alpha + (d3,), reverse=True)))
+    yield ("P1 >= P3 * P(d1)", dominates_d(delta, sorted(beta + (d1,), reverse=True)))
+    yield ("P2 >= P(d1, d2)", dominates_d(alpha, (d1, d2)))
+    yield ("P3 >= P(d2, d3)", dominates_d(beta, (d2, d3)))
 
 
 ADMISSIBILITY = "delta1 + max(d2, delta2) <= alpha1 + beta1"
@@ -120,15 +116,9 @@ def is_admissible(pt):
 
 def in_Ypol(pt):
     """Membership in the polarized subset: h = 2g, mu = (g,g,g), P1 = P(r, g, 2g-r)."""
-    if pt.h % 2:
-        return False
-    g = pt.h // 2
-    if pt.mu != (g, g, g):
-        return False
-    if not is_admissible(pt):
-        return False
-    r = pt.delta[0]
-    return g <= r <= 2 * g and pt.delta == (r, g, 2 * g - r)
+    g, odd = divmod(pt.h, 2)
+    r = pt.delta[0]  # (r, g, 2g - r) non-increasing in [0, 2g] means g <= r <= 2g
+    return not odd and pt.mu == (g, g, g) and pt.delta == (r, g, 2 * g - r) and is_admissible(pt)
 
 
 def enum_Y(h, mu):
@@ -158,7 +148,7 @@ def enum_Y(h, mu):
 
 def enum_Yadm(h, mu):
     """All admissible points for (h, mu), in the same deterministic order."""
-    return [pt for pt in enum_Y(h, mu) if is_admissible(pt)]
+    return [pt for pt in enum_Y(h, mu) if admissibility_holds(pt)]
 
 
 def enum_Ypol(g):

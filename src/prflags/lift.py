@@ -833,22 +833,22 @@ def _second_lifts(field, polarized, w1bar, w2bar, targets_b):
 def degenerate_step(y_from, y_to, field, polarized=False):
     """Deform the normal form of y_from so its generic invariants equal y_to.
 
-    Two gates refuse bad input with StratOrderError: first the order (the
-    same (h, mu), y_to <= y_from, both in Y^pol when polarized), then the
-    integer test ADMISSIBILITY on y_to.  Together they give the bounds the
-    final lift needs (primes on y_from): delta1 + alpha2 <= min(delta1' +
-    alpha2, beta1' + d1), beta1 <= beta1' and delta1 + delta2 <=
-    min(delta1' + delta2', alpha1 + beta1').  Dominance is by prefix sums,
-    so the order gives delta1 <= delta1', delta1 + delta2 <= delta1' +
+    One gate refuses bad input with StratOrderError before any search: the
+    same (h, mu), then y_to <= y_from, then each point in Y^pol when
+    polarized, otherwise in Y and meeting ADMISSIBILITY.  It gives the
+    bounds the final lift needs (primes on y_from): delta1 + alpha2 <=
+    min(delta1' + alpha2, beta1' + d1), beta1 <= beta1' and delta1 + delta2
+    <= min(delta1' + delta2', alpha1 + beta1').  Dominance is by prefix
+    sums, so the order gives delta1 <= delta1', delta1 + delta2 <= delta1' +
     delta2' and beta1 <= beta1'; admissibility gives delta1 + max(d2,
     delta2) <= alpha1 + beta1 <= alpha1 + beta1', which with alpha2 = d1 +
     d2 - alpha1 also gives delta1 + alpha2 <= beta1' + d1.
 
     The three flag steps are lifted in turn inside a free module over
     (truncated series)[T]/T^3; the generic fiber of the result is
-    recomputed independently and must equal y_to.  When no lift does, a
-    y_to outside Y is refused with StratOrderError; for a y_to in Y^adm,
-    which the theorems say is always reached, TheoremGapError is raised.
+    recomputed independently and must equal y_to.  When no lift does,
+    TheoremGapError is raised: the theorems say every y_to in Y^adm is
+    reached.
 
     What depends only on (field, h) -- T, the pairing, ker T and the
     constant modules of ker T and ker T^2 -- is built once per (field, h)
@@ -858,11 +858,8 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     depends only on (field, polarized, w1bar, w2bar, targets_b), that is
     on the source flag and alpha_1 of y_to, so its pairs are derived once
     per such key and replayed for every target that shares it
-    (`_second_lifts`).  The replay builds its search from that key, and
-    only when it has to search.  That cache keeps only the key and the
-    pairs, not the search or anything derived from a pair: the F and G
-    modules, the fiber lifts and stage c stay per call, which keeps its
-    memory small.  All three caches are safe to share between calls:
+    (`_second_lifts`, which keeps only the key and the pairs).  All three
+    caches are safe to share between calls:
     their keys (fields, strata points, subspaces, tuples, booleans) are
     hashable values, the first two hold immutable matrices, subspaces and
     modules, and a replay only appends what one deterministic search
@@ -876,10 +873,14 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         raise StratOrderError(
             "degeneration requires y_to <= y_from; pair is not so ordered"
         )
-    if polarized and not (in_Ypol(y_from) and in_Ypol(y_to)):
-        raise StratOrderError("polarized degeneration requires points of Y^pol")
-    if not admissibility_holds(y_to):
-        raise StratOrderError("y_to %r fails %s" % (y_to.sort_key(), ADMISSIBILITY))
+    for name, y in (("y_from", y_from), ("y_to", y_to)):
+        if polarized:
+            if not in_Ypol(y):
+                raise StratOrderError("polarized degeneration requires points of Y^pol")
+        elif not in_Y(y):
+            raise StratOrderError("%s %r is not a point of Y" % (name, y.sort_key()))
+        elif not admissibility_holds(y):
+            raise StratOrderError("%s %r fails %s" % (name, y.sort_key(), ADMISSIBILITY))
     w1bar, w2bar, wbar, inv_w1 = _normal_flag(y_from, field, polarized)
 
     h = y_from.h
@@ -922,8 +923,6 @@ def degenerate_step(y_from, y_to, field, polarized=False):
                 Pw.to_polymatrix(),
                 generic,
             )
-    if not in_Y(y_to):
-        raise StratOrderError("y_to %r is not a point of Y" % (y_to.sort_key(),))
     raise TheoremGapError(
         "no lift realized the generic invariants %r from %r"
         % (y_to.sort_key(), y_from.sort_key())

@@ -23,6 +23,20 @@ class PolygonError(ValueError):
     pass
 
 
+def dominates_d(a, b):
+    """Whether P(a) >= P(b) for non-increasing d-lists of any lengths: prefix
+    sums compared on the lcm grid of the lengths, where both break."""
+    n = lcm(len(a), len(b))
+    ka, kb = n // len(a), n // len(b)
+    sa = sb = 0
+    for i in range(n):
+        sa += a[i // ka]
+        sb += b[i // kb]
+        if sb > sa:
+            return False
+    return True
+
+
 class Polygon:
     __slots__ = ("h", "den", "d", "_hash")
 
@@ -134,16 +148,7 @@ class Polygon:
         """Whether self(x) >= other(x) for all x, by the prefix-sum test."""
         if self.h != other.h:
             raise PolygonError("dominance requires equal h (%d vs %d)" % (self.h, other.h))
-        a, b = self.d, other.d
-        n = lcm(len(a), len(b))
-        ka, kb = n // len(a), n // len(b)
-        sa = sb = 0
-        for i in range(n):
-            sa += a[i // ka]
-            sb += b[i // kb]
-            if sb > sa:
-                return False
-        return True
+        return dominates_d(self.d, other.d)
 
     # dunder ---------------------------------------------------------------
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+from .polygon import dominates_d
+
 
 class PosetError(ValueError):
     pass
@@ -20,9 +22,9 @@ def leq(a, b):
     if (a.h, a.mu) != (b.h, b.mu):
         raise PosetError("points live over different (h, mu)")
     return (
-        b.P1().dominates(a.P1())
-        and b.P2().dominates(a.P2())
-        and b.P3().dominates(a.P3())
+        dominates_d(b.delta, a.delta)
+        and dominates_d(b.alpha, a.alpha)
+        and dominates_d(b.beta, a.beta)
     )
 
 

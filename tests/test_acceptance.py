@@ -64,6 +64,19 @@ def test_acceptance_8_stratification_engine():
     _check(8, "stratification-engine", 300, verify.criterion_strat_engine)
 
 
+def test_stratification_criterion_names_its_failures(monkeypatch):
+    def no_lift(y_from, y_to, field, polarized=False):
+        raise verify.liftmod.TheoremGapError("no lift")
+
+    monkeypatch.setattr(verify.liftmod, "degenerate_step", no_lift)
+    ok, detail = verify.criterion_strat_engine()
+    assert not ok
+    # every ordered and every unordered pair fails; the first four are named
+    assert detail.startswith("ordered=35 refused=0 covers=6 failures=51 [")
+    assert detail.count("TheoremGapError") == 4
+    assert "((1, 1, 1), (1, 1), (1, 1))->((1, 1, 1), (1, 1), (1, 1)) TheoremGapError" in detail
+
+
 def test_acceptance_9_determinism():
     t0 = time.perf_counter()
     cmd = [

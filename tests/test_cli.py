@@ -148,6 +148,25 @@ def test_strat_closure(capsys):
     assert len([l for l in out.splitlines() if l]) == 4
 
 
+def test_strat_closure_polarized(capsys):
+    # --polarized g stands for h = 2g and mu = (g, g, g), as it does for strat dot
+    point = ("--delta", "1,1,1", "--alpha", "1,1", "--beta", "1,1")
+    code, out = run(capsys, "strat", "closure", "--polarized", "1", *point)
+    assert code == 0
+    assert (code, out) == run(capsys, "strat", "closure", "--h", "2", "--mu", "1,1,1", *point)
+    assert len([l for l in out.splitlines() if l]) == 4
+
+
+@pytest.mark.parametrize("action", ["phi", "normal-form"])
+def test_e3_point_commands_refuse_polarized(capsys, action):
+    argv = ["e3", action, "--polarized", "1", "--h", "2", "--mu", "1,1,1",
+            "--delta", "2,1,0", "--alpha", "2,0", "--beta", "2,0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: --polarized applies to e3 enum only" in captured.err
+
+
 def test_lift_demo(capsys):
     code, out = run(capsys, "lift", "demo")
     assert code == 0

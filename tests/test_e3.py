@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from prflags.e3 import (
     normal_form,
     phi,
 )
+from prflags.polygon import Polygon
 from prflags.pr import pr_all_data, pr_construct, validate_pr
 from prflags.tmodule import JordanType, jordan_type, partitions, realize
 
@@ -83,6 +85,40 @@ def test_strata_point_validation():
         StrataPoint(2, (1, 1, 1), (1, 2, 0), (1, 1), (1, 1))
     with pytest.raises(ValueError):
         StrataPoint(1, (1, 1, 1), (2, 1, 0), (1, 1), (1, 1))
+
+
+def strata_points(h):
+    """Every StrataPoint at this h: each vector non-increasing in [0, h]."""
+    desc = lambda k: itertools.combinations_with_replacement(range(h, -1, -1), k)
+    for mu, delta, alpha, beta in itertools.product(desc(3), desc(3), desc(2), desc(2)):
+        yield StrataPoint(h, mu, delta, alpha, beta)
+
+
+def random_strata_point(rng, h):
+    desc = lambda k: sorted((rng.randint(0, h) for _ in range(k)), reverse=True)
+    return StrataPoint(h, desc(3), desc(3), desc(2), desc(2))
+
+
+def _y_conditions_by_polygons(pt):
+    """The conditions of Y as the definition reads them, on Polygon objects."""
+    d1, d2, d3 = pt.mu
+    P1, P2, P3 = (Polygon.from_d(pt.h, d) for d in (pt.delta, pt.alpha, pt.beta))
+    yield ("sum(delta) == d1+d2+d3", sum(pt.delta) == d1 + d2 + d3)
+    yield ("sum(alpha) == d1+d2", sum(pt.alpha) == d1 + d2)
+    yield ("sum(beta) == d2+d3", sum(pt.beta) == d2 + d3)
+    yield ("P1 >= P2 * P(d3)", P1.dominates(P2.star(Polygon.from_d(pt.h, [d3]))))
+    yield ("P1 >= P3 * P(d1)", P1.dominates(P3.star(Polygon.from_d(pt.h, [d1]))))
+    yield ("P2 >= P(d1, d2)", P2.dominates(Polygon.from_d(pt.h, [d1, d2])))
+    yield ("P3 >= P(d2, d3)", P3.dominates(Polygon.from_d(pt.h, [d2, d3])))
+
+
+def test_y_conditions_match_the_polygon_objects():
+    rng = random.Random(17)
+    points = [pt for h in (0, 1, 2) for pt in strata_points(h)]
+    points += [random_strata_point(rng, h) for h in (3, 4, 5) for _ in range(1000)]
+    points += [pt for h in (1, 2, 3, 4) for mu in sorted_mus(h) for pt in enum_Y(h, mu)]
+    for pt in points:
+        assert list(e3._y_conditions(pt)) == list(_y_conditions_by_polygons(pt)), pt
 
 
 def test_admissibility_cut():

@@ -799,7 +799,7 @@ def test_degenerate_step_refuses_incomparable():
 
 
 def test_order_and_admissibility_give_the_final_lift_bounds():
-    # the bounds degenerate_step leaves to its two gates hold on every ordered pair
+    # the bounds degenerate_step leaves to its gate hold on every ordered pair
     pairs = 0
     for h in range(1, 6):
         for mu in _sorted_mus(h):
@@ -816,20 +816,27 @@ def test_order_and_admissibility_give_the_final_lift_bounds():
     assert pairs == 1254
 
 
-def test_degenerate_step_refuses_targets_outside_yadm():
+def _no_search(*args):
+    raise AssertionError("degenerate_step searched a refused pair")
+
+
+def test_degenerate_step_refuses_targets_outside_yadm(monkeypatch):
     # in Y but not admissible: refused by the integer gate
     y_from = StrataPoint(2, (1, 1, 1), (2, 1, 0), (2, 0), (1, 1))
     y_to = StrataPoint(2, (1, 1, 1), (2, 1, 0), (1, 1), (1, 1))
     assert is_admissible(y_from) and in_Y(y_to) and leq(y_to, y_from)
     with pytest.raises(StratOrderError, match="fails delta1"):
         degenerate_step(y_from, y_to, F2)
-    # outside Y but meeting the inequality: refused once the search finds nothing
+    # outside Y but meeting the inequality: refused before any search
     y_from = StrataPoint(2, (2, 2, 2), (2, 2, 2), (2, 2), (2, 2))
     y_to = StrataPoint(2, (2, 2, 2), (2, 2, 2), (2, 2), (2, 1))
     assert is_admissible(y_from) and admissibility_holds(y_to) and not in_Y(y_to)
     assert leq(y_to, y_from)
-    with pytest.raises(StratOrderError, match="not a point of Y"):
-        degenerate_step(y_from, y_to, F2)
+    with monkeypatch.context() as m:
+        m.setattr("prflags.lift._normal_flag", _no_search)
+        m.setattr("prflags.lift._second_lifts", _no_search)
+        with pytest.raises(StratOrderError, match="not a point of Y"):
+            degenerate_step(y_from, y_to, F2)
     # every target in Y but not admissible at h <= 3, under each admissible source above it
     refused = 0
     for h in (1, 2, 3):
@@ -843,6 +850,23 @@ def test_degenerate_step_refuses_targets_outside_yadm():
                         degenerate_step(y_from, y_to, F2)
                     refused += 1
     assert refused == 39
+
+
+def test_degenerate_step_refuses_sources_outside_yadm():
+    # a source in Y but not admissible has no normal form; the gate refuses it
+    refused = 0
+    for h in (1, 2, 3):
+        for mu in _sorted_mus(h):
+            targets = enum_Yadm(h, mu)
+            for y_from in enum_Y(h, mu):
+                if is_admissible(y_from):
+                    continue
+                for y_to in targets:
+                    if leq(y_to, y_from):
+                        with pytest.raises(StratOrderError, match="y_from .* fails delta1"):
+                            degenerate_step(y_from, y_to, F2)
+                        refused += 1
+    assert refused == 25
 
 
 def test_degenerate_step_polarized_g1():

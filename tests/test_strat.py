@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
-from prflags.e3 import StrataPoint, enum_Yadm
+from prflags.e3 import StrataPoint, enum_Y, enum_Yadm
+from prflags.polygon import Polygon
 from prflags.strat import PosetError, StrataPoset, export_dot, export_json, leq
 
 
@@ -39,6 +41,31 @@ def test_leq_reflexive_and_examples():
     bottom = next(p for p in pts if p.delta == (1, 1, 1))
     for p in pts:
         assert leq(bottom, p)
+
+
+def _leq_by_polygons(a, b):
+    """Whether a <= b as the definition reads it, on Polygon objects."""
+    return all(
+        Polygon.from_d(b.h, db).dominates(Polygon.from_d(a.h, da))
+        for da, db in ((a.delta, b.delta), (a.alpha, b.alpha), (a.beta, b.beta))
+    )
+
+
+def test_leq_matches_the_polygon_objects():
+    pairs = []
+    for h in range(5):
+        for mu in sorted_mus(h):
+            pairs += itertools.product(enum_Y(h, mu), repeat=2)
+    assert len(pairs) == 1959
+    rng = random.Random(17)
+    desc = lambda h, k: sorted((rng.randint(0, h) for _ in range(k)), reverse=True)
+    for h in (0, 1, 2, 3, 4, 5):
+        for _ in range(500):
+            mu = desc(h, 3)
+            a, b = (StrataPoint(h, mu, desc(h, 3), desc(h, 2), desc(h, 2)) for _ in "ab")
+            pairs.append((a, b))
+    for a, b in pairs:
+        assert leq(a, b) == _leq_by_polygons(a, b), (a, b)
 
 
 def test_leq_context_mismatch():

@@ -54,11 +54,10 @@ from .e3 import (
     enum_Yadm,
     enum_Ypol,
     in_Y,
-    in_Ypol,
-    is_admissible,
     iso_classes_oracle,
     normal_form,
     phi,
+    violation,
 )
 from .strat import StrataPoset, export_dot, export_json, leq
 from .lift import (

@@ -4,7 +4,8 @@ poset exports and the verification battery.
 Exit codes: 0 success / boolean true, 1 domain-level negative (false,
 infeasible, failed verification), 2 usage error.  All output is
 deterministic for fixed arguments and seed; JSON is emitted with sorted
-keys, timings go to stderr only.
+keys, timings go to stderr only.  argparse's `choices` refuse an unknown
+action with exit 2, so each command's last action needs no test.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .gf import DEFAULT_ENUM_CAP, EnumerationCapError, PrimeField
 from .polygon import Polygon, PolygonError
-from .tmodule import JordanType, JordanTypeError, realize
+from .tmodule import JordanType, JordanTypeError, hodge_polygon, realize
 from . import pr as prmod
 from . import e3 as e3mod
 from .strat import PosetError, StrataPoset, export_dot, export_json
@@ -114,15 +115,13 @@ def cmd_polygon(args):
             P = Polygon.from_d(args.h, _ints(args, "d"))
             _emit(str(P(_fraction(args, "x"))))
             return 0
-        if args.action == "slopes":
-            P = Polygon.from_d(args.h, _ints(args, "d"))
-            slopes = {str(s): m for s, m in P.slopes}
-            bps = [[x, str(y)] for x, y in P.breakpoints()]
-            _emit(_dumps({"slopes": slopes, "breakpoints": bps}))
-            return 0
+        P = Polygon.from_d(args.h, _ints(args, "d"))
+        slopes = {str(s): m for s, m in P.slopes}
+        bps = [[x, str(y)] for x, y in P.breakpoints()]
+        _emit(_dumps({"slopes": slopes, "breakpoints": bps}))
+        return 0
     except PolygonError as err:
         raise UsageError(str(err))
-    raise UsageError("unknown polygon action %r" % args.action)
 
 
 # --- pr ----------------------------------------------------------------------
@@ -145,7 +144,7 @@ def cmd_pr(args):
     field = _field(args)
     J = _jordan(args)
     if args.action == "hdg":
-        _emit(_polygon_json(J.hodge_polygon()))
+        _emit(_polygon_json(hodge_polygon(J)))
         return 0
     mu = _ints(args, "mu")
     if len(mu) != J.e or min(mu) < 0:
@@ -159,16 +158,14 @@ def cmd_pr(args):
         verdict = prmod.pr_oracle_exists(M, mu, cap=_enum_cap())
         _emit("true" if verdict else "false")
         return 0 if verdict else 1
-    if args.action == "construct":
-        M = realize(J, field)
-        try:
-            D = prmod.pr_construct(M, mu)
-        except prmod.InfeasiblePRError as err:
-            _emit("infeasible: %s" % err)
-            return 1
-        _emit(_dumps(D.to_json_dict()))
-        return 0
-    raise UsageError("unknown pr action %r" % args.action)
+    M = realize(J, field)
+    try:
+        D = prmod.pr_construct(M, mu)
+    except prmod.InfeasiblePRError as err:
+        _emit("infeasible: %s" % err)
+        return 1
+    _emit(_dumps(D.to_json_dict()))
+    return 0
 
 
 # --- e3 -----------------------------------------------------------------------
@@ -224,11 +221,9 @@ def cmd_e3(args):
     if args.action == "normal-form":
         _emit(_dumps(D.to_json_dict()))
         return 0
-    if args.action == "phi":
-        back = e3mod.phi(D, pt.h)
-        _emit(_dumps(back.to_json_dict()))
-        return 0 if back == pt else 1
-    raise UsageError("unknown e3 action %r" % args.action)
+    back = e3mod.phi(D, pt.h)
+    _emit(_dumps(back.to_json_dict()))
+    return 0 if back == pt else 1
 
 
 # --- strat ---------------------------------------------------------------------
@@ -243,12 +238,10 @@ def cmd_strat(args):
     if args.action == "dot":
         sys.stdout.write(export_dot(poset) if args.format == "dot" else export_json(poset))
         return 0
-    if args.action == "closure":
-        pt = _point(args)
-        for q in poset.closure_set(pt):
-            _emit(_dumps(q.to_json_dict()))
-        return 0
-    raise UsageError("unknown strat action %r" % args.action)
+    pt = _point(args)
+    for q in poset.closure_set(pt):
+        _emit(_dumps(q.to_json_dict()))
+    return 0
 
 
 # --- lift -----------------------------------------------------------------------
@@ -265,29 +258,25 @@ def cmd_lift(args):
         res = liftmod.degenerate_step(y_from, y_to, field)
         _emit(_dumps(res.to_json_dict()))
         return 0
-    if args.action == "verify":
-        import random
+    import random
 
-        cases = _count(args, "cases")
-        rng = random.Random((args.seed, "lift-demo").__repr__())
-        bad = 0
-        for k in range(cases):
-            f = PrimeField(2 if k % 2 == 0 else 3)
-            prob = verifymod._random_lift_problem(rng, f)
-            pm = liftmod.lift_subspace(prob)
-            if not liftmod.verify_lift(prob, pm).ok:
-                bad += 1
-        _emit("cases=%d failures=%d" % (cases, bad))
-        return 0 if bad == 0 else 1
-    raise UsageError("unknown lift action %r" % args.action)
+    cases = _count(args, "cases")
+    rng = random.Random((args.seed, "lift-demo").__repr__())
+    bad = 0
+    for k in range(cases):
+        f = PrimeField(2 if k % 2 == 0 else 3)
+        prob = verifymod._random_lift_problem(rng, f)
+        pm = liftmod.lift_subspace(prob)
+        if not liftmod.verify_lift(prob, pm).ok:
+            bad += 1
+    _emit("cases=%d failures=%d" % (cases, bad))
+    return 0 if bad == 0 else 1
 
 
 # --- verify ----------------------------------------------------------------------
 
 
 def cmd_verify(args):
-    if args.action != "all":
-        raise UsageError("unknown verify action %r" % args.action)
     results = verifymod.run_all(max_dim=_count(args, "max_dim"), seed=args.seed)
     width = max(len(r.key) for r in results)
     all_ok = True

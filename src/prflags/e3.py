@@ -9,7 +9,9 @@ encoded here as integer vectors delta (length 3), alpha and beta
 (length 2), their d-lists.  Y is cut out by sum conditions and polygon
 inequalities, each a prefix-sum test on those integers
 (`polygon.dominates_d`), and the admissible set inside Y by the
-inequality delta_1 + max(d_2, delta_2) <= alpha_1 + beta_1.
+inequality delta_1 + max(d_2, delta_2) <= alpha_1 + beta_1;
+`violation` is the one test of all of them, and names the first that
+fails.
 `normal_form` builds a filtered module realizing any admissible triple,
 and `iso_classes_oracle` independently counts isomorphism classes by
 enumerating all flags and merging them under a generating set of the
@@ -82,47 +84,47 @@ class StrataPoint:
         return {"delta": list(self.delta), "alpha": list(self.alpha), "beta": list(self.beta)}
 
 
-def _y_conditions(pt):
-    """The defining conditions of Y as (name, bool) pairs, in order.
+ADMISSIBILITY = "delta1 + max(d2, delta2) <= alpha1 + beta1"
+POLARIZED = "h == 2g, mu == (g,g,g), delta2 == g"
 
+
+def violation(pt, polarized=False):
+    """The name of the first condition pt fails, or None.
+
+    The seven conditions of Y come first, then ADMISSIBILITY, then, when
+    polarized, POLARIZED: in Y, delta2 == g pins delta to (r, g, 2g - r).
     P1, P2, P3 are P(delta), P(alpha), P(beta); a star product is the
     sorted concatenation of the d-lists."""
     d1, d2, d3 = pt.mu
     delta, alpha, beta = pt.delta, pt.alpha, pt.beta
-    yield ("sum(delta) == d1+d2+d3", sum(delta) == d1 + d2 + d3)
-    yield ("sum(alpha) == d1+d2", sum(alpha) == d1 + d2)
-    yield ("sum(beta) == d2+d3", sum(beta) == d2 + d3)
-    yield ("P1 >= P2 * P(d3)", dominates_d(delta, sorted(alpha + (d3,), reverse=True)))
-    yield ("P1 >= P3 * P(d1)", dominates_d(delta, sorted(beta + (d1,), reverse=True)))
-    yield ("P2 >= P(d1, d2)", dominates_d(alpha, (d1, d2)))
-    yield ("P3 >= P(d2, d3)", dominates_d(beta, (d2, d3)))
-
-
-ADMISSIBILITY = "delta1 + max(d2, delta2) <= alpha1 + beta1"
+    if sum(delta) != d1 + d2 + d3:
+        return "sum(delta) == d1+d2+d3"
+    if sum(alpha) != d1 + d2:
+        return "sum(alpha) == d1+d2"
+    if sum(beta) != d2 + d3:
+        return "sum(beta) == d2+d3"
+    if not dominates_d(delta, sorted(alpha + (d3,), reverse=True)):
+        return "P1 >= P2 * P(d3)"
+    if not dominates_d(delta, sorted(beta + (d1,), reverse=True)):
+        return "P1 >= P3 * P(d1)"
+    if not dominates_d(alpha, (d1, d2)):
+        return "P2 >= P(d1, d2)"
+    if not dominates_d(beta, (d2, d3)):
+        return "P3 >= P(d2, d3)"
+    if delta[0] + max(d2, delta[1]) > alpha[0] + beta[0]:
+        return ADMISSIBILITY
+    if polarized and not (pt.h == 2 * d1 and d1 == d3 and delta[1] == d1):
+        return POLARIZED
+    return None
 
 
 def in_Y(pt):
-    return all(ok for _, ok in _y_conditions(pt))
+    return violation(pt) in (None, ADMISSIBILITY)
 
 
-def admissibility_holds(pt):
-    """Whether pt meets ADMISSIBILITY; membership in Y is not checked."""
-    return pt.delta[0] + max(pt.mu[1], pt.delta[1]) <= pt.alpha[0] + pt.beta[0]
-
-
-def is_admissible(pt):
-    return in_Y(pt) and admissibility_holds(pt)
-
-
-def in_Ypol(pt):
-    """Membership in the polarized subset: h = 2g, mu = (g,g,g), P1 = P(r, g, 2g-r)."""
-    g, odd = divmod(pt.h, 2)
-    r = pt.delta[0]  # (r, g, 2g - r) non-increasing in [0, 2g] means g <= r <= 2g
-    return not odd and pt.mu == (g, g, g) and pt.delta == (r, g, 2 * g - r) and is_admissible(pt)
-
-
-def enum_Y(h, mu):
-    """All points of Y for (h, mu), sorted lexicographically on (delta, alpha, beta)."""
+def _points(h, mu, accept, polarized=False):
+    """The triples over (h, mu) whose violation is in accept, sorted
+    lexicographically on (delta, alpha, beta)."""
     mu = tuple(int(x) for x in mu)
     if len(mu) != 3:
         raise ValueError("mu must have 3 entries, got %d" % len(mu))
@@ -140,20 +142,25 @@ def enum_Y(h, mu):
         for alpha in padded(d1 + d2, 2):
             for beta in padded(d2 + d3, 2):
                 pt = StrataPoint(h, mu, delta, alpha, beta)
-                if in_Y(pt):
+                if violation(pt, polarized) in accept:
                     out.append(pt)
     out.sort(key=StrataPoint.sort_key)
     return out
 
 
+def enum_Y(h, mu):
+    """All points of Y for (h, mu), sorted lexicographically on (delta, alpha, beta)."""
+    return _points(h, mu, (None, ADMISSIBILITY))
+
+
 def enum_Yadm(h, mu):
     """All admissible points for (h, mu), in the same deterministic order."""
-    return [pt for pt in enum_Y(h, mu) if admissibility_holds(pt)]
+    return _points(h, mu, (None,))
 
 
 def enum_Ypol(g):
     """The polarized subset for genus g: h = 2g, mu = (g, g, g)."""
-    return [pt for pt in enum_Yadm(2 * g, (g, g, g)) if in_Ypol(pt)]
+    return _points(2 * g, (g, g, g), (None,), polarized=True)
 
 
 def phi(D, h):
@@ -179,16 +186,15 @@ def phi(D, h):
 
 def normal_form(pt, field):
     """A PR datum realizing an admissible triple; phi(normal_form(pt)) == pt.
+    Any other triple raises AdmissibilityError naming violation(pt).
 
     The module comes from delta; M_1 is chosen inside M[T] above T^2 M
     with dim(M_1 ^ TM) = beta_1 + d_1 - delta_1, and M_2 inside
     T^{-1}M_1 above M_1 + TM with dim(M_2 ^ M[T]) = alpha_1.
     """
-    for name, ok in _y_conditions(pt):
-        if not ok:
-            raise AdmissibilityError(name)
-    if not admissibility_holds(pt):
-        raise AdmissibilityError(ADMISSIBILITY)
+    failed = violation(pt)
+    if failed:
+        raise AdmissibilityError(failed)
 
     d1, d2, d3 = pt.mu
     delta = pt.delta

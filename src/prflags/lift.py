@@ -26,7 +26,7 @@ import threading
 from dataclasses import dataclass
 
 from .gf import Matrix, Subspace, image, preimage, rref, subspaces_between
-from .e3 import ADMISSIBILITY, StrataPoint, admissibility_holds, in_Y, in_Ypol, normal_form
+from .e3 import StrataPoint, normal_form, violation
 from .strat import leq
 from .tmodule import jordan_type
 
@@ -834,15 +834,16 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     """Deform the normal form of y_from so its generic invariants equal y_to.
 
     One gate refuses bad input with StratOrderError before any search: the
-    same (h, mu), then y_to <= y_from, then each point in Y^pol when
-    polarized, otherwise in Y and meeting ADMISSIBILITY.  It gives the
-    bounds the final lift needs (primes on y_from): delta1 + alpha2 <=
-    min(delta1' + alpha2, beta1' + d1), beta1 <= beta1' and delta1 + delta2
-    <= min(delta1' + delta2', alpha1 + beta1').  Dominance is by prefix
-    sums, so the order gives delta1 <= delta1', delta1 + delta2 <= delta1' +
-    delta2' and beta1 <= beta1'; admissibility gives delta1 + max(d2,
-    delta2) <= alpha1 + beta1 <= alpha1 + beta1', which with alpha2 = d1 +
-    d2 - alpha1 also gives delta1 + alpha2 <= beta1' + d1.
+    same (h, mu), then y_to <= y_from, then y_from and y_to each passing
+    `e3.violation(y, polarized)`; a refused point's error names the
+    condition that call returns.  The gate gives the bounds the final lift
+    needs (primes on y_from): delta1 + alpha2 <= min(delta1' + alpha2,
+    beta1' + d1), beta1 <= beta1' and delta1 + delta2 <= min(delta1' +
+    delta2', alpha1 + beta1').  Dominance is by prefix sums, so the order
+    gives delta1 <= delta1', delta1 + delta2 <= delta1' + delta2' and beta1
+    <= beta1'; admissibility gives delta1 + max(d2, delta2) <= alpha1 +
+    beta1 <= alpha1 + beta1', which with alpha2 = d1 + d2 - alpha1 also
+    gives delta1 + alpha2 <= beta1' + d1.
 
     The three flag steps are lifted in turn inside a free module over
     (truncated series)[T]/T^3; the generic fiber of the result is
@@ -874,13 +875,9 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             "degeneration requires y_to <= y_from; pair is not so ordered"
         )
     for name, y in (("y_from", y_from), ("y_to", y_to)):
-        if polarized:
-            if not in_Ypol(y):
-                raise StratOrderError("polarized degeneration requires points of Y^pol")
-        elif not in_Y(y):
-            raise StratOrderError("%s %r is not a point of Y" % (name, y.sort_key()))
-        elif not admissibility_holds(y):
-            raise StratOrderError("%s %r fails %s" % (name, y.sort_key(), ADMISSIBILITY))
+        failed = violation(y, polarized)
+        if failed:
+            raise StratOrderError("%s %r fails %s" % (name, y.sort_key(), failed))
     w1bar, w2bar, wbar, inv_w1 = _normal_flag(y_from, field, polarized)
 
     h = y_from.h
@@ -974,8 +971,9 @@ def polarized_normal_form(y, field):
     deterministic search subject to the pairing compatibilities
     omega_1^perp = T^{-2} omega_1 and omega_2^perp = T^{-1} omega_2.
     """
-    if not in_Ypol(y):
-        raise StratOrderError("point is not in Y^pol")
+    failed = violation(y, polarized=True)
+    if failed:
+        raise StratOrderError("point %r fails %s" % (y.sort_key(), failed))
     g = y.h // 2
     r = y.delta[0]
     T, pairing, kerT, _, _ = _free_module(field, y.h, True)

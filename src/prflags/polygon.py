@@ -66,6 +66,8 @@ class Polygon:
         n = len(d)
         if den is None:
             den = n
+        elif den < 1:
+            raise PolygonError("declared denominator %d is below 1" % den)
         elif den % n:
             raise PolygonError("declared denominator %d incompatible with N=%d" % (den, n))
         d.sort(reverse=True)
@@ -76,6 +78,8 @@ class Polygon:
     @classmethod
     def from_slopes(cls, h, slope_mults, den):
         """Polygon from a slope multiset {slope: multiplicity}."""
+        if den < 1:
+            raise PolygonError("declared denominator %d is below 1" % den)
         merged = {}
         total = 0
         for s, m in slope_mults:

@@ -16,10 +16,9 @@ import itertools
 from dataclasses import dataclass
 
 from .gf import DEFAULT_ENUM_CAP, Subspace, image, preimage, subspaces_between
-from .polygon import Polygon
+from .polygon import dominates_d
 from .tmodule import (
     delta_vector,
-    hodge_polygon,
     power_image,
     quotient_module,
     restrict_module,
@@ -130,8 +129,7 @@ def pr_exists(J, mu):
         raise PRError("negative graded dimension")
     if sum(mu) != J.dim:
         return False
-    h = max(1, J.delta()[0], *mu)  # a domain [0, h] holding both polygons
-    return hodge_polygon(J, h=h).dominates(Polygon.from_d(h, mu, J.e))
+    return dominates_d(J.delta(), sorted(mu, reverse=True))
 
 
 def alpha_table(delta, mu_sorted):
@@ -362,7 +360,9 @@ def check_hdg_filt(M, N, i):
     Preconditions: N is T-stable, T^i N = 0 and T^{e-i} M <= N; the
     verdict must be True for every such triple.  At the degenerate ends
     (i = 0 forces N = 0, i = e forces N = M) the star factor is empty
-    and the claim collapses to Hdg(M) >= Hdg(M).
+    and the claim collapses to Hdg(M) >= Hdg(M).  A star product is the
+    sorted concatenation of the d-lists, so the test is one prefix-sum
+    comparison of integers.
     """
     e = M.e
     if not 0 <= i <= e:
@@ -375,11 +375,6 @@ def check_hdg_filt(M, N, i):
         raise PRError("T^%d M not inside N" % (e - i))
     if i == 0 or i == e:
         return True
-    sub = restrict_module(M, N, e=i)
-    quo = quotient_module(M, N, e=e - i)
-    delta = delta_vector(M)
-    h = max(1, delta[0])
-    big = Polygon.from_d(h, delta, e)
-    left = hodge_polygon(sub, h=h)
-    right = hodge_polygon(quo, h=h)
-    return big.dominates(left.star(right))
+    sub = delta_vector(restrict_module(M, N, e=i))
+    quo = delta_vector(quotient_module(M, N, e=e - i))
+    return dominates_d(delta_vector(M), sorted(sub + quo, reverse=True))

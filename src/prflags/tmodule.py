@@ -74,10 +74,6 @@ class JordanType:
             raise JordanTypeError("%d generators exceed the bound h=%d" % (len(parts), h))
         return cls(e, parts + (0,) * (h - len(parts)))
 
-    def hodge_polygon(self):
-        """Hodge polygon P(delta_1, ..., delta_e) on [0, h]."""
-        return Polygon.from_d(self.h, self.delta(), self.e)
-
 
 class ConcreteModule:
     """A vector space over a prime field with a nilpotent action T^e = 0.
@@ -175,17 +171,9 @@ def power_image(M, i):
     return image(M.powers[i], M.ambient())
 
 
-def hodge_polygon(obj, h=None):
-    """Hodge polygon P(delta_1, ..., delta_e) on [0, h] of a JordanType or
-    ConcreteModule; h defaults to the type's bound (for a module, the
-    number of its parts) and may not be below the number of nonzero parts."""
-    J = obj if isinstance(obj, JordanType) else jordan_type(obj)
-    delta = J.delta()
-    if h is None:
-        h = J.h
-    elif h < max(delta[0], 1):
-        raise JordanTypeError("h=%d is below 1 or the %d nonzero parts" % (h, delta[0]))
-    return Polygon.from_d(h, delta, J.e)
+def hodge_polygon(J):
+    """Hodge polygon P(delta_1, ..., delta_e) on [0, h] of a JordanType."""
+    return Polygon.from_d(J.h, J.delta(), J.e)
 
 
 def restrict_module(M, S, e=None):

@@ -151,41 +151,32 @@ def criterion_hodge_identity():
 
 def criterion_pr_existence(max_dim):
     cases = bad = 0
-    for parts in (q for n in range(max_dim + 1) for q in partitions(n, 3)):
-        J = JordanType(3, parts or (0,))
-        M = realize(J, F2)
-        delta = delta_vector(M)
-        images = [power_image(M, j) for j in range(4)]
-        for mu in itertools.product(range(4), repeat=3):
-            a = prmod.pr_exists(J, mu)
-            b = prmod.pr_oracle_exists(M, mu)
-            cases += 1
-            if a != b:
-                bad += 1
-                continue
-            if a:
+    for e, dims, entries in ((3, range(max_dim + 1), range(4)), (2, range(7), range(7))):
+        for parts in (q for n in dims for q in partitions(n, e)):
+            J = JordanType(e, parts or (0,))
+            M = realize(J, F2)
+            delta = delta_vector(M)
+            images = [power_image(M, j) for j in range(e + 1)]
+            for mu in itertools.product(entries, repeat=e):
+                a = prmod.pr_exists(J, mu)
+                b = prmod.pr_oracle_exists(M, mu)
+                cases += 1
+                if a != b:
+                    bad += 1
+                    continue
+                if not a:
+                    continue
                 D = prmod.pr_construct(M, mu)
                 if not prmod.validate_pr(D, mu):
                     bad += 1
+                # the flag of sorted type hits every alpha_i^j
                 mu_sorted = tuple(sorted(mu, reverse=True))
-                Ds = prmod.pr_construct(M, mu_sorted)
+                Ds = D if mu == mu_sorted else prmod.pr_construct(M, mu_sorted)
                 alpha = prmod.alpha_table(delta, mu_sorted)
-                for i in range(4):
-                    for j in range(4):
-                        got = Ds.flag[i].intersect(images[j]).dim
-                        if got != alpha[i][j]:
+                for i in range(e + 1):
+                    for j in range(e + 1):
+                        if Ds.flag[i].intersect(images[j]).dim != alpha[i][j]:
                             bad += 1
-    for parts in (q for n in range(7) for q in partitions(n, 2)):
-        J = JordanType(2, parts or (0,))
-        M = realize(J, F2)
-        for mu in itertools.product(range(7), repeat=2):
-            a = prmod.pr_exists(J, mu)
-            b = prmod.pr_oracle_exists(M, mu)
-            cases += 1
-            if a != b:
-                bad += 1
-            elif a and not prmod.validate_pr(prmod.pr_construct(M, mu), mu):
-                bad += 1
     return bad == 0, "cases=%d failures=%d" % (cases, bad)
 
 

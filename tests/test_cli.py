@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -16,6 +17,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _readme_command_lines():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("prflags ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_line(capsys, line):
+    # each line of README's command-line block exits 0 and prints what its
+    # comment shows, when the comment is "prints: ..." or a JSON value
+    command, _, comment = line.partition("#")
+    code, out = run(capsys, *command.split()[1:])
+    assert code == 0
+    comment = comment.strip()
+    if comment.startswith("prints:"):
+        assert out.strip() == comment[len("prints:"):].strip()
+        return
+    try:
+        want = json.loads(comment)
+    except ValueError:
+        return
+    assert json.loads(out) == want
 
 
 def test_polygon_dom_true(capsys):

@@ -11,6 +11,8 @@ import pytest
 from prflags import e3
 from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, rref
 from prflags.e3 import (
+    ADMISSIBILITY,
+    POLARIZED,
     AdmissibilityError,
     OracleBoundError,
     StrataPoint,
@@ -19,11 +21,10 @@ from prflags.e3 import (
     enum_Yadm,
     enum_Ypol,
     in_Y,
-    in_Ypol,
-    is_admissible,
     iso_classes_oracle,
     normal_form,
     phi,
+    violation,
 )
 from prflags.polygon import Polygon
 from prflags.pr import pr_all_data, pr_construct, validate_pr
@@ -94,22 +95,38 @@ def strata_points(h):
         yield StrataPoint(h, mu, delta, alpha, beta)
 
 
+def points_with_y_sums(h):
+    """Every StrataPoint at this h whose sums are those of Y."""
+    padded = lambda total, k: [q + (0,) * (k - len(q)) for q in partitions(total, h, k)]
+    for d1, d2, d3 in sorted_mus(h):
+        for v in itertools.product(padded(d1 + d2 + d3, 3), padded(d1 + d2, 2), padded(d2 + d3, 2)):
+            yield StrataPoint(h, (d1, d2, d3), *v)
+
+
 def random_strata_point(rng, h):
     desc = lambda k: sorted((rng.randint(0, h) for _ in range(k)), reverse=True)
     return StrataPoint(h, desc(3), desc(3), desc(2), desc(2))
 
 
+_polygon = functools.cache(Polygon.from_d)  # (h, d-tuple) -> Polygon, immutable
+
+
 def _y_conditions_by_polygons(pt):
     """The conditions of Y as the definition reads them, on Polygon objects."""
     d1, d2, d3 = pt.mu
-    P1, P2, P3 = (Polygon.from_d(pt.h, d) for d in (pt.delta, pt.alpha, pt.beta))
+    P1, P2, P3 = (_polygon(pt.h, d) for d in (pt.delta, pt.alpha, pt.beta))
     yield ("sum(delta) == d1+d2+d3", sum(pt.delta) == d1 + d2 + d3)
     yield ("sum(alpha) == d1+d2", sum(pt.alpha) == d1 + d2)
     yield ("sum(beta) == d2+d3", sum(pt.beta) == d2 + d3)
-    yield ("P1 >= P2 * P(d3)", P1.dominates(P2.star(Polygon.from_d(pt.h, [d3]))))
-    yield ("P1 >= P3 * P(d1)", P1.dominates(P3.star(Polygon.from_d(pt.h, [d1]))))
-    yield ("P2 >= P(d1, d2)", P2.dominates(Polygon.from_d(pt.h, [d1, d2])))
-    yield ("P3 >= P(d2, d3)", P3.dominates(Polygon.from_d(pt.h, [d2, d3])))
+    yield ("P1 >= P2 * P(d3)", P1.dominates(P2.star(_polygon(pt.h, (d3,)))))
+    yield ("P1 >= P3 * P(d1)", P1.dominates(P3.star(_polygon(pt.h, (d1,)))))
+    yield ("P2 >= P(d1, d2)", P2.dominates(_polygon(pt.h, (d1, d2))))
+    yield ("P3 >= P(d2, d3)", P3.dominates(_polygon(pt.h, (d2, d3))))
+
+
+@functools.cache
+def _first_failure_by_polygons(pt):
+    return next((name for name, ok in _y_conditions_by_polygons(pt) if not ok), None)
 
 
 def test_y_conditions_match_the_polygon_objects():
@@ -118,14 +135,65 @@ def test_y_conditions_match_the_polygon_objects():
     points += [random_strata_point(rng, h) for h in (3, 4, 5) for _ in range(1000)]
     points += [pt for h in (1, 2, 3, 4) for mu in sorted_mus(h) for pt in enum_Y(h, mu)]
     for pt in points:
-        assert list(e3._y_conditions(pt)) == list(_y_conditions_by_polygons(pt)), pt
+        want = _first_failure_by_polygons(pt)
+        assert violation(pt) in ((None, ADMISSIBILITY) if want is None else (want,)), pt
+
+
+# The validity predicates as they stood before `violation` replaced them,
+# kept as references; the conditions of Y come from the Polygon objects.
+
+
+def _admissibility_holds_ref(pt):
+    return pt.delta[0] + max(pt.mu[1], pt.delta[1]) <= pt.alpha[0] + pt.beta[0]
+
+
+def _is_admissible_ref(pt):
+    return _first_failure_by_polygons(pt) is None and _admissibility_holds_ref(pt)
+
+
+def _in_Ypol_ref(pt):
+    g, odd = divmod(pt.h, 2)
+    r = pt.delta[0]
+    return not odd and pt.mu == (g, g, g) and pt.delta == (r, g, 2 * g - r) and _is_admissible_ref(pt)
+
+
+def _normal_form_failure_ref(pt):
+    """The condition the old hand-written gate of normal_form raised, or None."""
+    failed = _first_failure_by_polygons(pt)
+    if failed is None and not _admissibility_holds_ref(pt):
+        failed = ADMISSIBILITY
+    return failed
+
+
+def test_violation_matches_the_old_predicates():
+    rng = random.Random(18)
+    points = [pt for h in (0, 1, 2, 3) for pt in strata_points(h)]
+    points += [random_strata_point(rng, h) for h in (4, 5) for _ in range(2000)]
+    # conditions of Y fail together only from h = 4 on
+    points += [pt for h in (4, 5, 6) for pt in points_with_y_sums(h)]
+    # every triple over h = 4, mu = (2, 2, 2), the polarized g = 2 case
+    desc = lambda k: itertools.combinations_with_replacement(range(4, -1, -1), k)
+    points += [StrataPoint(4, (2, 2, 2), *v) for v in itertools.product(desc(3), desc(2), desc(2))]
+    counts = {None: 0, ADMISSIBILITY: 0, POLARIZED: 0}
+    for pt in points:
+        failed = violation(pt)
+        assert failed == _normal_form_failure_ref(pt), pt
+        assert (failed is None) == _is_admissible_ref(pt), pt
+        assert in_Y(pt) == (_first_failure_by_polygons(pt) is None), pt
+        # the polarized test adds its shape condition after all the others
+        polarized = violation(pt, polarized=True)
+        assert polarized == (failed or (None if _in_Ypol_ref(pt) else POLARIZED)), pt
+        for name in (failed, polarized):
+            if name in counts:
+                counts[name] += 1
+    assert all(counts.values()), counts
 
 
 def test_admissibility_cut():
     # delta=(2,1,0) with alpha=beta=(1,1) is in Y but fails admissibility
     pt = StrataPoint(2, (1, 1, 1), (2, 1, 0), (1, 1), (1, 1))
     assert in_Y(pt)
-    assert not is_admissible(pt)
+    assert violation(pt) == ADMISSIBILITY
 
 
 def test_phi_examples():
@@ -147,7 +215,7 @@ def test_phi_lands_in_Yadm():
                 M = realize(J, F2)
                 for D in pr_all_data(M, mu):
                     pt = phi(D, h)
-                    assert in_Y(pt) and is_admissible(pt)
+                    assert violation(pt) is None
 
 
 def _jordan_types(total, max_blocks):
@@ -452,7 +520,7 @@ def test_ypol_inside_yadm():
         pol = enum_Ypol(g)
         assert pol
         for p in pol:
-            assert in_Ypol(p)
+            assert violation(p, polarized=True) is None
             assert p.sort_key() in adm
             r = p.delta[0]
             assert g <= r <= 2 * g and p.delta == (r, g, 2 * g - r)

@@ -14,13 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, preimage
 from prflags.e3 import (
+    AdmissibilityError,
     StrataPoint,
-    admissibility_holds,
     enum_Y,
     enum_Yadm,
     enum_Ypol,
     in_Y,
-    is_admissible,
+    normal_form,
+    violation,
 )
 from prflags.lift import (
     INEQ_LE_SPECIAL,
@@ -824,18 +825,19 @@ def test_degenerate_step_refuses_targets_outside_yadm(monkeypatch):
     # in Y but not admissible: refused by the integer gate
     y_from = StrataPoint(2, (1, 1, 1), (2, 1, 0), (2, 0), (1, 1))
     y_to = StrataPoint(2, (1, 1, 1), (2, 1, 0), (1, 1), (1, 1))
-    assert is_admissible(y_from) and in_Y(y_to) and leq(y_to, y_from)
+    assert violation(y_from) is None and in_Y(y_to) and leq(y_to, y_from)
     with pytest.raises(StratOrderError, match="fails delta1"):
         degenerate_step(y_from, y_to, F2)
     # outside Y but meeting the inequality: refused before any search
     y_from = StrataPoint(2, (2, 2, 2), (2, 2, 2), (2, 2), (2, 2))
     y_to = StrataPoint(2, (2, 2, 2), (2, 2, 2), (2, 2), (2, 1))
-    assert is_admissible(y_from) and admissibility_holds(y_to) and not in_Y(y_to)
+    assert violation(y_from) is None and violation(y_to) == "sum(beta) == d2+d3"
+    assert y_to.delta[0] + max(y_to.mu[1], y_to.delta[1]) <= y_to.alpha[0] + y_to.beta[0]
     assert leq(y_to, y_from)
     with monkeypatch.context() as m:
         m.setattr("prflags.lift._normal_flag", _no_search)
         m.setattr("prflags.lift._second_lifts", _no_search)
-        with pytest.raises(StratOrderError, match="not a point of Y"):
+        with pytest.raises(StratOrderError, match=r"y_to .* fails sum\(beta\) == d2\+d3$"):
             degenerate_step(y_from, y_to, F2)
     # every target in Y but not admissible at h <= 3, under each admissible source above it
     refused = 0
@@ -844,7 +846,7 @@ def test_degenerate_step_refuses_targets_outside_yadm(monkeypatch):
             sources = enum_Yadm(h, mu)
             for y_to in enum_Y(h, mu):
                 for y_from in sources:
-                    if is_admissible(y_to) or not leq(y_to, y_from):
+                    if violation(y_to) is None or not leq(y_to, y_from):
                         continue
                     with pytest.raises(StratOrderError):
                         degenerate_step(y_from, y_to, F2)
@@ -859,7 +861,7 @@ def test_degenerate_step_refuses_sources_outside_yadm():
         for mu in _sorted_mus(h):
             targets = enum_Yadm(h, mu)
             for y_from in enum_Y(h, mu):
-                if is_admissible(y_from):
+                if violation(y_from) is None:
                     continue
                 for y_to in targets:
                     if leq(y_to, y_from):
@@ -867,6 +869,48 @@ def test_degenerate_step_refuses_sources_outside_yadm():
                             degenerate_step(y_from, y_to, F2)
                         refused += 1
     assert refused == 25
+
+
+def test_every_refusal_names_the_failed_condition(monkeypatch):
+    # normal_form, both points of degenerate_step (plain and polarized) and
+    # polarized_normal_form name what violation returns, before any search
+    monkeypatch.setattr("prflags.lift._normal_flag", _no_search)
+    monkeypatch.setattr("prflags.lift._second_lifts", _no_search)
+
+    def refusal(fn, *args):
+        with pytest.raises(StratOrderError) as err:
+            fn(*args)
+        return str(err.value)
+
+    refused = {"normal_form": 0, "y_from": 0, "y_to": 0, "polarized_normal_form": 0}
+    for h in (1, 2):
+        desc = lambda k: itertools.combinations_with_replacement(range(h, -1, -1), k)
+        for mu in _sorted_mus(h):
+            for vectors in itertools.product(desc(3), desc(2), desc(2)):
+                pt = StrataPoint(h, mu, *vectors)
+                for polarized in (False, True):
+                    failed = violation(pt, polarized)
+                    if failed is None:
+                        continue
+                    fails = "%r fails %s" % (pt.sort_key(), failed)
+                    # leq is reflexive, so the gate reaches the source
+                    assert refusal(degenerate_step, pt, pt, F2, polarized) == "y_from " + fails
+                    refused["y_from"] += 1
+                    g = h // 2
+                    sources = enum_Ypol(g) if polarized and mu == (g, g, g) and h == 2 * g else []
+                    for y_from in sources if polarized else enum_Yadm(h, mu):
+                        if leq(pt, y_from):
+                            assert refusal(degenerate_step, y_from, pt, F2, polarized) == "y_to " + fails
+                            refused["y_to"] += 1
+                    if polarized:
+                        assert refusal(polarized_normal_form, pt, F2) == "point " + fails
+                        refused["polarized_normal_form"] += 1
+                    else:
+                        with pytest.raises(AdmissibilityError) as err:
+                            normal_form(pt, F2)
+                        assert err.value.inequality == failed
+                        refused["normal_form"] += 1
+    assert all(refused.values()), refused
 
 
 def test_degenerate_step_polarized_g1():

@@ -57,6 +57,20 @@ def test_construction_validation():
         Polygon.from_d(2, [-1])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Polygon.from_d(2, [1], 0),  # returned a polygon with d_list() == ()
+        lambda: Polygon.from_d(2, [2, 1], -2),  # its star with itself had an empty d-list
+        lambda: Polygon.from_slopes(2, [(0, 2)], 0),  # failed with "empty d-list"
+        lambda: Polygon.from_slopes(2, [(0, 2)], -1),
+    ],
+)
+def test_declared_denominator_below_one_is_refused(build):
+    with pytest.raises(PolygonError, match="declared denominator -?[0-9]+ is below 1"):
+        build()
+
+
 @settings(max_examples=120, deadline=None)
 @given(d_lists, st.data())
 def test_eval_matches_definition(hd, data):

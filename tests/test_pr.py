@@ -30,13 +30,17 @@ from prflags.pr import (
     subspace_in_flag,
     validate_pr,
 )
+from prflags.polygon import Polygon
 from prflags.tmodule import (
     JordanType,
     delta_vector,
     power_image,
+    quotient_module,
     realize,
+    restrict_module,
     torsion_flag,
 )
+from prflags.verify import _random_valid_filtration
 
 
 def partitions(total, max_part):
@@ -470,3 +474,71 @@ def test_filtration_dominance_preconditions():
         check_hdg_filt(M, power_image(M, 2), 2)  # T M not inside N
     with pytest.raises(PRError):
         check_hdg_filt(M, torsion_flag(M, 1), 4)
+
+
+# The Hodge-dominance tests as they stood on Polygon objects, kept as
+# references for the integer d-list forms that replaced them.
+
+
+def _pr_exists_by_polygons(J, mu):
+    if sum(mu) != J.dim:
+        return False
+    h = max(1, J.delta()[0], *mu)  # a domain [0, h] holding both polygons
+    return Polygon.from_d(h, J.delta(), J.e).dominates(Polygon.from_d(h, mu, J.e))
+
+
+def _star_dominance_by_polygons(h, big, left, right):
+    """P(big) >= P(left) * P(right), each at the denominator of its length."""
+    star = Polygon.from_d(h, left, len(left)).star(Polygon.from_d(h, right, len(right)))
+    return Polygon.from_d(h, big, len(big)).dominates(star)
+
+
+def test_pr_exists_matches_the_polygon_objects():
+    rng = random.Random(18)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        e = rng.randint(1, 4)
+        J = JordanType(e, [rng.randint(0, e) for _ in range(rng.randint(1, 5))])
+        if rng.random() < 0.9:  # a type of the right mass, cut at random
+            cuts = sorted(rng.randint(0, J.dim) for _ in range(e - 1))
+            mu = tuple(b - a for a, b in zip([0] + cuts, cuts + [J.dim]))
+        else:
+            mu = tuple(rng.randint(0, 6) for _ in range(e))
+        want = _pr_exists_by_polygons(J, mu)
+        assert pr_exists(J, mu) == want, (J, mu)
+        verdicts[want] += sum(mu) == J.dim
+    assert min(verdicts.values()) > 300, verdicts
+
+
+def test_filtration_dominance_matches_the_polygon_objects(monkeypatch):
+    rng = random.Random(18)
+    # valid filtrations, where the theorem makes both forms hold
+    for k in range(300):
+        M, N, i = _random_valid_filtration(rng, F2 if k % 2 else F3, 6)
+        if 0 < i < M.e:
+            parts = (
+                delta_vector(restrict_module(M, N, e=i)),
+                delta_vector(quotient_module(M, N, e=M.e - i)),
+            )
+            big = delta_vector(M)
+            assert _star_dominance_by_polygons(max(1, big[0]), big, *parts)
+        assert check_hdg_filt(M, N, i)
+    # random d-lists in place of Hdg(N) and Hdg(M/N), where dominance often
+    # fails: the two modules become tokens whose delta is drawn below
+    drawn = {}
+    monkeypatch.setattr("prflags.pr.restrict_module", lambda M, N, e: "sub")
+    monkeypatch.setattr("prflags.pr.quotient_module", lambda M, N, e: "quo")
+    monkeypatch.setattr("prflags.pr.delta_vector", lambda X: drawn[X] if X in drawn else delta_vector(X))
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        e = rng.randint(2, 3)
+        M = realize(JordanType(e, [rng.randint(0, e) for _ in range(rng.randint(1, 4))]), F2)
+        i = rng.randint(1, e - 1)
+        big = delta_vector(M)
+        h = max(1, big[0])
+        for token, k in (("sub", i), ("quo", e - i)):
+            drawn[token] = tuple(sorted((rng.randint(0, h) for _ in range(k)), reverse=True))
+        want = _star_dominance_by_polygons(h, big, drawn["sub"], drawn["quo"])
+        assert check_hdg_filt(M, power_image(M, e - i), i) == want
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 300, verdicts

@@ -15,9 +15,12 @@ fails.
 `normal_form` builds a filtered module realizing any admissible triple,
 and `iso_classes_oracle` independently counts isomorphism classes by
 enumerating all flags and merging them under a generating set of the
-T-commuting automorphisms (`aut_generators`).  The merge is indexed:
-each generator maps every distinct M_1 and M_2 once, and a union-find
-joins flags through the resulting tables of member numbers.
+T-commuting automorphisms (`aut_generators`), linear in the number of
+Jordan blocks: block maps between adjacent blocks only, block powers and
+scalars on the first block of each run of equal sizes only.  The merge
+is indexed: each generator maps every distinct M_1 and M_2 once, and a
+union-find joins flags through the resulting tables of member numbers.
+The oracle refuses every mu that `enum_Yadm` refuses.
 """
 
 from __future__ import annotations
@@ -122,9 +125,9 @@ def in_Y(pt):
     return violation(pt) in (None, ADMISSIBILITY)
 
 
-def _points(h, mu, accept, polarized=False):
-    """The triples over (h, mu) whose violation is in accept, sorted
-    lexicographically on (delta, alpha, beta)."""
+def _check_mu(h, mu):
+    """mu as a tuple of ints; ValueError unless it is a non-increasing
+    triple in [0, h]."""
     mu = tuple(int(x) for x in mu)
     if len(mu) != 3:
         raise ValueError("mu must have 3 entries, got %d" % len(mu))
@@ -132,6 +135,13 @@ def _points(h, mu, accept, polarized=False):
         raise ValueError("mu must be sorted non-increasingly")
     if any(x < 0 or x > h for x in mu):
         raise ValueError("mu entries must lie in [0, %d]" % h)
+    return mu
+
+
+def _points(h, mu, accept, polarized=False):
+    """The triples over (h, mu) whose violation is in accept, sorted
+    lexicographically on (delta, alpha, beta)."""
+    mu = _check_mu(h, mu)
     d1, d2, d3 = mu
 
     def padded(total, k):
@@ -229,15 +239,31 @@ def normal_form(pt, field):
 def aut_generators(J, field):
     """A generating set of the T-commuting automorphisms of realize(J, field).
 
-    Block i of size s has basis e_0, ..., e_{s-1}, T e_k = e_{k-1}, T e_0 = 0.
+    Block i of size s has basis e_0, ..., e_{s-1}, T e_k = e_{k-1}, T e_0 = 0;
+    blocks are numbered in the order of J.parts, so sizes never increase.
     N_i is T on block i; for blocks i != j of sizes s, t, E_ij is the
     T-linear map of least depth e_k -> e_{k - max(s - t, 0)} from block i
-    to block j.  The generators are 1 + E_ij for i != j, 1 + N_i^a for
-    1 <= a < s, and, when p > 2, a primitive root of F_p on block i alone.
+    to block j.  The generators, linear in the number of blocks, are
+    1 + E_ij for adjacent blocks (|i - j| = 1) and, on the first block i
+    of each run of equal sizes only, 1 + N_i^a for 1 <= a < s and, when
+    p > 2, a primitive root of F_p on block i alone.
+
+    They generate every 1 + E_ij, 1 + N_i^a and per-block scalar:
+    - for i -> k -> j with k strictly between i and j, the sizes are
+      monotone along the path, so the least-depth maps compose:
+      E_kj E_ik = E_ij, while E_ik E_kj = 0 and both square to 0.  So
+      the commutator A B A^-1 B^-1 of A = 1 + E_kj and B = 1 + E_ik is
+      1 + E_ij, and induction on |i - j| gives every 1 + E_ij (and
+      1 - E_ij = (1 + E_ij)^(p-1));
+    - for blocks i, j of equal size, E_ij and E_ji are the identity maps
+      between them, and w = (1 + E_ij)(1 - E_ji)(1 + E_ij) sends block i
+      to block j and block j to minus block i.  Conjugation by w carries
+      1 + N_i^a to 1 + N_j^a and the scalar on block i to the scalar on
+      block j, so the first block of a run stands for the whole run.
 
     The unit group is generated by the spanning list 1 + c*T^m*E_ij,
     1 + c*N_i^a (c in F_p^*) and the per-block scalars, and each of those
-    is a product of the generators:
+    is a product of the maps above:
     - E_ij^2 = 0, so 1 + c*E_ij = (1 + E_ij)^c;
     - the commutator A B A^-1 B^-1 of A = 1 + N_j^m and B = 1 + E_ij is
       1 + T^m*E_ij, and these span the rest of Hom(block i, block j);
@@ -260,10 +286,12 @@ def aut_generators(J, field):
 
     gens = []
     for i, (oi, s) in enumerate(zip(offsets, parts)):
-        for j, (oj, t) in enumerate(zip(offsets, parts)):
-            if i != j:
-                lag = max(s - t, 0)
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(parts):
+                oj, lag = offsets[j], max(s - parts[j], 0)
                 gens.append(unit({(oj + k - lag, oi + k): 1 for k in range(lag, s)}))
+        if i and parts[i - 1] == s:
+            continue
         gens.extend(unit({(oi + k - a, oi + k): 1 for k in range(a, s)}) for a in range(1, s))
         if p > 2:
             gens.append(unit({(oi + k, oi + k): root for k in range(s)}))
@@ -300,10 +328,10 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
     raises AssertionError.  Unions keep the smaller position as root, so
     each class is represented by the first flag of its orbit in
     enumeration order, and classes come in order of first appearance.
+    A mu that is not a non-increasing triple in [0, h] raises the
+    ValueError `enum_Yadm` raises.
     """
-    mu = tuple(int(x) for x in mu)
-    if list(mu) != sorted(mu, reverse=True):
-        raise ValueError("mu must be sorted non-increasingly")
+    mu = _check_mu(h, mu)
     total = sum(mu)
     if total > max_total_dim:
         raise OracleBoundError(

@@ -304,11 +304,6 @@ def pr_oracle_exists(M, mu, cap=DEFAULT_ENUM_CAP):
     which enumerates nested chains with the defining constraints only,
     for a first datum.
     """
-    mu = tuple(int(d) for d in mu)
-    if len(mu) != M.e:
-        raise PRError("type length %d != e = %d" % (len(mu), M.e))
-    if any(d < 0 for d in mu) or sum(mu) != M.dim:
-        return False
     return any(True for _ in pr_all_data(M, mu, cap))
 
 
@@ -325,9 +320,13 @@ def pr_all_data(M, mu, cap=DEFAULT_ENUM_CAP):
     The floors follow from the defining conditions alone, not from Hodge
     dominance, so `pr_oracle_exists` stays independent of `pr_exists`.
     Each T^k M is taken once, when the search first reaches its level.
+    A type of length other than e raises PRError; one with a negative
+    entry or the wrong sum has no data.
     """
     mu = tuple(int(d) for d in mu)
     e = M.e
+    if len(mu) != e:
+        raise PRError("type length %d != e = %d" % (len(mu), e))
     if sum(mu) != M.dim or any(d < 0 for d in mu):
         return
     full = Subspace.full(M.field, M.dim)

@@ -1,6 +1,7 @@
 """The e=3 classification: enumeration, phi, normal forms, the orbit oracle."""
 
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -290,6 +291,18 @@ def test_oracle_bound():
         iso_classes_oracle(2, (2, 2, 2), F2)
 
 
+def test_oracle_refuses_every_mu_enum_yadm_refuses():
+    # the short and long types used to come out padded or cut to (1, 1, 0),
+    # and the others to count 0
+    cases = [(2, (1, 1)), (2, (1, 1, 0, 0)), (1, (2, 0, 0)), (2, (1, 1, -1)), (2, (1, 2, 0))]
+    for h, mu in cases:
+        with pytest.raises(ValueError) as want:
+            enum_Yadm(h, mu)
+        with pytest.raises(ValueError) as got:
+            iso_classes_oracle(h, mu, F2)
+        assert str(got.value) == str(want.value), (h, mu)
+
+
 def test_oracle_phi_bijection_small():
     for h in (1, 2):
         for mu in sorted_mus(h):
@@ -462,6 +475,31 @@ def test_oracle_represents_each_orbit_by_its_first_flag():
     assert families == 99
 
 
+def _oracle_families():
+    """(h, mu, field) for every sorted mu: F_2 at h <= 4 with total <= 6,
+    F_3 at h <= 3 with total <= 4, F_5 at h <= 2."""
+    for field, hmax, cap in ((F2, 4, 6), (F3, 3, 4), (F5, 2, 6)):
+        for h in range(hmax + 1):
+            for mu in sorted_mus(h):
+                if sum(mu) <= cap:
+                    yield h, mu, field
+
+
+# computed while the generating set still held 1 + E_ij for every ordered pair of blocks
+ORACLE_FAMILY_SHA256 = "aff9bb7a12a2a7c4220e93ecafe23f238e29c3fa8d13b11f4007da7a102b0d64"
+
+
+def test_oracle_outputs_pinned():
+    lines = []
+    for h, mu, field in _oracle_families():
+        res = iso_classes_oracle(h, mu, field, max_total_dim=sum(mu))
+        classes = [(J.parts, (D.flag[1].rows, D.flag[2].rows), pt.sort_key())
+                   for J, D, pt in res.classes]
+        lines.append(repr((h, mu, field.p, res.count, classes)))
+    assert len(lines) == 89
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLE_FAMILY_SHA256
+
+
 def test_oracle_rejects_a_map_that_leaves_the_flag_set(monkeypatch):
     # swapping e_0 and e_2 of one Jordan block of size 3 does not commute with T
     swap = Matrix.from_rows(F2, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], 3)
@@ -486,6 +524,20 @@ def _det(A, p, signed_perms):
     return sum(s * math.prod(A[i][j] for i, j in enumerate(perm)) for s, perm in signed_perms) % p
 
 
+def _closure_size(gens, n, p):
+    """The order of the group the n x n matrices gens generate over F_p."""
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    group, frontier = {one}, [one]
+    while frontier:
+        x = frontier.pop()
+        for G in gens:
+            y = _mul(x, G, p)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return len(group)
+
+
 def test_aut_generators_generate_the_whole_group():
     for field, cap in ((F3, 3), (F5, 2)):
         p = field.p
@@ -502,16 +554,36 @@ def test_aut_generators_generate_the_whole_group():
                 for entries in itertools.product(range(p), repeat=n * n):
                     G = tuple(entries[i * n:(i + 1) * n] for i in range(n))
                     want += _mul(G, T, p) == _mul(T, G, p) and _det(G, p, signed) != 0
-                one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-                group, frontier = {one}, [one]
-                while frontier:
-                    x = frontier.pop()
-                    for G in gens:
-                        y = _mul(x, G, p)
-                        if y not in group:
-                            group.add(y)
-                            frontier.append(y)
-                assert len(group) == want, (p, parts)
+                assert _closure_size(gens, n, p) == want, (p, parts)
+
+
+def _gl_order(m, p):
+    return math.prod(p**m - p**k for k in range(m))
+
+
+def test_aut_generators_reach_the_closed_form_group_order():
+    # |Aut| = p^(sum_{i,j} min(s_i, s_j) - sum_s m_s^2) * prod_s |GL_{m_s}(F_p)|,
+    # m_s the number of blocks of size s; checked wherever |Aut| <= 5000.
+    # Blocks of size 4 (e = 4) are included: block maps between sizes s > t
+    # compose to N^(s - t) on the smaller block, which stands in for its own
+    # 1 + N generator whenever s - t = 1, as always happens at e = 3, but
+    # not for sizes (4, 2).
+    checked = set()
+    for field, cap in ((F2, 6), (F3, 4), (F5, 3)):
+        p = field.p
+        for n in range(1, cap + 1):
+            for parts in partitions(n, 4):
+                runs = [parts.count(s) for s in set(parts)]
+                exponent = sum(map(min, itertools.product(parts, repeat=2))) - sum(m * m for m in runs)
+                want = p**exponent * math.prod(_gl_order(m, p) for m in runs)
+                if want > 5000:
+                    continue
+                gens = [G.coord_rows() for G in aut_generators(JordanType(4, parts), field)]
+                assert _closure_size(gens, n, p) == want, (p, parts)
+                checked.add((p, parts))
+    # two equal blocks of size >= 2 are the case the brute-force scan never reaches
+    assert len(checked) == 31
+    assert {(2, (2, 2)), (2, (3, 3)), (2, (2, 2, 1)), (3, (2, 2)), (2, (4, 2))} <= checked
 
 
 def test_ypol_inside_yadm():

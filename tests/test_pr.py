@@ -411,6 +411,22 @@ def test_all_data_enumeration():
     assert len({(D.flag[1].rows, D.flag[2].rows) for D in data}) == len(data)
 
 
+def test_all_data_refuses_a_type_of_the_wrong_length():
+    # a short type used to come out padded with zeros, a long one cut short
+    from prflags.pr import PRError
+
+    M = realize(JordanType(3, (1, 1)), F2)
+    for mu in ((1, 1), (1, 1, 0, 0)):
+        msg = r"type length %d != e = 3" % len(mu)
+        with pytest.raises(PRError, match=msg):
+            list(pr_all_data(M, mu))
+        with pytest.raises(PRError, match=msg):
+            pr_oracle_exists(M, mu)
+    # a type of the right length with a negative entry or the wrong sum has no data
+    for mu in ((2, 1, -1), (1, 0, 0)):
+        assert not list(pr_all_data(M, mu)) and not pr_oracle_exists(M, mu)
+
+
 def unpruned_all_data(M, mu):
     """The former `pr_all_data`, kept as a reference: each member runs from
     the previous one up to its T-preimage, and the last level checks

@@ -283,9 +283,15 @@ class Subspace:
         return Subspace(self.field, self.n, self.rows + other.rows)
 
     def intersect(self, other):
-        """Intersection via the Zassenhaus double-block trick."""
+        """Intersection via the Zassenhaus double-block trick.  A zero or
+        whole operand gives an operand at once: bases are canonical, so it
+        is the subspace the trick would build."""
         self._check(other)
         f, n = self.field, self.n
+        if not self.rows or len(other.rows) == n:
+            return self
+        if not other.rows or len(self.rows) == n:
+            return other
         ext = [f.row_join(r, r, n) for r in self.rows]
         ext += [f.row_join(r, f.zero_row(n), n) for r in other.rows]
         return _right_block(f, n, ext)

@@ -465,15 +465,16 @@ def _fiber_lifts(module):
     One rref of the joined rows [b_i(0) | e_i] leaves the fiber's reduced
     echelon rows on the left and, on the right, the constant coefficients
     c with sum c_i b_i(0) equal to each of them; sum c_i b_i is that row's
-    lift.  Returns the fiber and the (pivot, lift) pairs in row order.
-    A module basis is in Hermite form, so a constant one is already the
-    fiber's reduced echelon basis and its rows are their own lifts.
+    lift.  Returns the fiber and a tuple of the (pivot, lift) pairs in
+    row order.  A module basis is in Hermite form, so a constant one is
+    already the fiber's reduced echelon basis and its rows are their own
+    lifts.
     """
     field, n, basis = module.field, module.n, module.basis
     reduced = [field.pack([peval0(e) for e in b]) for b in basis]
     if all(len(e) < 2 for b in basis for e in b):
         fib = Subspace(field, n, reduced, _canonical=True)
-        return fib, list(zip(fib.pivots, basis))
+        return fib, tuple(zip(fib.pivots, basis))
     m = len(basis)
     joined = [field.row_join(r, field.unit_row(m, i), n) for i, r in enumerate(reduced)]
     zero = ((),) * n
@@ -482,7 +483,7 @@ def _fiber_lifts(module):
         left, right = field.row_split(row, n)
         lefts.append(left)
         lifts.append((piv, _combine(field, zero, enumerate(basis), right)))
-    return Subspace(field, n, lefts, _canonical=True), lifts
+    return Subspace(field, n, lefts, _canonical=True), tuple(lifts)
 
 
 def _combine(field, row, terms, v):
@@ -754,43 +755,82 @@ def _normal_flag(y_from, field, polarized):
     return w1bar, w2bar, wbar, preimage(T, w1bar)
 
 
-class _SecondLifts:
-    """The stage-b pairs (omega_2, T^{-1} omega_2) of `degenerate_step` for
-    one key (field, polarized, w1bar, w2bar, targets_b), in search order:
-    `pairs` holds those derived so far (a polarized pair only once omega_2
-    pairs to zero with T^{-1} omega_2), `drawn` how many search solutions
-    they came from, and `exhausted` whether the search has ended or run
-    out of budget.  Besides its key nothing else is kept -- no live
-    search, no fiber lifts, no F and G -- because every entry of the cache
-    holds one of these; a replay builds its search from the key.  `lock`
-    makes storing a pair and counting its solution one step, so replays
-    in several threads never store a solution twice."""
+@dataclass(frozen=True)
+class _Omega2:
+    """What stage c of `degenerate_step` reads from one omega_2: the
+    module itself, as first built, so that every replay holds that one
+    instance, and whether the polarized cross-pair test omega_2 perp
+    T^{-1} omega_2 keeps it (always, when not polarized).  For a kept
+    omega_2 only, so a polarized search that refuses most solutions pays
+    nothing more for them (both are None for a refused one): a1, the
+    generic dimension of omega_2 meet ker T, and the `_fiber_lifts` of the
+    four members of stage c's flag that omega_2 fixes: omega_2, ker T +
+    omega_2, ker T^2 meet T^{-1} omega_2 and T^{-1} omega_2."""
 
-    __slots__ = ("key", "pairs", "drawn", "exhausted", "lock")
+    Pw2: PolyModule
+    kept: bool
+    a1: int | None
+    lifts: tuple | None
+
+
+@functools.lru_cache(maxsize=1024)
+def _omega2(Pw2, polarized):
+    """The `_Omega2` record of the module omega_2 = Pw2, once per value:
+    T, ker T, ker T^2 and the pairing come from (field, n // 3,
+    polarized), so nothing else enters."""
+    field, n = Pw2.field, Pw2.n
+    T, pairing, _, PkerT, PkerT2 = _free_module(field, n // 3, polarized)
+    Pinv_w2 = Pw2.preimage_const(T)
+    if pairing is not None:
+        Phi = pairing.coord_rows()
+        if any(_bilinear(u, w, Phi, field.p) for u in Pw2.basis for w in Pinv_w2.basis):
+            return _Omega2(Pw2, False, None, None)
+    lifts = (
+        _fiber_lifts(Pw2),
+        _fiber_lifts(PkerT.sum(Pw2)),
+        _fiber_lifts(PkerT2.intersect(Pinv_w2)),
+        _fiber_lifts(Pinv_w2),
+    )
+    return _Omega2(Pw2, True, Pw2.generic_intersection_dim(PkerT), lifts)
+
+
+class _SecondLifts:
+    """The stage-b omega_2 modules of `degenerate_step` for one key (field,
+    polarized, w1bar, w2bar, targets_b), in search order: `modules` holds
+    the kept ones derived so far (a polarized omega_2 only once it pairs
+    to zero with T^{-1} omega_2), `drawn` how many search solutions they
+    came from, and `exhausted` whether the search has ended or run out of
+    budget.  Besides its key nothing else is kept -- no live search, no
+    fiber lifts, no F and G -- because every entry of the cache holds one
+    of these; a replay builds its search from the key, and what stage c
+    reads from a module comes from `_omega2`.  `lock` makes storing a
+    module and counting its solution one step, so replays in several
+    threads never store a solution twice."""
+
+    __slots__ = ("key", "modules", "drawn", "exhausted", "lock")
 
     def __init__(self, key):
         self.key = key
-        self.pairs = []
+        self.modules = []
         self.drawn = 0
         self.exhausted = False
         self.lock = threading.Lock()
 
     def replay(self):
-        """The pairs already derived, then, when the caller wants more,
-        those of the search run again from its start, past the solutions
-        already drawn.  The search is deterministic and a re-run prefix
-        spends the budget a fresh search spends on it, so every caller sees
-        the sequence that one uncached search gives."""
+        """The omega_2 modules already derived, then, when the caller wants
+        more, those of the search run again from its start, past the
+        solutions already drawn.  The search is deterministic and a re-run
+        prefix spends the budget a fresh search spends on it, so every
+        caller sees the sequence that one uncached search gives."""
         field, polarized, w1bar, w2bar, targets_b = self.key
         n = w2bar.n
         T, pairing, kerT, _, _ = _free_module(field, n // 3, polarized)
-        Phi = None if pairing is None else pairing.coord_rows()
         i = 0
         while True:
-            while i < len(self.pairs):
-                yield self.pairs[i]
+            while i < len(self.modules):
+                yield self.modules[i]
                 i += 1
-            if self.exhausted and i == len(self.pairs):
+            if self.exhausted and i == len(self.modules):
                 return
             # omega_1 lifts constantly; omega_2 lifts inside T^{-1} omega_{1,R}
             inv_w1 = preimage(T, w1bar)
@@ -798,26 +838,20 @@ class _SecondLifts:
             flag = [_fiber_lifts(PolyModule.constant(S)) for S in members]
             search = _searched(_lift_solutions(flag, w2bar, targets_b, pairing=pairing))
             for k, rows in enumerate(search):
-                if i < len(self.pairs):
-                    break  # another replay stored pairs meanwhile: give those first
+                if i < len(self.modules):
+                    break  # another replay stored modules meanwhile: give those first
                 if k < self.drawn:
                     continue
-                Pw2 = PolyModule.from_rows(field, n, rows)
-                Pinv_w2 = Pw2.preimage_const(T)
-                kept = Phi is None or all(
-                    not _bilinear(u, w, Phi, field.p)
-                    for u in Pw2.basis
-                    for w in Pinv_w2.basis
-                )
+                w2 = _omega2(PolyModule.from_rows(field, n, rows), polarized)
                 with self.lock:
                     if k != self.drawn:
                         break  # another replay stored this solution first
-                    if kept:
-                        self.pairs.append((Pw2, Pinv_w2))
+                    if w2.kept:
+                        self.modules.append(w2.Pw2)
                     self.drawn += 1
-                if kept:
+                if w2.kept:
                     i += 1
-                    yield Pw2, Pinv_w2
+                    yield w2.Pw2
             else:
                 self.exhausted = True
 
@@ -855,18 +889,22 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     constant modules of ker T and ker T^2 -- is built once per (field, h)
     (`_free_module`), and the normal-form flag of y_from with
     T^{-1}(w1bar) once per source point (`_normal_flag`).  Stage b, the
-    lift of w2bar with omega_2 and T^{-1} omega_2 for each solution,
-    depends only on (field, polarized, w1bar, w2bar, targets_b), that is
-    on the source flag and alpha_1 of y_to, so its pairs are derived once
-    per such key and replayed for every target that shares it
-    (`_second_lifts`, which keeps only the key and the pairs).  All three
-    caches are safe to share between calls:
-    their keys (fields, strata points, subspaces, tuples, booleans) are
-    hashable values, the first two hold immutable matrices, subspaces and
-    modules, and a replay only appends what one deterministic search
-    yields.  They are bounded (16, 1,024 and 1,024 entries; every pair at
-    h = 3, 4 plus polarized g = 2 uses 3, 157 and 91), so a long-running
-    caller does not grow them without limit.
+    lift of w2bar, depends only on (field, polarized, w1bar, w2bar,
+    targets_b), that is on the source flag and alpha_1 of y_to, so its
+    omega_2 modules are derived once per such key and replayed for every
+    target that shares it (`_second_lifts`, which keeps only the key and
+    the kept modules).  Everything stage c reads from omega_2 -- the
+    polarized cross-pair test, a1 and the fiber lifts of the four flag
+    members omega_2 fixes -- depends only on the module and polarized, so
+    it is derived once per distinct module value (`_omega2`), however many
+    keys and targets draw that module.  All four caches are safe to share
+    between calls: their keys (fields, strata points, subspaces, modules,
+    tuples, booleans) are hashable values, all but the replays hold
+    immutable matrices, subspaces, modules and tuples, and a replay only
+    appends what one deterministic search yields.  They are bounded (16,
+    1,024, 1,024 and 1,024 entries; every pair at h = 3, 4 plus polarized
+    g = 2 uses 3, 157, 91 and 82), so a long-running caller does not grow
+    them without limit.
     """
     if (y_from.h, y_from.mu) != (y_to.h, y_to.mu):
         raise StratOrderError("points live over different (h, mu)")
@@ -889,15 +927,15 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     Pinv_w1 = PolyModule.constant(inv_w1)
     inv_w1_lifts = _fiber_lifts(Pinv_w1)
     second = _second_lifts(field, polarized, w1bar, w2bar, (d1, alpha[0], d1 + d2))
-    for Pw2, Pinv_w2 in second.replay():
-        F_lifts = _fiber_lifts(PkerT.sum(Pw2))
-        G_lifts = _fiber_lifts(PkerT2.intersect(Pinv_w2))
+    for Pw2 in second.replay():
+        w2 = _omega2(Pw2, polarized)
+        w2_lifts, F_lifts, G_lifts, inv_w2_lifts = w2.lifts
         # the maximal-intersection choice of the second lift
         if wbar.intersect(F_lifts[0]).dim < delta[0] + alpha[1]:
             continue
         if wbar.intersect(G_lifts[0]).dim < delta[0] + delta[1]:
             continue
-        flag_c = [_fiber_lifts(Pw2), F_lifts, inv_w1_lifts, G_lifts, _fiber_lifts(Pinv_w2)]
+        flag_c = [w2_lifts, F_lifts, inv_w1_lifts, G_lifts, inv_w2_lifts]
         targets_c = (
             d1 + d2,
             delta[0] + alpha[1],
@@ -907,7 +945,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         )
         for rows_c in _searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)):
             Pw = PolyModule.from_rows(field, n, rows_c)
-            generic = _generic_point(h, y_from.mu, Pinv_w1, Pw2, Pw, PkerT, PkerT2)
+            generic = _generic_point(h, y_from.mu, Pinv_w1, w2.a1, Pw, PkerT, PkerT2)
             if generic != y_to:
                 continue
             return Degeneration(
@@ -926,15 +964,16 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     )
 
 
-def _generic_point(h, mu, Pinv_w1, Pw2, Pw, PkerT, PkerT2):
-    """Generic invariants of a lifted flag, via generic ranks of stacked bases."""
-    d1 = mu[0]
+def _generic_point(h, mu, Pinv_w1, a1, Pw, PkerT, PkerT2):
+    """Generic invariants of a lifted flag, via generic ranks of stacked
+    bases; a1 is the generic dimension of omega_2 meet ker T, and omega_2,
+    a lift of w2bar, has rank d1 + d2."""
+    d1, d2 = mu[0], mu[1]
     total = Pw.rank
     k1 = Pw.generic_intersection_dim(PkerT)
     k2 = Pw.generic_intersection_dim(PkerT2)
     delta = (k1, k2 - k1, total - k2)
-    a1 = Pw2.generic_intersection_dim(PkerT)
-    alpha = (a1, Pw2.rank - a1)
+    alpha = (a1, d1 + d2 - a1)
     b1 = Pw.generic_intersection_dim(Pinv_w1) - d1
     beta = (b1, total - d1 - b1)
     return StrataPoint(h, mu, delta, alpha, beta)

@@ -13,6 +13,7 @@ from prflags.gf import (
     Matrix,
     PrimeField,
     Subspace,
+    _right_block,
     enumerate_subspaces,
     gaussian_binomial,
     image,
@@ -71,6 +72,35 @@ def test_sum_intersect_derived_example():
     assert A.intersect(B) == Subspace.span(F2, 4, [[0, 1, 0, 0]])
     assert A.intersect(Subspace.full(F2, 4)) == A
     assert A.intersect(Subspace.zero(F2, 4)).is_zero()
+
+
+def zassenhaus(A, B):
+    """A meet B by the double-block trick, whatever the operands."""
+    f, n = A.field, A.n
+    ext = [f.row_join(r, r, n) for r in A.rows]
+    ext += [f.row_join(r, f.zero_row(n), n) for r in B.rows]
+    return _right_block(f, n, ext)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_intersect_gives_a_zero_or_whole_operand_as_the_double_block_would(p):
+    field = PrimeField(p)
+    proper = 0
+    for n in (1, 2, 3):
+        subspaces = [S for d in range(n + 1) for S in enumerate_subspaces(field, n, d)]
+        for A, B in itertools.product(subspaces, repeat=2):
+            got = A.intersect(B)
+            assert got == zassenhaus(A, B)
+            assert set(got.vectors()) == set(A.vectors()) & set(B.vectors())
+            if A.is_zero() or B.dim == n:
+                assert got is A
+            elif B.is_zero() or A.dim == n:
+                assert got is B
+            else:
+                proper += 1  # the double block itself
+    # every pair of proper subspaces, the p + 1 lines of F_p^2 and the
+    # p^2 + p + 1 lines and as many planes of F_p^3, keeps the double block
+    assert proper == (p + 1) ** 2 + (2 * (p * p + p + 1)) ** 2
 
 
 def test_ambient_mismatch():

@@ -44,6 +44,7 @@ from prflags.lift import (
     _free_module,
     _lift_solutions,
     _normal_flag,
+    _omega2,
     _second_lifts,
     check_isotropic_feasible,
     check_lift_feasible,
@@ -956,7 +957,7 @@ DEGENERATE_FAMILY_SHA256 = "49adf575b347646a6caa7249fa59c78ef34d579f521f6850974f
 
 
 def _clear_degenerate_caches():
-    for cache in (_free_module, _normal_flag, _second_lifts):
+    for cache in (_free_module, _normal_flag, _second_lifts, _omega2):
         cache.cache_clear()
 
 
@@ -999,9 +1000,9 @@ def test_second_lift_replay_resumes_past_an_earlier_caller():
     w1bar, w2bar = _normal_flag(y_from, F2, False)[:2]
     assert early.alpha[0] == late.alpha[0] == 2  # so both share the key below
     replay = _second_lifts(F2, False, w1bar, w2bar, (2, 2, 3))
-    assert (replay.drawn, len(replay.pairs), replay.exhausted) == (1, 1, False)
+    assert (replay.drawn, len(replay.modules), replay.exhausted) == (1, 1, False)
     assert _degenerate_outcome(y_from, late, F2, False) == cold
-    assert (replay.drawn, len(replay.pairs), replay.exhausted) == (9, 9, False)
+    assert (replay.drawn, len(replay.modules), replay.exhausted) == (9, 9, False)
     assert _second_lifts.cache_info().currsize == 1
 
 
@@ -1041,7 +1042,63 @@ def test_second_lift_replay_is_shared_safely_between_threads():
     assert results == [cold] * 4
     w1bar, w2bar = _normal_flag(y_from, F3, False)[:2]
     replay = _second_lifts(F3, False, w1bar, w2bar, (2, 2, 3))
-    assert (replay.drawn, len(replay.pairs)) == (55, 55)
+    assert (replay.drawn, len(replay.modules)) == (55, 55)
+
+
+def _drawn_omega2(monkeypatch, pairs):
+    """Every (omega_2, polarized) that `degenerate_step` looks up over the
+    pairs, from cold caches, in first-lookup order."""
+    cached = lift_module._omega2
+    seen = {}
+
+    def record(Pw2, polarized):
+        seen.setdefault((Pw2, polarized), None)
+        return cached(Pw2, polarized)
+
+    _clear_degenerate_caches()
+    monkeypatch.setattr(lift_module, "_omega2", record)
+    for pair in pairs:
+        _degenerate_outcome(*pair)
+    monkeypatch.undo()
+    return list(seen)
+
+
+def test_omega2_records_equal_the_uncached_computation(monkeypatch):
+    drawn = _drawn_omega2(monkeypatch, _degenerate_family())
+    records = {key: _omega2(*key) for key in drawn}
+    assert _omega2.cache_info().misses == len(drawn)  # the lookups just made all hit
+    assert all(records[key] == _omega2.__wrapped__(*key) for key in drawn)
+    kept = [rec for rec in records.values() if rec.kept]
+    assert (len(drawn), len(kept)) == (83, 79)
+    for rec in records.values():
+        assert (rec.a1 is None, rec.lifts is None) == (not rec.kept, not rec.kept)
+
+
+def test_omega2_is_shared_by_equal_modules_built_apart():
+    mu = (2, 1, 1)
+    y_from = StrataPoint(3, mu, (3, 1, 0), (3, 0), (2, 0))
+    _clear_degenerate_caches()
+    w1bar, w2bar = _normal_flag(y_from, F2, False)[:2]
+    Pw2 = next(_second_lifts(F2, False, w1bar, w2bar, (2, 2, 3)).replay())
+    _omega2.cache_clear()
+    rows = [[padd(x, y, 2) for x, y in zip(Pw2.basis[0], Pw2.basis[-1])]]
+    again = PolyModule.from_rows(F2, Pw2.n, rows + list(Pw2.basis[1:]))
+    assert again == Pw2 and again is not Pw2 and again.basis is not Pw2.basis
+    assert _omega2(Pw2, False) is _omega2(again, False)
+    info = _omega2.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_omega2_cache_keys_on_polarized(monkeypatch):
+    pol = enum_Ypol(2)
+    drawn = _drawn_omega2(monkeypatch, [(a, b, F2, True) for a in pol for b in pol])
+    Pw2 = next(Pw2 for Pw2, _ in drawn if not _omega2(Pw2, True).kept)
+    assert Pw2.n == 12
+    _omega2.cache_clear()
+    assert not _omega2(Pw2, True).kept
+    assert _omega2(Pw2, False).kept
+    assert not _omega2(Pw2, True).kept
+    assert _omega2.cache_info().currsize == 2
 
 
 def test_lift_searches_leave_no_cyclic_garbage():

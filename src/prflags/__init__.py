@@ -27,7 +27,6 @@ from .tmodule import (
     hodge_polygon,
     jordan_type,
     power_image,
-    quotient_module,
     realize,
     restrict_module,
     torsion_flag,

@@ -32,12 +32,11 @@ from .polygon import dominates_d
 from .pr import PRDatum, PRError, pr_all_data, subspace_in_flag, validate_pr
 from .tmodule import (
     JordanType,
+    _piece_delta,
     delta_vector,
     partitions,
     power_image,
     realize,
-    restrict_module,
-    quotient_module,
     torsion_flag,
 )
 
@@ -187,10 +186,8 @@ def phi(D, h):
     delta = delta_vector(M)
     if delta[0] > h:
         raise PRError("module needs %d generators, h = %d" % (delta[0], h))
-    M2 = restrict_module(M, D.flag[2], e=2)
-    alpha = delta_vector(M2)
-    quo = quotient_module(M, D.flag[1], e=2)
-    beta = delta_vector(quo)
+    alpha = _piece_delta(M, D.flag[2], 2)
+    beta = _piece_delta(M, D.flag[1], 2, quotient=True)
     return StrataPoint(h, mu, delta, alpha, beta)
 
 

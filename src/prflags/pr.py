@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 from .gf import DEFAULT_ENUM_CAP, Subspace, image, preimage, subspaces_between
 from .polygon import dominates_d
-from .tmodule import (
-    delta_vector,
-    power_image,
-    quotient_module,
-    restrict_module,
-    torsion_flag,
-)
+from .tmodule import _piece_delta, delta_vector, power_image, torsion_flag
 
 
 class PRError(ValueError):
@@ -319,7 +313,7 @@ def pr_all_data(M, mu, cap=DEFAULT_ENUM_CAP):
 
     The floors follow from the defining conditions alone, not from Hodge
     dominance, so `pr_oracle_exists` stays independent of `pr_exists`.
-    Each T^k M is taken once, when the search first reaches its level.
+    Each floor T^k M is read from the module, which computes its images once.
     A type of length other than e raises PRError; one with a negative
     entry or the wrong sum has no data.
     """
@@ -333,16 +327,15 @@ def pr_all_data(M, mu, cap=DEFAULT_ENUM_CAP):
     dims = [0]
     for d in mu:
         dims.append(dims[-1] + d)
-    powers = {}  # level i -> T^{e-i-1} M
 
     def search(level, chain):
         if level == e - 1:
             yield PRDatum(M, tuple(chain) + (full,))
             return
-        if level not in powers:
-            powers[level] = power_image(M, e - level - 1)
         current = chain[-1]
-        floor = current.sum(powers[level]) if level else powers[level]
+        floor = power_image(M, e - level - 1)
+        if level:
+            floor = current.sum(floor)
         want = dims[level + 1]
         if want < floor.dim:
             return
@@ -374,6 +367,6 @@ def check_hdg_filt(M, N, i):
         raise PRError("T^%d M not inside N" % (e - i))
     if i == 0 or i == e:
         return True
-    sub = delta_vector(restrict_module(M, N, e=i))
-    quo = delta_vector(quotient_module(M, N, e=e - i))
+    sub = _piece_delta(M, N, i)
+    quo = _piece_delta(M, N, e - i, quotient=True)
     return dominates_d(delta_vector(M), sorted(sub + quo, reverse=True))

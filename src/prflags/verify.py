@@ -156,7 +156,6 @@ def criterion_pr_existence(max_dim):
             J = JordanType(e, parts or (0,))
             M = realize(J, F2)
             delta = delta_vector(M)
-            images = [power_image(M, j) for j in range(e + 1)]
             for mu in itertools.product(entries, repeat=e):
                 a = prmod.pr_exists(J, mu)
                 b = prmod.pr_oracle_exists(M, mu)
@@ -175,7 +174,7 @@ def criterion_pr_existence(max_dim):
                 alpha = prmod.alpha_table(delta, mu_sorted)
                 for i in range(e + 1):
                     for j in range(e + 1):
-                        if Ds.flag[i].intersect(images[j]).dim != alpha[i][j]:
+                        if Ds.flag[i].intersect(power_image(M, j)).dim != alpha[i][j]:
                             bad += 1
     return bad == 0, "cases=%d failures=%d" % (cases, bad)
 

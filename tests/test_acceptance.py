@@ -129,7 +129,7 @@ def test_traced_degenerate_pass_gives_every_layer_metric():
     )
     assert proc.returncode == 0, proc.stderr
     values = json.loads(proc.stdout.strip().splitlines()[-1])["trace"]["values"]
-    layers = ("gf", "pr", "e3", "strat", "lift")
+    layers = ("gf", "polygon", "tmodule", "pr", "e3", "strat", "lift")
     wanted = [
         name for name, *_ in runpy.run_path(str(root / "perfbench" / "spec.py"))["PER_LAYER"]
         if name.split(".")[0] in layers

@@ -35,12 +35,12 @@ from prflags.tmodule import (
     JordanType,
     delta_vector,
     power_image,
-    quotient_module,
     realize,
     restrict_module,
     torsion_flag,
 )
 from prflags.verify import _random_valid_filtration
+from test_tmodule import quotient_module
 
 
 def partitions(total, max_part):
@@ -540,11 +540,11 @@ def test_filtration_dominance_matches_the_polygon_objects(monkeypatch):
             assert _star_dominance_by_polygons(max(1, big[0]), big, *parts)
         assert check_hdg_filt(M, N, i)
     # random d-lists in place of Hdg(N) and Hdg(M/N), where dominance often
-    # fails: the two modules become tokens whose delta is drawn below
+    # fails: the deltas of the two pieces are drawn below
     drawn = {}
-    monkeypatch.setattr("prflags.pr.restrict_module", lambda M, N, e: "sub")
-    monkeypatch.setattr("prflags.pr.quotient_module", lambda M, N, e: "quo")
-    monkeypatch.setattr("prflags.pr.delta_vector", lambda X: drawn[X] if X in drawn else delta_vector(X))
+    monkeypatch.setattr(
+        "prflags.pr._piece_delta", lambda M, N, e, quotient=False: drawn["quo" if quotient else "sub"]
+    )
     verdicts = {True: 0, False: 0}
     for _ in range(2000):
         e = rng.randint(2, 3)

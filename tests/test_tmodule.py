@@ -1,25 +1,29 @@
 """Jordan types, realizations and Hodge polygons."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from prflags.gf import F2, Matrix, PrimeField
+from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, image
 from prflags.polygon import Polygon
+from prflags.pr import pr_all_data
 from prflags.tmodule import (
     ConcreteModule,
     JordanType,
     JordanTypeError,
+    _piece_delta,
+    _realize,
     delta_vector,
     hodge_polygon,
     jordan_type,
     power_image,
-    quotient_module,
     realize,
     restrict_module,
     torsion_flag,
 )
+from prflags.verify import _random_valid_filtration
 
 
 def partitions(total, max_part):
@@ -156,6 +160,26 @@ def test_module_keeps_its_powers(p):
                 assert hodge_polygon(jordan_type(M, J.h)) == hodge_polygon(J)
 
 
+def quotient_module(M, S, e=None):
+    """The quotient M/S (S must be T-stable), in residue coordinates: the
+    library's former builder, kept as the reference for `_piece_delta`."""
+    if not all(S.contains_row(M.op.apply(r)) for r in S.rows):
+        raise JordanTypeError("subspace is not T-stable")
+    if e is None:
+        e = M.e
+    f, n = M.field, M.dim
+    pivot_set = set(S.pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    q = len(free)
+    cols = []
+    for j in free:
+        res = S.reduce_row(M.op.apply(f.unit_row(n, j)))
+        coords = f.unpack(res, n)
+        cols.append([coords[i] for i in free])
+    rows = [[cols[j][i] for j in range(q)] for i in range(q)]
+    return ConcreteModule(f, e, Matrix.from_rows(f, rows, q))
+
+
 def test_restrict_and_quotient():
     M = realize(JordanType(3, (3, 1)), F2)
     TM = power_image(M, 1)
@@ -163,10 +187,98 @@ def test_restrict_and_quotient():
     assert delta_vector(sub) == (1, 1)
     quo = quotient_module(M, torsion_flag(M, 1), e=2)
     assert quo.dim == 2
-    from prflags.gf import Subspace
 
     not_stable = Subspace.span(F2, 4, [[0, 1, 0, 0]])  # T e_2 = e_1 escapes
     with pytest.raises(JordanTypeError):
         restrict_module(M, not_stable)
     with pytest.raises(JordanTypeError):
         quotient_module(M, not_stable)
+
+
+def _assert_piece_deltas(M, S, i):
+    """S is T^i-torsion and holds T^{e-i} M: both of its pieces match the
+    modules built from it, at their own nilpotency bounds and at e."""
+    e = M.e
+    for k in {i, e} - {0}:
+        assert _piece_delta(M, S, k) == delta_vector(restrict_module(M, S, e=k))
+    for k in {e - i, e} - {0}:
+        want = delta_vector(quotient_module(M, S, e=k))
+        assert _piece_delta(M, S, k, quotient=True) == want
+
+
+def test_piece_delta_matches_the_modules_on_every_pr_flag_member():
+    # member i of a PR flag is T-stable, T^i M_i = 0 and T^{e-i} M <= M_i;
+    # each distinct (i, M_i) of a module is checked once
+    members = 0
+    for field, cap in ((F2, 5), (F3, 4), (PrimeField(5), 3)):
+        for e in (1, 2, 3):
+            for n in range(cap + 1):
+                for parts in partitions(n, e):
+                    M = realize(JordanType(e, parts or (0,)), field)
+                    seen = set()
+                    for mu in itertools.product(range(n + 1), repeat=e):
+                        if sum(mu) != n:
+                            continue
+                        for D in pr_all_data(M, mu):
+                            seen.update(enumerate(D.flag))
+                    for i, S in seen:
+                        _assert_piece_deltas(M, S, i)
+                    members += len(seen)
+    assert members == 2913
+
+
+def test_piece_delta_matches_the_modules_on_random_filtrations():
+    rng = random.Random(21)
+    for k in range(300):
+        M, N, i = _random_valid_filtration(rng, F2 if k % 2 else F3, 6)
+        _assert_piece_deltas(M, N, i)
+
+
+def test_realize_shares_one_module_per_type_and_field():
+    J = JordanType(3, (3, 1))
+    assert realize(J, F2) is realize(J, F2)
+    assert realize(J, F2) is realize(JordanType(3, (1, 3)), F2)
+    assert realize(J, F3) is not realize(J, F2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cached_invariants_equal_those_of_a_module_built_apart(p):
+    field = PrimeField(p)
+    for e in (1, 2, 3):
+        for dim in range(7):
+            for parts in partitions(dim, e):
+                M = realize(JordanType(e, parts or (0,)), field)
+                apart = ConcreteModule(field, e, Matrix.from_rows(field, M.op.coord_rows(), dim))
+                ranks = [P.rank() for P in apart.powers]
+                assert delta_vector(M) == delta_vector(apart) == tuple(
+                    a - b for a, b in zip(ranks, ranks[1:]))
+                for i in range(e + 1):
+                    want = image(apart.powers[i], apart.ambient())
+                    assert power_image(M, i) == power_image(apart, i) == want
+                    assert power_image(M, i) is power_image(M, i)
+                    want = apart.powers[i].kernel()
+                    assert torsion_flag(M, i) == torsion_flag(apart, i) == want
+                    assert torsion_flag(M, i) is torsion_flag(M, i)
+
+
+def test_realize_cache_stays_within_its_bound():
+    _realize.cache_clear()
+    bound = _realize.cache_info().maxsize
+    keys = [
+        (JordanType(e, parts + (0,) * pad), field)
+        for field in (F2, F3, PrimeField(5))
+        for e in (1, 2, 3, 4)
+        for n in range(7)
+        for parts in partitions(n, e)
+        for pad in (0, 1)
+        if parts or pad
+    ]
+    assert len(keys) > bound
+    for J, field in keys:
+        M = realize(J, field)
+        assert _realize.cache_info().currsize <= bound
+        assert jordan_type(M, J.h) == J
+    assert _realize.cache_info().currsize == bound
+    first = realize(*keys[0])  # evicted long ago: an equal module, built anew
+    assert first == ConcreteModule(keys[0][1], keys[0][0].e, first.op)
+    assert realize(*keys[-1]) is realize(*keys[-1])

@@ -6,16 +6,20 @@ whole row at a time, one entry per byte lane: the rows are read as big
 integers, summed (a sum of two reduced entries fits in a byte while
 p <= MAX_PRIME) and reduced lane-wise by a 256-byte translation table.
 Subspaces always carry their reduced row-echelon basis, so two subspaces
-are equal exactly when their packed bases are identical.  Everything here
-is immutable and pure.
+are equal exactly when their packed bases are identical.  `rref` results
+are memoized by value in one bounded cache and shared between callers as
+immutable tuples; the F_2 elimination reduces a row only at the pivots it
+hits.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 DEFAULT_ENUM_CAP = 10**7
+_RREF_CACHE_SIZE = 512  # distinct (field, rows) inputs whose echelon form is kept
 MAX_PRIME = 127  # 2 * (p - 1) must fit in one byte lane
 
 
@@ -41,7 +45,7 @@ def _is_prime(p):
 class PrimeField:
     """The prime field F_p; also the codec for packed row vectors."""
 
-    __slots__ = ("p", "_mod", "_mul")
+    __slots__ = ("p", "_mod", "_mul", "_hash")
 
     def __init__(self, p=2):
         if p > MAX_PRIME:
@@ -49,6 +53,7 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError("%r is not prime" % (p,))
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_hash", hash(("PrimeField", p)))
         # byte-lane tables: i -> i mod p, and for each c, i -> c*i mod p
         object.__setattr__(self, "_mod", bytes(i % p for i in range(256)))
         object.__setattr__(
@@ -62,7 +67,7 @@ class PrimeField:
         return isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self):
-        return hash(("PrimeField", self.p))
+        return self._hash
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p
@@ -144,16 +149,27 @@ F3 = PrimeField(3)
 def rref(field, rows):
     """Reduced row-echelon basis of the span of `rows` (packed).
 
-    Returns (pivots, rows) with rows sorted by pivot column; the result
-    is the canonical basis of the row space, independent of input order.
-    Over F_2 the rows are int bitmasks and elimination is plain XOR.
+    Returns (pivots, rows), two tuples, with rows sorted by pivot column;
+    the result is the canonical basis of the row space, independent of
+    input order.  Results are memoized by value in a bounded cache, so
+    equal inputs share one immutable result.  Over F_2 the rows are int
+    bitmasks, elimination is plain XOR, and an incoming row is reduced
+    only at the pivots it hits.
     """
+    return _rref(field, tuple(rows))
+
+
+@functools.lru_cache(maxsize=_RREF_CACHE_SIZE)
+def _rref(field, rows):
     if field.p == 2:
         basis = {}  # lowest set bit of a basis row -> the row, kept fully reduced
+        mask = 0  # the pivot bits: each basis row is zero at every other one
         for row in rows:
-            for low, b in basis.items():
-                if row & low:
-                    row ^= b
+            hit = row & mask
+            while hit:
+                low = hit & -hit
+                row ^= basis[low]
+                hit ^= low
             if not row:
                 continue
             low = row & -row
@@ -161,6 +177,7 @@ def rref(field, rows):
                 if b & low:
                     basis[q] = b ^ row
             basis[low] = row
+            mask |= low
         ordered = sorted(basis.items())
         return (
             tuple(low.bit_length() - 1 for low, _ in ordered),

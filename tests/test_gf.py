@@ -14,6 +14,7 @@ from prflags.gf import (
     PrimeField,
     Subspace,
     _right_block,
+    _rref,
     enumerate_subspaces,
     gaussian_binomial,
     image,
@@ -292,6 +293,8 @@ def test_f2_kernel_matches_coordinate_gauss_jordan(mat, masks):
     assert got_pivots == pivots
     assert tuple(F2.unpack(r, n) for r in got_rows) == ref_rows
     assert rref(F2, packed[::-1]) == (got_pivots, got_rows)
+    for rows in (packed, tuple(packed), (r for r in packed)):
+        assert rref(F2, rows) == _rref.__wrapped__(F2, packed) == (got_pivots, got_rows)
 
     A = Matrix.from_rows(F2, coords, n)
     assert A.rank() == len(pivots)
@@ -312,6 +315,66 @@ def test_f2_kernel_matches_coordinate_gauss_jordan(mat, masks):
     assert A.kernel().dim == n - len(pivots)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_f2_kernel_reduces_every_vector_of_a_subspace_to_its_basis(data):
+    """All vectors of a random subspace in a random order: most rows reduce
+    through several pivots, and all but dim of them are dependent."""
+    n = data.draw(st.integers(1, 10))
+    basis = data.draw(
+        st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=min(n, 6))
+    )
+    packed = data.draw(st.permutations(sorted(brute_span(F2, n, basis))))
+    pivots, ref_rows = reference_rref([F2.unpack(r, n) for r in packed], n)
+    got_pivots, got_rows = _rref.__wrapped__(F2, packed)
+    assert got_pivots == pivots
+    assert tuple(F2.unpack(r, n) for r in got_rows) == ref_rows
+    assert rref(F2, packed) == (got_pivots, got_rows)
+
+
+def test_equal_fields_built_apart_are_one_key_and_stay_immutable():
+    field = PrimeField(3)
+    assert field is not F3 and hash(field) == hash(F3)
+    assert {F3: "F3"}[field] == "F3" and len({F3, field}) == 1
+    with pytest.raises(AttributeError):
+        field.p = 5
+    with pytest.raises(AttributeError):
+        field._hash = 0
+
+
+def test_rref_cache_is_shared_by_equal_fields_built_apart():
+    rows = (F3.pack([1, 2, 0]), F3.pack([2, 1, 1]), F3.pack([0, 0, 2]))
+    want = rref(F3, rows)
+    hits = _rref.cache_info().hits
+    assert rref(PrimeField(3), list(rows)) is want
+    assert _rref.cache_info().hits == hits + 1
+
+
+def test_rref_cache_stays_within_its_bound():
+    _rref.cache_clear()
+    bound = _rref.cache_info().maxsize
+    inputs = [(F2, [m, m >> 1]) for m in range(1, 512)]
+    inputs += [
+        (field, [field.pack(v)])
+        for field in (F3, PrimeField(5))
+        for v in itertools.product(range(field.p), repeat=4)
+        if any(v)
+    ]
+    assert len(inputs) > bound
+    for field, rows in inputs:
+        pivots, got = rref(field, rows)
+        assert _rref.cache_info().currsize <= bound
+        assert type(pivots) is tuple and type(got) is tuple  # shared, so immutable
+        n = 10 if field.p == 2 else 4
+        assert (pivots, tuple(field.unpack(r, n) for r in got)) == reference_rref(
+            [field.unpack(r, n) for r in rows], n, field.p
+        )
+    assert _rref.cache_info().currsize == bound
+    first = rref(*inputs[0])  # evicted long ago: an equal result, computed anew
+    assert first == _rref.__wrapped__(*inputs[0])
+    assert rref(*inputs[-1]) is rref(*inputs[-1])
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 127])
 @settings(max_examples=80, deadline=None)
 @given(st.data())
@@ -326,6 +389,8 @@ def test_fp_kernel_matches_coordinate_gauss_jordan(p, data):
     assert got_pivots == pivots
     assert tuple(field.unpack(r, n) for r in got_rows) == ref_rows
     assert rref(field, packed[::-1]) == (got_pivots, got_rows)
+    for rows in (packed, tuple(packed), (r for r in packed)):
+        assert rref(field, rows) == _rref.__wrapped__(field, packed) == (got_pivots, got_rows)
 
     A = Matrix.from_rows(field, coords, n)
     assert A.rank() == len(pivots)

@@ -434,14 +434,6 @@ class Matrix:
             rows.append(acc)
         return Matrix(f, self.nrows, other.ncols, rows)
 
-    def power(self, k):
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        out = Matrix.identity(self.field, self.nrows)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
-
     def transpose(self):
         f = self.field
         cols = []

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .gf import Matrix, Subspace, image, preimage, rref, subspaces_between
 from .e3 import StrataPoint, normal_form, violation
 from .strat import leq
-from .tmodule import jordan_type
+from .tmodule import ConcreteModule, jordan_type, torsion_flag
 
 
 # --- polynomial arithmetic over F_p[X] (coefficient tuples) ---------------
@@ -671,8 +671,7 @@ class TheoremGapError(RuntimeError):
 class Degeneration:
     y_from: StrataPoint
     y_to: StrataPoint
-    ambient_dim: int
-    op: Matrix
+    module: ConcreteModule
     omega1: PolyMatrix
     omega2: PolyMatrix
     omega: PolyMatrix
@@ -684,63 +683,59 @@ class Degeneration:
             "mu": list(self.y_from.mu),
             "from": self.y_from.to_json_dict(),
             "to": self.y_to.to_json_dict(),
-            "ambient_dim": self.ambient_dim,
+            "ambient_dim": self.module.dim,
             "omega1": self.omega1.to_coeff_lists(),
             "omega2": self.omega2.to_coeff_lists(),
             "omega": self.omega.to_coeff_lists(),
         }
 
 
-def _free_module_op(field, h):
-    """T on (k[T]/T^3)^h: coordinates 3b+t, T sends slot t to t+1."""
-    n = 3 * h
+def _free_module_op(field, h, e):
+    """T on (k[T]/T^e)^h: coordinates e*b + t, T sends slot t to t+1."""
+    n = e * h
     rows = [[0] * n for _ in range(n)]
     for b in range(h):
-        for t in range(2):
-            rows[3 * b + t + 1][3 * b + t] = 1
+        for t in range(e - 1):
+            rows[e * b + t + 1][e * b + t] = 1
     return Matrix.from_rows(field, rows, n)
 
 
 def embed_normal_form(D, h):
-    """Embed a PR datum into the free module of rank h over k[T]/T^3, and
-    return the images (w1bar, w2bar, wbar) of its three flag steps.
+    """Embed a PR datum over k[T]/T^e, e = D.module.e, into the free module
+    (k[T]/T^e)^h, and return the images of its flag steps M_1, ..., M_e.
 
-    Block j of size s lands in free block j starting at depth 3 - s, so
-    the image is the span of e_1..e_{delta_3}, T e_{delta_3+1}, ...,
-    T^2 e_{delta_1} in the free module.
+    Block j of size s lands in free block j starting at depth e - s, so
+    at e = 3 the image is the span of e_1..e_{delta_3}, T e_{delta_3+1},
+    ..., T^2 e_{delta_1} in the free module.
     """
     M = D.module
-    field = M.field
+    field, e = M.field, M.e
     parts = [a for a in jordan_type(M).parts if a]
     if len(parts) > h:
         raise ValueError("module needs more than h generators")
-    n = 3 * h
+    n = e * h
     iota_rows = [[0] * M.dim for _ in range(n)]
     off = 0
     for j, s in enumerate(parts):
         for k in range(s):
-            iota_rows[3 * j + 2 - k][off + k] = 1
+            iota_rows[e * j + e - 1 - k][off + k] = 1
         off += s
     iota = Matrix.from_rows(field, iota_rows, M.dim)
     return tuple(Subspace(field, n, [iota.apply(r) for r in S.rows]) for S in D.flag[1:])
 
 
 @functools.lru_cache(maxsize=16)
-def _free_module(field, h, polarized):
-    """T on (k[T]/T^3)^h, its pairing (None unless polarized), ker T, and
-    the constant modules of ker T and ker T^2."""
+def _free_module(field, h, polarized, e):
+    """The free module (k[T]/T^e)^h, the one owner of T, its layout and its
+    kernels: the `ConcreteModule` itself (ker T^i is its `torsion_flag`),
+    its pairing (None unless polarized), and the constant modules of
+    ker T^i for 0 < i < e."""
     if polarized:
-        T, pairing = standard_symplectic(field, h // 2)
+        T, pairing = standard_symplectic(field, h // 2, e)
     else:
-        T, pairing = _free_module_op(field, h), None
-    kerT = T.kernel()
-    return (
-        T,
-        pairing,
-        kerT,
-        PolyModule.constant(kerT),
-        PolyModule.constant(T.power(2).kernel()),
-    )
+        T, pairing = _free_module_op(field, h, e), None
+    M = ConcreteModule(field, e, T)
+    return M, pairing, tuple(PolyModule.constant(torsion_flag(M, i)) for i in range(1, e))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -751,8 +746,8 @@ def _normal_flag(y_from, field, polarized):
         w1bar, w2bar, wbar = polarized_normal_form(y_from, field)
     else:
         w1bar, w2bar, wbar = embed_normal_form(normal_form(y_from, field), y_from.h)
-    T = _free_module(field, y_from.h, polarized)[0]
-    return w1bar, w2bar, wbar, preimage(T, w1bar)
+    M = _free_module(field, y_from.h, polarized, len(y_from.mu))[0]
+    return w1bar, w2bar, wbar, preimage(M.op, w1bar)
 
 
 @dataclass(frozen=True)
@@ -774,16 +769,15 @@ class _Omega2:
 
 
 @functools.lru_cache(maxsize=1024)
-def _omega2(Pw2, polarized):
-    """The `_Omega2` record of the module omega_2 = Pw2, once per value:
-    T, ker T, ker T^2 and the pairing come from (field, n // 3,
-    polarized), so nothing else enters."""
-    field, n = Pw2.field, Pw2.n
-    T, pairing, _, PkerT, PkerT2 = _free_module(field, n // 3, polarized)
-    Pinv_w2 = Pw2.preimage_const(T)
+def _omega2(Pw2, free):
+    """The `_Omega2` record of the module omega_2 = Pw2 inside `free`, the
+    `_free_module` it lives in, once per value: T, ker T, ker T^2 and the
+    pairing all come from `free`, so nothing else enters."""
+    M, pairing, (PkerT, PkerT2) = free
+    Pinv_w2 = Pw2.preimage_const(M.op)
     if pairing is not None:
         Phi = pairing.coord_rows()
-        if any(_bilinear(u, w, Phi, field.p) for u in Pw2.basis for w in Pinv_w2.basis):
+        if any(_bilinear(u, w, Phi, M.field.p) for u in Pw2.basis for w in Pinv_w2.basis):
             return _Omega2(Pw2, False, None, None)
     lifts = (
         _fiber_lifts(Pw2),
@@ -795,12 +789,12 @@ def _omega2(Pw2, polarized):
 
 
 class _SecondLifts:
-    """The stage-b omega_2 modules of `degenerate_step` for one key (field,
-    polarized, w1bar, w2bar, targets_b), in search order: `modules` holds
-    the kept ones derived so far (a polarized omega_2 only once it pairs
-    to zero with T^{-1} omega_2), `drawn` how many search solutions they
-    came from, and `exhausted` whether the search has ended or run out of
-    budget.  Besides its key nothing else is kept -- no live search, no
+    """The stage-b omega_2 modules of `degenerate_step` for one key (free,
+    w1bar, w2bar, targets_b), free a `_free_module`, in search order:
+    `modules` holds the kept ones derived so far (a polarized omega_2 only
+    once it pairs to zero with T^{-1} omega_2), `drawn` how many search
+    solutions they came from, and `exhausted` whether the search has ended
+    or run out of budget.  Besides its key nothing else is kept -- no live search, no
     fiber lifts, no F and G -- because every entry of the cache holds one
     of these; a replay builds its search from the key, and what stage c
     reads from a module comes from `_omega2`.  `lock` makes storing a
@@ -822,9 +816,9 @@ class _SecondLifts:
         solutions already drawn.  The search is deterministic and a re-run
         prefix spends the budget a fresh search spends on it, so every
         caller sees the sequence that one uncached search gives."""
-        field, polarized, w1bar, w2bar, targets_b = self.key
-        n = w2bar.n
-        T, pairing, kerT, _, _ = _free_module(field, n // 3, polarized)
+        free, w1bar, w2bar, targets_b = self.key
+        M, pairing, _ = free
+        T, kerT = M.op, torsion_flag(M, 1)
         i = 0
         while True:
             while i < len(self.modules):
@@ -842,7 +836,7 @@ class _SecondLifts:
                     break  # another replay stored modules meanwhile: give those first
                 if k < self.drawn:
                     continue
-                w2 = _omega2(PolyModule.from_rows(field, n, rows), polarized)
+                w2 = _omega2(PolyModule.from_rows(M.field, M.dim, rows), free)
                 with self.lock:
                     if k != self.drawn:
                         break  # another replay stored this solution first
@@ -857,11 +851,11 @@ class _SecondLifts:
 
 
 @functools.lru_cache(maxsize=1024)
-def _second_lifts(field, polarized, w1bar, w2bar, targets_b):
-    """The stage-b replay of one (field, polarized, w1bar, w2bar, targets_b):
-    the search depends on nothing else, as T and the pairing come from
-    (field, h, polarized) and the stage-b flag from w1bar."""
-    return _SecondLifts((field, polarized, w1bar, w2bar, targets_b))
+def _second_lifts(free, w1bar, w2bar, targets_b):
+    """The stage-b replay of one (free, w1bar, w2bar, targets_b): the search
+    depends on nothing else, as T and the pairing come from the free module
+    and the stage-b flag from w1bar."""
+    return _SecondLifts((free, w1bar, w2bar, targets_b))
 
 
 def degenerate_step(y_from, y_to, field, polarized=False):
@@ -879,27 +873,28 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     beta1 <= alpha1 + beta1', which with alpha2 = d1 + d2 - alpha1 also
     gives delta1 + alpha2 <= beta1' + d1.
 
-    The three flag steps are lifted in turn inside a free module over
-    (truncated series)[T]/T^3; the generic fiber of the result is
-    recomputed independently and must equal y_to.  When no lift does,
-    TheoremGapError is raised: the theorems say every y_to in Y^adm is
-    reached.
+    The three flag steps are lifted in turn inside the free module
+    (k[T]/T^e)^h, e = len(mu) = 3, over the truncated series; the generic
+    fiber of the result is recomputed independently and must equal y_to.
+    When no lift does, TheoremGapError is raised: the theorems say every
+    y_to in Y^adm is reached.
 
-    What depends only on (field, h) -- T, the pairing, ker T and the
-    constant modules of ker T and ker T^2 -- is built once per (field, h)
-    (`_free_module`), and the normal-form flag of y_from with
-    T^{-1}(w1bar) once per source point (`_normal_flag`).  Stage b, the
-    lift of w2bar, depends only on (field, polarized, w1bar, w2bar,
+    The free module is built once per (field, h, polarized, e) by
+    `_free_module`, its one owner: a `tmodule.ConcreteModule` that holds
+    T, its dimension and its kernels, with the pairing and the constant
+    modules of ker T and ker T^2.  The normal-form flag of y_from with
+    T^{-1}(w1bar) is built once per source point (`_normal_flag`).  Stage
+    b, the lift of w2bar, depends only on (free module, w1bar, w2bar,
     targets_b), that is on the source flag and alpha_1 of y_to, so its
     omega_2 modules are derived once per such key and replayed for every
     target that shares it (`_second_lifts`, which keeps only the key and
     the kept modules).  Everything stage c reads from omega_2 -- the
     polarized cross-pair test, a1 and the fiber lifts of the four flag
-    members omega_2 fixes -- depends only on the module and polarized, so
-    it is derived once per distinct module value (`_omega2`), however many
-    keys and targets draw that module.  All four caches are safe to share
-    between calls: their keys (fields, strata points, subspaces, modules,
-    tuples, booleans) are hashable values, all but the replays hold
+    members omega_2 fixes -- depends only on omega_2 and the free module,
+    so it is derived once per distinct module value (`_omega2`), however
+    many keys and targets draw that module.  All four caches are safe to
+    share between calls: their keys (fields, strata points, subspaces,
+    modules, tuples, booleans) are hashable values, all but the replays hold
     immutable matrices, subspaces, modules and tuples, and a replay only
     appends what one deterministic search yields.  They are bounded (16,
     1,024, 1,024 and 1,024 entries; every pair at h = 3, 4 plus polarized
@@ -918,17 +913,17 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             raise StratOrderError("%s %r fails %s" % (name, y.sort_key(), failed))
     w1bar, w2bar, wbar, inv_w1 = _normal_flag(y_from, field, polarized)
 
-    h = y_from.h
-    n = 3 * h  # free of rank h over the truncated ring (h = 2g when polarized)
-    T, pairing, _, PkerT, PkerT2 = _free_module(field, h, polarized)
+    h = y_from.h  # the free rank over the truncated ring (h = 2g when polarized)
+    free = _free_module(field, h, polarized, len(y_from.mu))
+    M, pairing, (PkerT, PkerT2) = free
     d1, d2, d3 = y_from.mu
     delta, alpha, beta = y_to.delta, y_to.alpha, y_to.beta
 
     Pinv_w1 = PolyModule.constant(inv_w1)
     inv_w1_lifts = _fiber_lifts(Pinv_w1)
-    second = _second_lifts(field, polarized, w1bar, w2bar, (d1, alpha[0], d1 + d2))
+    second = _second_lifts(free, w1bar, w2bar, (d1, alpha[0], d1 + d2))
     for Pw2 in second.replay():
-        w2 = _omega2(Pw2, polarized)
+        w2 = _omega2(Pw2, free)
         w2_lifts, F_lifts, G_lifts, inv_w2_lifts = w2.lifts
         # the maximal-intersection choice of the second lift
         if wbar.intersect(F_lifts[0]).dim < delta[0] + alpha[1]:
@@ -944,15 +939,14 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             d1 + d2 + d3,
         )
         for rows_c in _searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)):
-            Pw = PolyModule.from_rows(field, n, rows_c)
+            Pw = PolyModule.from_rows(field, M.dim, rows_c)
             generic = _generic_point(h, y_from.mu, Pinv_w1, w2.a1, Pw, PkerT, PkerT2)
             if generic != y_to:
                 continue
             return Degeneration(
                 y_from,
                 y_to,
-                n,
-                T,
+                M,
                 PolyModule.constant(w1bar).to_polymatrix(),
                 Pw2.to_polymatrix(),
                 Pw.to_polymatrix(),
@@ -982,21 +976,22 @@ def _generic_point(h, mu, Pinv_w1, a1, Pw, PkerT, PkerT2):
 # --- polarized normal forms -------------------------------------------------
 
 
-def standard_symplectic(field, g):
-    """T and the pairing tau(b(x, y)) on (k[T]/T^3)^{2g}, T self-adjoint.
+def standard_symplectic(field, g, e):
+    """T and the pairing tau(b(x, y)) on (k[T]/T^e)^{2g}, T self-adjoint.
 
     Hyperbolic R-bilinear form b(e_i, f_i) = 1 = -b(f_i, e_i), read off
-    through the T^2-coefficient functional, so <E_{i,a}, E_{g+i,c}> = 1
-    exactly when a + c = 2.
+    through the T^{e-1}-coefficient functional, so <E_{i,a}, E_{g+i,c}> = 1
+    exactly when a + c = e - 1.  E_{i,a} = T^a e_i is coordinate e*i + a,
+    as in `_free_module_op`.
     """
-    n = 6 * g
-    T = _free_module_op(field, 2 * g)
+    T = _free_module_op(field, 2 * g, e)
+    n = T.nrows
     rows = [[0] * n for _ in range(n)]
     for i in range(g):
-        for a in range(3):
-            c = 2 - a
-            rows[3 * i + a][3 * (g + i) + c] = 1
-            rows[3 * (g + i) + c][3 * i + a] = (-1) % field.p
+        for a in range(e):
+            c = e - 1 - a
+            rows[e * i + a][e * (g + i) + c] = 1
+            rows[e * (g + i) + c][e * i + a] = (-1) % field.p
     return T, Matrix.from_rows(field, rows, n)
 
 
@@ -1004,33 +999,25 @@ def polarized_normal_form(y, field):
     """A flag (w1bar, w2bar, wbar) inside the polarized free module of
     `_free_module` realizing y in Y^pol.
 
-    The module is pinned by delta = (r, g, 2g - r): full blocks on the
-    first 2g - r hyperbolic pairs, a depth-1 and a depth-2 truncation
-    sharing each remaining pair.  The two flag steps are found by
+    The module is pinned by delta = (r, g, 2g - r): hyperbolic pair j
+    carries a depth-s truncation of e_j and a depth-(e - s) one of f_j,
+    with s = e (the full block e_j) on the first 2g - r pairs and s = e - 1
+    on the others; e = len(mu) = 3.  The two flag steps are found by
     deterministic search subject to the pairing compatibilities
     omega_1^perp = T^{-2} omega_1 and omega_2^perp = T^{-1} omega_2.
     """
     failed = violation(y, polarized=True)
     if failed:
         raise StratOrderError("point %r fails %s" % (y.sort_key(), failed))
-    g = y.h // 2
-    r = y.delta[0]
-    T, pairing, kerT, _, _ = _free_module(field, y.h, True)
-    n = 6 * g
+    g, r, e = y.h // 2, y.delta[0], len(y.mu)
+    M, pairing, _ = _free_module(field, y.h, True, e)
+    T, kerT, n = M.op, torsion_flag(M, 1), M.dim
     gens = []
-    for b in range(2 * g - r):
-        for t in range(3):
-            gens.append(3 * b + t)
-    for j in range(2 * g - r, g):
-        gens.append(3 * j + 1)
-        gens.append(3 * j + 2)
-        gens.append(3 * (g + j) + 2)
-    coords = []
-    for idx in gens:
-        v = [0] * n
-        v[idx] = 1
-        coords.append(v)
-    wbar = Subspace.span(field, n, coords)
+    for j in range(g):
+        s = e if j < 2 * g - r else e - 1
+        gens += range(e * j + e - s, e * j + e)  # T^{e-s} e_j, ..., T^{e-1} e_j
+        gens += range(e * (g + j) + s, e * (g + j) + e)
+    wbar = Subspace(field, n, [field.unit_row(n, i) for i in gens])
 
     Tw = image(T, wbar)
     T2w = image(T, Tw)

@@ -314,7 +314,9 @@ def pr_all_data(M, mu, cap=DEFAULT_ENUM_CAP):
     The floors follow from the defining conditions alone, not from Hodge
     dominance, so `pr_oracle_exists` stays independent of `pr_exists`.
     Each floor T^k M is read from the module, which computes its images once.
-    A type of length other than e raises PRError; one with a negative
+    A type of length other than e raises PRError, but this is a generator:
+    the call returns at once and the error comes at the first `next()`
+    (`pr_oracle_exists` asks for it at the call).  A type with a negative
     entry or the wrong sum has no data.
     """
     mu = tuple(int(d) for d in mu)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .gf import F2, F3, Matrix, Subspace
 from .polygon import Polygon
 from .tmodule import (
-    ConcreteModule,
     JordanType,
     JordanTypeError,
     delta_vector,
@@ -492,13 +491,13 @@ def criterion_isotropic(seed):
 def _generic_chain_ok(res):
     """Whether the generic chain of a Degeneration is a PR datum over F_p(X):
     omega_1 <= omega_2 <= omega, T omega_2 <= omega_1 and T omega <= omega_2."""
-    f, n = res.op.field, res.ambient_dim
+    f, n, T = res.module.field, res.module.dim, res.module.op
     w1, w2, w = (liftmod.PolyModule(f, n, pm.rows) for pm in (res.omega1, res.omega2, res.omega))
     return (
         w2.contains_generic(res.omega1)
         and w.contains_generic(res.omega2)
-        and w1.contains_generic(res.omega2.apply_const(res.op))
-        and w2.contains_generic(res.omega.apply_const(res.op))
+        and w1.contains_generic(res.omega2.apply_const(T))
+        and w2.contains_generic(res.omega.apply_const(T))
     )
 
 
@@ -512,9 +511,9 @@ def _special_chain_ok(res):
         return False
     if not (fibers[1].contains(fibers[0]) and fibers[2].contains(fibers[1])):
         return False
-    f, top = res.op.field, fibers[2]
+    f, top = res.module.field, fibers[2]
     try:
-        M = restrict_module(ConcreteModule(f, 3, res.op), top)
+        M = restrict_module(res.module, top)
         flag = [Subspace.zero(f, top.dim)] + [
             Subspace(f, top.dim, [f.pack(top.coordinates_of(r)) for r in S.rows])
             for S in fibers

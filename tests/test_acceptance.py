@@ -77,6 +77,21 @@ def test_stratification_criterion_names_its_failures(monkeypatch):
     assert "((1, 1, 1), (1, 1), (1, 1))->((1, 1, 1), (1, 1), (1, 1)) TheoremGapError" in detail
 
 
+# the whole `verify all --max-dim 5 --seed 7` report: a change that shrinks
+# a checked family changes a count here
+SEED_7_REPORT = (
+    "criterion-1-dominance            PASS pairs=18773 mismatches=0\n"
+    "criterion-2-hodge-identity       PASS types=150 mismatches=0\n"
+    "criterion-3-pr-existence         PASS cases=1808 failures=0\n"
+    "criterion-4-bijection            PASS roundtrips=61 oracle_cases=26 failures=0\n"
+    "criterion-5-filtration-dominance PASS instances=1000 failures=0\n"
+    "criterion-6-lifting-lemma        PASS feasible=500 infeasible=100 failures=0\n"
+    "criterion-7-isotropic            PASS instances=200 failures=0\n"
+    "criterion-8-stratification       PASS ordered=35 refused=16 covers=6 failures=0\n"
+    "TOTAL PASS 8/8\n"
+).encode()
+
+
 def test_acceptance_9_determinism():
     t0 = time.perf_counter()
     cmd = [
@@ -105,6 +120,7 @@ def test_acceptance_9_determinism():
     assert first.returncode == 0, first.stdout.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout, "reports differ between runs"
+    assert first.stdout == SEED_7_REPORT
 
 
 def test_benchmark_selftest_passes():

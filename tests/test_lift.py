@@ -65,6 +65,7 @@ from prflags.lift import (
 )
 from prflags import lift as lift_module
 from prflags.strat import leq
+from prflags.tmodule import torsion_flag
 from prflags.verify import (
     _extend_isotropic_to,
     _generic_chain_ok,
@@ -75,6 +76,7 @@ from prflags.verify import (
     _special_chain_ok,
     _symplectic_form,
 )
+from test_tmodule import matrix_power
 
 try:
     from sympy import GF, symbols
@@ -728,7 +730,7 @@ def test_perp():
 
 def test_standard_symplectic_compatibilities():
     for g in (1, 2):
-        T, Phi = standard_symplectic(F2, g)
+        T, Phi = standard_symplectic(F2, g, 3)
         n = 6 * g
         assert Phi.rank() == n
         rows = Phi.coord_rows()
@@ -745,8 +747,45 @@ def test_standard_symplectic_compatibilities():
                     _bilinear(as_polys(u), as_polys(T.apply(w)), rows, 2)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_free_module_for_every_e(p):
+    # (k[T]/T^e)^h for e <= 3, plain at h <= 4 and polarized at g <= 2:
+    # T^e = 0 (and T^{e-1} != 0), rank T = (e-1) h, ker T^i of dimension
+    # i h, and a pairing that is nondegenerate, alternating (Phi^t = -Phi,
+    # zero diagonal: over F_2 the sign alone shows nothing) and makes T
+    # self-adjoint, with <T^a e_i, T^c f_i> = 1 exactly when a + c = e - 1
+    field = PrimeField(p)
+    for e, h, polarized in itertools.product((1, 2, 3), (1, 2, 3, 4), (False, True)):
+        if polarized and h % 2:
+            continue
+        M, pairing, kernels = _free_module(field, h, polarized, e)
+        T, n = M.op, e * h
+        assert (M.field, M.e, M.dim) == (field, e, n)
+        assert matrix_power(T, e).is_zero() and not matrix_power(T, e - 1).is_zero()
+        assert T.rank() == (e - 1) * h
+        for i in range(1, e):
+            assert torsion_flag(M, i) == matrix_power(T, i).kernel()
+            assert kernels[i - 1] == PolyModule.constant(torsion_flag(M, i))
+            assert kernels[i - 1].rank == i * h
+        assert len(kernels) == e - 1
+        if not polarized:
+            assert pairing is None
+            continue
+        g = h // 2
+        assert (T, pairing) == standard_symplectic(field, g, e)
+        assert pairing.rank() == n
+        Phi, Tc = pairing.coord_rows(), T.coord_rows()
+        for i, j in itertools.product(range(n), repeat=2):
+            assert Phi[i][j] == (-Phi[j][i]) % p
+            # (T^t Phi)_{ij} == (Phi T)_{ij}: <T u, w> == <u, T w>
+            assert sum(Tc[k][i] * Phi[k][j] for k in range(n)) % p == \
+                sum(Phi[i][k] * Tc[k][j] for k in range(n)) % p
+        for i, a, c in itertools.product(range(g), range(e), range(e)):
+            assert Phi[e * i + a][e * (g + i) + c] == int(a + c == e - 1)
+
+
 def test_polarized_normal_forms_g1():
-    T, Phi = standard_symplectic(F2, 1)
+    T, Phi = standard_symplectic(F2, 1, 3)
     for y in enum_Ypol(1):
         w1, w2, w = polarized_normal_form(y, F2)
         assert w.dim == 3 and w1.dim == 1 and w2.dim == 2
@@ -754,7 +793,7 @@ def test_polarized_normal_forms_g1():
         assert perp(w, Phi) == w  # maximal isotropic
         from prflags.gf import preimage
 
-        assert perp(w1, Phi) == preimage(T.power(2), w1)
+        assert perp(w1, Phi) == preimage(matrix_power(T, 2), w1)
         assert perp(w2, Phi) == preimage(T, w2)
 
 
@@ -774,7 +813,8 @@ def test_degenerate_step_worked_example():
     # a special fiber of type (2, 0, 1) is not the normal form of y_from
     assert not _special_chain_ok(dataclasses.replace(res, omega1=res.omega2))
     # a repeated row leaves the special fiber short of full rank
-    doubled = PolyMatrix(F2, res.ambient_dim, res.omega.rows + res.omega.rows[:1])
+    assert (res.module.e, res.module.dim) == (3, 6)
+    doubled = PolyMatrix(F2, res.module.dim, res.omega.rows + res.omega.rows[:1])
     assert not _special_chain_ok(dataclasses.replace(res, omega=doubled))
     assert res.omega.eval0_subspace().dim == 3
     data = res.to_json_dict()
@@ -916,7 +956,7 @@ def test_every_refusal_names_the_failed_condition(monkeypatch):
 
 def test_degenerate_step_polarized_g1():
     pol = enum_Ypol(1)
-    _, Phi = standard_symplectic(F2, 1)
+    _, Phi = standard_symplectic(F2, 1, 3)
     for y1 in pol:
         for y2 in pol:
             if leq(y2, y1):
@@ -928,20 +968,37 @@ def test_degenerate_step_polarized_g1():
                 assert all(not e for r in gram.rows for e in r)
 
 
+def _stratum_pairs(field, hs):
+    """Every pair, ordered or not, of points of Y^adm(h, mu), h in hs."""
+    return [
+        (a, b, field, False)
+        for h in hs
+        for mu in _sorted_mus(h)
+        for a, b in itertools.product(enum_Yadm(h, mu), repeat=2)
+    ]
+
+
+def _polarized_pairs(field):
+    """Every pair, ordered or not, of points of Y^pol(g), g <= 2."""
+    return [
+        (a, b, field, True) for g in (1, 2) for a, b in itertools.product(enum_Ypol(g), repeat=2)
+    ]
+
+
 def _degenerate_family():
     """Every ordered and unordered pair at h <= 3 over F_2 and F_3, and every
     polarized pair at g <= 2 over F_2."""
-    pairs = []
-    for field in (F2, F3):
-        for h in (1, 2, 3):
-            for mu in itertools.product(range(h, -1, -1), repeat=3):
-                if mu[0] >= mu[1] >= mu[2]:
-                    pts = enum_Yadm(h, mu)
-                    pairs += [(a, b, field, False) for a, b in itertools.product(pts, repeat=2)]
-    for g in (1, 2):
-        pts = enum_Ypol(g)
-        pairs += [(a, b, F2, True) for a, b in itertools.product(pts, repeat=2)]
-    return pairs
+    return _stratum_pairs(F2, (1, 2, 3)) + _stratum_pairs(F3, (1, 2, 3)) + _polarized_pairs(F2)
+
+
+def _degenerate_rest():
+    """The other pairs of the 1,290-pair family: h <= 3 over F_5, h = 4
+    over F_2, and every polarized pair at g <= 2 over F_3."""
+    return (
+        _stratum_pairs(PrimeField(5), (1, 2, 3))
+        + _stratum_pairs(F2, (4,))
+        + _polarized_pairs(F3)
+    )
 
 
 def _degenerate_outcome(y_from, y_to, field, polarized):
@@ -954,6 +1011,10 @@ def _degenerate_outcome(y_from, y_to, field, polarized):
 
 # computed before degenerate_step cached its free modules and normal-form flags
 DEGENERATE_FAMILY_SHA256 = "49adf575b347646a6caa7249fa59c78ef34d579f521f6850974f1ef75da502e1"
+
+
+# computed while lift.py still built the free module of e = 3 by hand
+DEGENERATE_REST_SHA256 = "e5025875c70c5aedba215a0fb1c7f6a099c7aa46aabd248c5f52faa4a1d960d1"
 
 
 def _clear_degenerate_caches():
@@ -970,6 +1031,16 @@ def test_degenerate_step_results_pinned_with_cold_and_warm_caches():
     assert digest == DEGENERATE_FAMILY_SHA256
     warm = [_degenerate_outcome(*pair) for pair in reversed(pairs)]
     assert warm[::-1] == cold
+
+
+def test_degenerate_step_results_pinned_over_f5_h4_and_polarized_f3():
+    # 169 pairs over F_5, 551 over F_2 at h = 4 and 116 polarized over F_3:
+    # with the family above, all 1,290 pairs are pinned
+    pairs = _degenerate_rest()
+    outcomes = [_degenerate_outcome(*pair) for pair in pairs]
+    assert (len(pairs), sum(o.startswith("{") for o in outcomes)) == (836, 449)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == DEGENERATE_REST_SHA256
 
 
 def test_degenerate_step_outcomes_do_not_depend_on_call_order():
@@ -999,7 +1070,7 @@ def test_second_lift_replay_resumes_past_an_earlier_caller():
     _degenerate_outcome(y_from, early, F2, False)
     w1bar, w2bar = _normal_flag(y_from, F2, False)[:2]
     assert early.alpha[0] == late.alpha[0] == 2  # so both share the key below
-    replay = _second_lifts(F2, False, w1bar, w2bar, (2, 2, 3))
+    replay = _second_lifts(_free_module(F2, 3, False, 3), w1bar, w2bar, (2, 2, 3))
     assert (replay.drawn, len(replay.modules), replay.exhausted) == (1, 1, False)
     assert _degenerate_outcome(y_from, late, F2, False) == cold
     assert (replay.drawn, len(replay.modules), replay.exhausted) == (9, 9, False)
@@ -1041,19 +1112,19 @@ def test_second_lift_replay_is_shared_safely_between_threads():
     assert not any(t.is_alive() for t in threads)
     assert results == [cold] * 4
     w1bar, w2bar = _normal_flag(y_from, F3, False)[:2]
-    replay = _second_lifts(F3, False, w1bar, w2bar, (2, 2, 3))
+    replay = _second_lifts(_free_module(F3, 3, False, 3), w1bar, w2bar, (2, 2, 3))
     assert (replay.drawn, len(replay.modules)) == (55, 55)
 
 
 def _drawn_omega2(monkeypatch, pairs):
-    """Every (omega_2, polarized) that `degenerate_step` looks up over the
+    """Every (omega_2, free module) that `degenerate_step` looks up over the
     pairs, from cold caches, in first-lookup order."""
     cached = lift_module._omega2
     seen = {}
 
-    def record(Pw2, polarized):
-        seen.setdefault((Pw2, polarized), None)
-        return cached(Pw2, polarized)
+    def record(Pw2, free):
+        seen.setdefault((Pw2, free), None)
+        return cached(Pw2, free)
 
     _clear_degenerate_caches()
     monkeypatch.setattr(lift_module, "_omega2", record)
@@ -1079,25 +1150,32 @@ def test_omega2_is_shared_by_equal_modules_built_apart():
     y_from = StrataPoint(3, mu, (3, 1, 0), (3, 0), (2, 0))
     _clear_degenerate_caches()
     w1bar, w2bar = _normal_flag(y_from, F2, False)[:2]
-    Pw2 = next(_second_lifts(F2, False, w1bar, w2bar, (2, 2, 3)).replay())
+    free = _free_module(F2, 3, False, 3)
+    Pw2 = next(_second_lifts(free, w1bar, w2bar, (2, 2, 3)).replay())
     _omega2.cache_clear()
     rows = [[padd(x, y, 2) for x, y in zip(Pw2.basis[0], Pw2.basis[-1])]]
     again = PolyModule.from_rows(F2, Pw2.n, rows + list(Pw2.basis[1:]))
     assert again == Pw2 and again is not Pw2 and again.basis is not Pw2.basis
-    assert _omega2(Pw2, False) is _omega2(again, False)
+    assert _omega2(Pw2, free) is _omega2(again, free)
     info = _omega2.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_omega2_cache_keys_on_polarized(monkeypatch):
+    # the key is the free module, whose pairing is None unless polarized;
+    # one rebuilt apart is equal and finds the same entry
     pol = enum_Ypol(2)
     drawn = _drawn_omega2(monkeypatch, [(a, b, F2, True) for a in pol for b in pol])
-    Pw2 = next(Pw2 for Pw2, _ in drawn if not _omega2(Pw2, True).kept)
+    polarized = _free_module(F2, 4, True, 3)
+    Pw2 = next(Pw2 for Pw2, _ in drawn if not _omega2(Pw2, polarized).kept)
     assert Pw2.n == 12
     _omega2.cache_clear()
-    assert not _omega2(Pw2, True).kept
-    assert _omega2(Pw2, False).kept
-    assert not _omega2(Pw2, True).kept
+    assert not _omega2(Pw2, polarized).kept
+    assert _omega2(Pw2, _free_module(F2, 4, False, 3)).kept
+    _free_module.cache_clear()
+    rebuilt = _free_module(F2, 4, True, 3)
+    assert rebuilt == polarized and rebuilt is not polarized
+    assert not _omega2(Pw2, rebuilt).kept
     assert _omega2.cache_info().currsize == 2
 
 

@@ -427,6 +427,21 @@ def test_all_data_refuses_a_type_of_the_wrong_length():
         assert not list(pr_all_data(M, mu)) and not pr_oracle_exists(M, mu)
 
 
+def test_all_data_raises_a_wrong_length_at_the_first_next():
+    # pr_all_data is a generator, so that the tracer counts what it yields:
+    # the call returns, and the error comes when the first datum is asked for
+    import inspect
+    from prflags.pr import PRError
+
+    M = realize(JordanType(3, (1, 1)), F2)
+    assert inspect.isgeneratorfunction(pr_all_data)
+    data = pr_all_data(M, (1, 1))
+    with pytest.raises(PRError, match=r"type length 2 != e = 3"):
+        next(data)
+    with pytest.raises(PRError, match=r"type length 2 != e = 3"):
+        pr_oracle_exists(M, (1, 1))
+
+
 def unpruned_all_data(M, mu):
     """The former `pr_all_data`, kept as a reference: each member runs from
     the previous one up to its T-preimage, and the last level checks

@@ -35,10 +35,21 @@ def partitions(total, max_part):
             yield (a,) + rest
 
 
+def matrix_power(T, k):
+    """T^k by repeated multiplication: the library's former `Matrix.power`,
+    kept as the reference for the powers a module keeps."""
+    if T.nrows != T.ncols:
+        raise ValueError("power of a non-square matrix")
+    out = Matrix.identity(T.field, T.nrows)
+    for _ in range(k):
+        out = out.mul(T)
+    return out
+
+
 def brute_kernel_dim(M, i):
     """dim ker T^i by scanning every vector (independent of rank code)."""
     field, n = M.field, M.dim
-    T_i = M.op.power(i)
+    T_i = matrix_power(M.op, i)
     count = 0
     for coords in itertools.product(range(field.p), repeat=n):
         v = field.pack(coords)
@@ -85,7 +96,7 @@ def test_jordan_type_examples():
     T0 = ConcreteModule(F2, 3, Matrix.from_rows(F2, [[0] * 3] * 3))
     assert jordan_type(T0).parts == (1, 1, 1)
     M = realize(JordanType(3, (2, 1)), F2)
-    assert M.op.rank() == 1 and M.op.power(2).rank() == 0
+    assert M.op.rank() == 1 and matrix_power(M.op, 2).rank() == 0
     assert jordan_type(M).parts == (2, 1)
 
 
@@ -156,7 +167,7 @@ def test_module_keeps_its_powers(p):
                 M = realize(J, field)
                 assert len(M.powers) == e + 1
                 for i in range(e + 1):
-                    assert M.powers[i] == M.op.power(i)
+                    assert M.powers[i] == matrix_power(M.op, i)
                 assert hodge_polygon(jordan_type(M, J.h)) == hodge_polygon(J)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -248,29 +249,23 @@ def cmd_strat(args):
 
 
 def cmd_lift(args):
-    field = _field(args)
-    if args.action == "demo":
-        pts = e3mod.enum_Yadm(2, (1, 1, 1))
-        y_from = next(
-            p for p in pts if p.delta == (2, 1, 0) and p.alpha[0] == 2 and p.beta[0] == 2
-        )
-        y_to = next(p for p in pts if p.delta == (1, 1, 1))
-        res = liftmod.degenerate_step(y_from, y_to, field)
-        _emit(_dumps(res.to_json_dict()))
-        return 0
-    import random
-
-    cases = _count(args, "cases")
-    rng = random.Random((args.seed, "lift-demo").__repr__())
-    bad = 0
-    for k in range(cases):
-        f = PrimeField(2 if k % 2 == 0 else 3)
-        prob = verifymod._random_lift_problem(rng, f)
-        pm = liftmod.lift_subspace(prob)
-        if not liftmod.verify_lift(prob, pm).ok:
-            bad += 1
-    _emit("cases=%d failures=%d" % (cases, bad))
-    return 0 if bad == 0 else 1
+    if args.action == "verify":
+        if args.p is not None:
+            raise UsageError("--p applies to lift demo only; lift verify alternates F_2 and F_3")
+        cases = _count(args, "cases")
+        rng = random.Random((args.seed, "lift-demo").__repr__())
+        bad = verifymod.feasible_lift_sweep(rng, cases)
+        _emit("cases=%d failures=%d" % (cases, bad))
+        return 0 if bad == 0 else 1
+    field = PrimeField() if args.p is None else _field(args)
+    pts = e3mod.enum_Yadm(2, (1, 1, 1))
+    y_from = next(
+        p for p in pts if p.delta == (2, 1, 0) and p.alpha[0] == 2 and p.beta[0] == 2
+    )
+    y_to = next(p for p in pts if p.delta == (1, 1, 1))
+    res = liftmod.degenerate_step(y_from, y_to, field)
+    _emit(_dumps(res.to_json_dict()))
+    return 0
 
 
 # --- verify ----------------------------------------------------------------------
@@ -342,7 +337,7 @@ def _build_parser():
 
     p = sub.add_parser("lift", help="lifting lemmas and stratum degeneration")
     p.add_argument("action", choices=["demo", "verify"])
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=int, help="prime for demo (default 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=50)
     p.set_defaults(fn=cmd_lift)

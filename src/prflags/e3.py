@@ -213,20 +213,11 @@ def normal_form(pt, field):
     TM = power_image(M, 1)
     T2M = power_image(M, 2)
     cut = pt.beta[0] + d1 - delta[0]
-    M1 = subspace_in_flag(
-        [T2M, TM.intersect(kerT), kerT],
-        T2M,
-        d1,
-        [T2M.dim, cut, d1],
-    )
+    M1 = subspace_in_flag([T2M, TM.intersect(kerT), kerT], T2M, [T2M.dim, cut, d1])
     U = preimage(M.op, M1)
     floor = M1.sum(TM)
-    M2 = subspace_in_flag(
-        [kerT, U],  # U = T^{-1} M_1 contains ker T
-        floor,
-        d1 + d2,
-        [pt.alpha[0], d1 + d2],
-    )
+    # U = T^{-1} M_1 contains ker T
+    M2 = subspace_in_flag([kerT, U], floor, [pt.alpha[0], d1 + d2])
     return PRDatum(M, (Subspace.zero(field, n), M1, M2, Subspace.full(field, n)))
 
 

@@ -6,10 +6,12 @@ whole row at a time, one entry per byte lane: the rows are read as big
 integers, summed (a sum of two reduced entries fits in a byte while
 p <= MAX_PRIME) and reduced lane-wise by a 256-byte translation table.
 Subspaces always carry their reduced row-echelon basis, so two subspaces
-are equal exactly when their packed bases are identical.  `rref` results
-are memoized by value in one bounded cache and shared between callers as
-immutable tuples; the F_2 elimination reduces a row only at the pivots it
-hits.  Everything here is immutable and pure.
+are equal exactly when their packed bases are identical.  Kernels,
+intersections and preimages are each the right block of one `rref` of
+joined rows [left | right].  `rref` results are memoized by value in one
+bounded cache and shared between callers as immutable tuples; the F_2
+elimination reduces a row only at the pivots it hits.  Everything here is
+immutable and pure.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class PrimeField:
         return len(a) - len(rest)
 
     def row_join(self, a, b, n):
-        """Concatenate two packed rows of length n into one of length 2n."""
+        """Concatenate a packed row a of length n and a packed row b."""
         if self.p == 2:
             return a | (b << n)
         return a + b
@@ -311,7 +313,7 @@ class Subspace:
             return other
         ext = [f.row_join(r, r, n) for r in self.rows]
         ext += [f.row_join(r, f.zero_row(n), n) for r in other.rows]
-        return _right_block(f, n, ext)
+        return _right_block(f, n, n, ext)
 
     def complement_in(self, other):
         """Packed vectors extending this basis to a basis of `other`.
@@ -371,10 +373,6 @@ class Matrix:
         if ncols is None:
             ncols = len(coord_rows[0]) if coord_rows else 0
         return cls(field, len(coord_rows), ncols, [field.pack(r) for r in coord_rows])
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, n, n, [field.unit_row(n, i) for i in range(n)])
 
     def coord_rows(self):
         return tuple(self.field.unpack(r, self.ncols) for r in self.rows)
@@ -441,27 +439,15 @@ class Matrix:
             cols.append(f.pack([f.row_get(r, j) for r in self.rows]))
         return Matrix(f, self.ncols, self.nrows, cols)
 
-    def is_zero(self):
-        return all(self.field.row_is_zero(r) for r in self.rows)
-
     def rank(self):
         _, rows = rref(self.field, self.rows)
         return len(rows)
 
     def kernel(self):
-        """Subspace {v : A v = 0}."""
-        f = self.field
-        pivots, rows = rref(f, self.rows)
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for j in free:
-            coords = [0] * self.ncols
-            coords[j] = 1
-            for piv, r in zip(pivots, rows):
-                coords[piv] = (-f.row_get(r, j)) % f.p
-            basis.append(f.pack(coords))
-        return Subspace(f, self.ncols, basis)
+        """Subspace {v : A v = 0}: the rows [A e_j | e_j] span {(A v, v)}."""
+        f, m, n = self.field, self.nrows, self.ncols
+        ext = [f.row_join(self.apply(f.unit_row(n, j)), f.unit_row(n, j), m) for j in range(n)]
+        return _right_block(f, m, n, ext)
 
     def __eq__(self, other):
         return (
@@ -502,18 +488,19 @@ def preimage(T, W):
         f.row_join(W.reduce_row(T.apply(f.unit_row(n, j))), f.unit_row(n, j), n)
         for j in range(n)
     ]
-    return _right_block(f, n, ext)
+    return _right_block(f, n, n, ext)
 
 
-def _right_block(f, n, joined_rows):
-    """The subspace {v : (0 | v) in the span of the joined rows} of F_p^n.
+def _right_block(f, left, n, joined_rows):
+    """The subspace {v : (0 | v) in the span of the joined rows} of F_p^n,
+    each row a left half of width `left` joined to a right half of width n.
 
     In the reduced echelon basis of the span the rows with zero left half
     come last and span that intersection; their right halves are already
     the reduced echelon basis of the answer.
     """
     pivots, rows = rref(f, joined_rows)
-    right = [f.row_split(r, n)[1] for piv, r in zip(pivots, rows) if piv >= n]
+    right = [f.row_split(r, left)[1] for piv, r in zip(pivots, rows) if piv >= left]
     return Subspace(f, n, right, _canonical=True)
 
 

@@ -141,14 +141,14 @@ def alpha_table(delta, mu_sorted):
     ]
 
 
-def subspace_in_flag(flag, floor, target_dim, target_intersections):
+def subspace_in_flag(flag, floor, target_intersections):
     """A subspace S with floor <= S <= flag top and dim(S ^ F_j) as targeted.
 
     `flag` is a nested chain F_0 <= F_1 <= ... whose last member bounds S;
-    `target_intersections` aligns with the flag members and must end with
-    `target_dim`.  Vectors are added greedily from the smallest flag
-    member outwards, always avoiding floor + F_{j-1}, so settled
-    intersection counts never move again.
+    `target_intersections` aligns with the flag members, so its last entry
+    is dim S.  Vectors are added greedily from the smallest flag member
+    outwards, always avoiding floor + F_{j-1}, so settled intersection
+    counts never move again.
 
     Every count comes from one sum floor + F_j per member.  The picks P
     made before F_j lie in F_{j-1} <= F_j and are independent modulo the
@@ -166,11 +166,6 @@ def subspace_in_flag(flag, floor, target_dim, target_intersections):
         raise InfeasibleTargetError("one target per flag member required")
     if not spaces:
         raise InfeasibleTargetError("empty flag")
-    if targets[-1] != target_dim:
-        raise InfeasibleTargetError(
-            "top target must equal target_dim",
-            "%d != %d" % (targets[-1], target_dim),
-        )
     if not spaces[-1].contains(floor):
         raise InfeasibleTargetError("floor not inside flag top")
     f, n = floor.field, floor.n
@@ -252,7 +247,7 @@ def pr_construct(M, mu):
             middle = [P.intersect(U) for P in middle]
         members = [power_flags[e], *middle, U]
         targets = [alpha[i][j] for j in range(e, -1, -1)]
-        nxt = subspace_in_flag(members, flag[-1], alpha[i][0], targets)
+        nxt = subspace_in_flag(members, flag[-1], targets)
         flag.append(nxt)
     datum = PRDatum(M, flag)
 
@@ -284,7 +279,7 @@ def pr_permute(D, i):
     floor = lower.sum(image(M.op, upper))
     ceiling = upper.intersect(preimage(M.op, lower))
     target = lower.dim + d_next
-    mid = subspace_in_flag([ceiling], floor, target, [target])
+    mid = subspace_in_flag([ceiling], floor, [target])
     flag = list(D.flag)
     flag[i] = mid
     return PRDatum(M, flag)

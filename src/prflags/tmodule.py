@@ -6,10 +6,11 @@ sizes (a_1, ..., a_h), padded with zeros up to the generator bound h.
 The socle-growth vector delta (delta_i = dim M[T^i] - dim M[T^{i-1}])
 is the conjugate partition, and the Hodge polygon is the one integer
 polygon Hdg(M) = P(delta_1, ..., delta_e) on [0, h].  A concrete module
-keeps the powers T^0, ..., T^e it multiplies out to check T^e = 0 and
-fills T^i M and M[T^i] once, on first use; delta is the differences of
-dim T^i M.  `realize` shares one module per (type, field) from a bounded
-cache.  The delta of a T-stable S and of M/S is read from ranks in M
+computes its two flags T^i M and M[T^i] once, when it is built: the first
+by iterated images, whose last member being zero is the check T^e = 0,
+the second by iterated preimages; delta is the differences of dim T^i M.
+`realize` shares one module per (type, field) from a bounded cache.  The
+delta of a T-stable S and of M/S is read from ranks in M
 (`_piece_delta`), building neither module.  The slope form of the
 polygon (slopes a_i/e) is the independent reference that `verify`
 criterion 2 and the tests compare P(delta) against.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .gf import Matrix, Subspace, image
+from .gf import Matrix, Subspace, image, preimage
 from .polygon import Polygon
 
 
@@ -82,27 +83,29 @@ class JordanType:
 class ConcreteModule:
     """A vector space over a prime field with a nilpotent action T^e = 0.
 
-    `powers[i]` is T^i for i = 0..e; identity is (field, e, op) alone.
-    Immutable: nothing changes after construction except that `power_image`
-    and `torsion_flag` fill T^i M and M[T^i] once, as `gf.Matrix` its columns.
+    Identity is (field, e, op) alone; the flags T^0 M >= ... >= T^e M = 0
+    and 0 = M[T^0] <= ... <= M[T^e] = M are computed once, at construction.
     """
 
-    __slots__ = ("field", "e", "op", "powers", "_images", "_kernels")
+    __slots__ = ("field", "e", "op", "_images", "_kernels")
 
     def __init__(self, field, e, op):
         if op.nrows != op.ncols:
             raise JordanTypeError("T must be square")
-        powers = [Matrix.identity(op.field, op.nrows)]
+        images = [Subspace.full(field, op.nrows)]
         for _ in range(e):
-            powers.append(powers[-1].mul(op))
-        if not powers[-1].is_zero():
+            images.append(image(op, images[-1]))
+        if images[-1].dim:
             raise JordanTypeError("T^%d != 0" % e)
+        # M[T^i] = T^{-1} M[T^{i-1}]; ker T^0 = 0 and ker T^e = M need no elimination
+        kernels = [Subspace.zero(field, op.nrows)]
+        for _ in range(e - 1):
+            kernels.append(preimage(op, kernels[-1]))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "op", op)
-        object.__setattr__(self, "powers", tuple(powers))
-        object.__setattr__(self, "_images", None)
-        object.__setattr__(self, "_kernels", None)
+        object.__setattr__(self, "_images", tuple(images))
+        object.__setattr__(self, "_kernels", (*kernels, images[0]))
 
     def __setattr__(self, *a):
         raise AttributeError("ConcreteModule is immutable")
@@ -110,9 +113,6 @@ class ConcreteModule:
     @property
     def dim(self):
         return self.op.nrows
-
-    def ambient(self):
-        return Subspace.full(self.field, self.dim)
 
     def __eq__(self, other):
         return (
@@ -176,22 +176,13 @@ def torsion_flag(M, i):
     """The subspace M[T^i] = ker T^i."""
     if i < 0 or i > M.e:
         raise JordanTypeError("power %d outside [0, %d]" % (i, M.e))
-    if M._kernels is None:  # ker T^0 = 0 and ker T^e = M need no elimination
-        inner = tuple(P.kernel() for P in M.powers[1:M.e])
-        object.__setattr__(M, "_kernels", (Subspace.zero(M.field, M.dim), *inner, M.ambient()))
     return M._kernels[i]
 
 
 def power_image(M, i):
-    """The subspace T^i M; the first call fills T^0 M, ..., T^e M, each
-    the image of the one before."""
+    """The subspace T^i M."""
     if i < 0 or i > M.e:
         raise JordanTypeError("power %d outside [0, %d]" % (i, M.e))
-    if M._images is None:
-        images = [M.ambient()]
-        for _ in range(M.e):
-            images.append(image(M.op, images[-1]))
-        object.__setattr__(M, "_images", tuple(images))
     return M._images[i]
 
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import F2, F3, Matrix, Subspace
+from .gf import F2, F3, Subspace
 from .polygon import Polygon
 from .tmodule import (
     JordanType,
@@ -330,17 +330,22 @@ def _corrupt_targets(problem, kind):
     raise ValueError(kind)
 
 
+def feasible_lift_sweep(rng, cases):
+    """The number of failures among `cases` feasible lift problems drawn
+    from `rng`, over F_2 and F_3 in turn: a failure is a `lift_subspace`
+    result that `verify_lift` rejects."""
+    bad = 0
+    for k in range(cases):
+        prob = _random_lift_problem(rng, F2 if k % 2 == 0 else F3)
+        if not liftmod.verify_lift(prob, liftmod.lift_subspace(prob)).ok:
+            bad += 1
+    return bad
+
+
 def criterion_lifting_lemma(seed):
     rng = random.Random((seed, "lifting").__repr__())
-    good = bad = 0
-    while good < 500:
-        field = F2 if good % 2 == 0 else F3
-        prob = _random_lift_problem(rng, field)
-        pm = liftmod.lift_subspace(prob)
-        report = liftmod.verify_lift(prob, pm)
-        if not report.ok:
-            bad += 1
-        good += 1
+    good = 500
+    bad = feasible_lift_sweep(rng, good)
     rejected = 0
     kinds = [
         liftmod.INEQ_TOP,
@@ -372,15 +377,6 @@ def criterion_lifting_lemma(seed):
 
 
 # --- criterion 7: isotropic lifting ------------------------------------------
-
-
-def _symplectic_form(field, g):
-    n = 2 * g
-    rows = [[0] * n for _ in range(n)]
-    for i in range(g):
-        rows[i][g + i] = 1
-        rows[g + i][i] = (-1) % field.p
-    return Matrix.from_rows(field, rows, n)
 
 
 def _extend_isotropic_to(rng, field, Phi, cur, dim):
@@ -460,7 +456,7 @@ def criterion_isotropic(seed):
             return False, "could not build 200 symplectic cases"
         field = F2 if attempts % 2 == 0 else F3
         g = rng.randint(1, 2)
-        Phi = _symplectic_form(field, g)
+        Phi = liftmod.standard_symplectic(field, g, 1)[1]
         l = rng.randint(2, 4)
         flag = _random_isotropic_flag(rng, field, Phi, g, l)
         L = _extend_isotropic_to(rng, field, Phi, Subspace.zero(field, 2 * g), g)

@@ -233,6 +233,7 @@ _MU_LENGTH_IDS = ["enum-mu-2-entries", "enum-mu-4-entries", "dot-mu-2-entries", 
         ["e3", "normal-form", "--h", "2", "--mu", "2,1,1",
          "--delta", "2,1,1", "--alpha", "2,1", "--beta", "1,1", "--p", "257"],
         ["lift", "verify", "--cases", "-1"],
+        ["lift", "verify", "--p", "5", "--cases", "4"],
         ["verify", "all", "--max-dim", "-1"],
         ["polygon", "dom", "--h", "-1", "--a", "1", "--b", "1"],
         ["polygon", "slopes", "--h", "2", "--d", "3,1"],
@@ -246,7 +247,7 @@ _MU_LENGTH_IDS = ["enum-mu-2-entries", "enum-mu-4-entries", "dot-mu-2-entries", 
         *_MU_LENGTH_ARGV,
     ],
     ids=["non-prime-p", "unsorted-mu", "negative-genus", "delta-out-of-range",
-         "delta-wrong-length", "prime-above-127", "prime-257", "negative-cases",
+         "delta-wrong-length", "prime-above-127", "prime-257", "negative-cases", "lift-verify-p",
          "negative-max-dim", "negative-h", "d-entry-above-h", "x-outside-polygon",
          "exists-mu-wrong-length", "construct-mu-wrong-length", "oracle-mu-wrong-length",
          "negative-mu-entry", "pr-negative-h", "h-below-parts", *_MU_LENGTH_IDS],
@@ -368,10 +369,12 @@ def _other_argv(draw):
             argv += [flag, draw(_small_lists)]
         return argv + ["--x", draw(st.sampled_from(["0", "1/2", "3", "-1", "x", "1/0"]))]
     if command == "lift":
-        return ["lift", draw(st.sampled_from(["demo", "verify"])),
-                "--p", str(draw(st.sampled_from([2, 3, 5]))),
+        argv = ["lift", draw(st.sampled_from(["demo", "verify"])),
                 "--seed", str(draw(st.integers(0, 3))),
                 "--cases", str(draw(st.integers(-1, 2)))]
+        if draw(st.booleans()):  # lift verify refuses it
+            argv += ["--p", str(draw(st.sampled_from([2, 3, 5])))]
+        return argv
     argv = command.split()
     if draw(st.booleans()):
         argv += ["--polarized", str(draw(st.integers(-1, 1)))]

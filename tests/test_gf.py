@@ -80,7 +80,7 @@ def zassenhaus(A, B):
     f, n = A.field, A.n
     ext = [f.row_join(r, r, n) for r in A.rows]
     ext += [f.row_join(r, f.zero_row(n), n) for r in B.rows]
-    return _right_block(f, n, ext)
+    return _right_block(f, n, n, ext)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

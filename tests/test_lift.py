@@ -74,7 +74,6 @@ from prflags.verify import (
     _random_polarized_targets,
     _sorted_mus,
     _special_chain_ok,
-    _symplectic_form,
 )
 from test_tmodule import matrix_power
 
@@ -649,7 +648,7 @@ def _random_isotropic_problem(rng, field):
     """A random isotropic lift problem from verify's generators, or None;
     its targets need not be feasible."""
     g = rng.randint(1, 2)
-    Phi = _symplectic_form(field, g)
+    Phi = standard_symplectic(field, g, 1)[1]
     flag = _random_isotropic_flag(rng, field, Phi, g, rng.randint(2, 4))
     L = _extend_isotropic_to(rng, field, Phi, Subspace.zero(field, 2 * g), g)
     targets = _random_polarized_targets(rng, flag, L, g)
@@ -761,7 +760,7 @@ def test_free_module_for_every_e(p):
         M, pairing, kernels = _free_module(field, h, polarized, e)
         T, n = M.op, e * h
         assert (M.field, M.e, M.dim) == (field, e, n)
-        assert matrix_power(T, e).is_zero() and not matrix_power(T, e - 1).is_zero()
+        assert matrix_power(T, e).rank() == 0 < matrix_power(T, e - 1).rank()
         assert T.rank() == (e - 1) * h
         for i in range(1, e):
             assert torsion_flag(M, i) == matrix_power(T, i).kernel()

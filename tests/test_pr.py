@@ -151,13 +151,13 @@ def test_subspace_in_flag_trivial_and_forced():
     e1 = Subspace.span(F2, 3, [[1, 0, 0]])
     full = Subspace.full(F2, 3)
     # floor returned unchanged
-    got = subspace_in_flag([e1, full], e1, 1, [1, 1])
+    got = subspace_in_flag([e1, full], e1, [1, 1])
     assert got == e1
     # forced: dim 1 with intersections (0, 1, 1) in flag 0 < e1 < full
-    got = subspace_in_flag([zero, e1, full], zero, 1, [0, 1, 1])
+    got = subspace_in_flag([zero, e1, full], zero, [0, 1, 1])
     assert got == e1
     # free choice at top: any 2-dim space containing floor
-    got = subspace_in_flag([full], e1, 2, [2])
+    got = subspace_in_flag([full], e1, [2])
     assert got.dim == 2 and got.contains(e1)
 
 
@@ -166,27 +166,27 @@ def test_subspace_in_flag_errors():
     e1 = Subspace.span(F2, 3, [[1, 0, 0]])
     full = Subspace.full(F2, 3)
     with pytest.raises(InfeasibleTargetError) as err:
-        subspace_in_flag([e1, full], zero, 2, [2, 2])
+        subspace_in_flag([e1, full], zero, [2, 2])
     assert err.value.constraint == "target exceeds flag member dimension"
     with pytest.raises(InfeasibleTargetError) as err:
-        subspace_in_flag([e1, full], zero, 1, [1, 0])
-    assert err.value.constraint in ("non-monotone targets", "top target must equal target_dim")
+        subspace_in_flag([e1, full], zero, [1, 0])
+    assert err.value.constraint == "non-monotone targets"
     with pytest.raises(InfeasibleTargetError) as err:
-        subspace_in_flag([full], e1, 0, [0])
+        subspace_in_flag([full], e1, [0])
     assert err.value.constraint == "target below floor"
     assert str(err.value) == (
         "infeasible targets: target below floor (target 0 < dim(floor ^ F) = 1)"
     )
     with pytest.raises(InfeasibleTargetError) as err:
-        subspace_in_flag([e1, full], zero, 3, [0, 3])
+        subspace_in_flag([e1, full], zero, [0, 3])
     assert err.value.constraint == "step exceeds flag step"
     with pytest.raises(InfeasibleTargetError) as err:
-        subspace_in_flag([], zero, 0, [])
+        subspace_in_flag([], zero, [])
     assert err.value.constraint == "empty flag"
     # unchecked, this flag would yield e1, which meets e1 in dimension 1, not 0
     e13 = Subspace.span(F2, 3, [[1, 0, 1]])
     with pytest.raises(InfeasibleTargetError) as err:
-        subspace_in_flag([e1, e13, full], zero, 1, [0, 0, 1])
+        subspace_in_flag([e1, e13, full], zero, [0, 0, 1])
     assert err.value.constraint == "flag members are not nested"
 
 
@@ -214,7 +214,7 @@ def ref_alpha_table(delta, mu_sorted):
     return table
 
 
-def ref_subspace_in_flag(flag, floor, target_dim, target_intersections):
+def ref_subspace_in_flag(flag, floor, target_intersections):
     """The former `subspace_in_flag`, kept as a reference: it checks
     feasibility in a first pass, then picks vectors while re-intersecting
     S with every member."""
@@ -222,11 +222,6 @@ def ref_subspace_in_flag(flag, floor, target_dim, target_intersections):
     targets = [int(t) for t in target_intersections]
     if len(targets) != len(spaces):
         raise InfeasibleTargetError("one target per flag member required")
-    if targets[-1] != target_dim:
-        raise InfeasibleTargetError(
-            "top target must equal target_dim",
-            "%d != %d" % (targets[-1], target_dim),
-        )
     top = spaces[-1]
     if not top.contains(floor):
         raise InfeasibleTargetError("floor not inside flag top")
@@ -281,7 +276,7 @@ def ref_subspace_in_flag(flag, floor, target_dim, target_intersections):
             avoid = Subspace(f, S.n, avoid.rows + (picked,))
             need -= 1
         prev = space
-    assert S.dim == target_dim
+    assert S.dim == targets[-1]
     return S
 
 
@@ -328,10 +323,9 @@ def test_subspace_in_flag_matches_reference(data):
     targets = [S.intersect(F).dim for F in flag]
     for _ in range(rng.choice([0, 0, 1, 2])):
         targets[rng.randrange(len(flag))] += rng.choice([-1, 1])
-    target_dim = targets[-1] + (rng.randrange(20) == 0)
 
-    want = _outcome(ref_subspace_in_flag, flag, floor, target_dim, targets)
-    assert _outcome(subspace_in_flag, flag, floor, target_dim, targets) == want
+    want = _outcome(ref_subspace_in_flag, flag, floor, targets)
+    assert _outcome(subspace_in_flag, flag, floor, targets) == want
     if isinstance(want, Subspace):
         assert [want.intersect(F).dim for F in flag] == targets
 

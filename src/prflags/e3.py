@@ -20,11 +20,15 @@ Jordan blocks: block maps between adjacent blocks only, block powers and
 scalars on the first block of each run of equal sizes only.  The merge
 is indexed: each generator maps every distinct M_1 and M_2 once, and a
 union-find joins flags through the resulting tables of member numbers.
+Each type's classes are merged once per process: `_type_classes` keeps
+them for the 256 most recently used (non-zero parts, mu, field), a key
+without h, since only `phi` reads h.
 The oracle refuses every mu that `enum_Yadm` refuses.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .gf import Matrix, Subspace, preimage, rref
@@ -267,10 +271,10 @@ def aut_generators(J, field):
 
     def unit(cells):
         """The identity matrix with the entries {(row, col): value} set."""
-        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows = [field.unit_row(n, r) for r in range(n)]
         for (r, c), v in cells.items():
-            rows[r][c] = v
-        return Matrix.from_rows(field, rows, n)
+            rows[r] = field.row_add_scaled(rows[r], field.unit_row(n, c), v - (r == c))
+        return Matrix(field, n, n, rows)
 
     gens = []
     for i, (oi, s) in enumerate(zip(offsets, parts)):
@@ -307,15 +311,10 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
 
     Enumerates, for every Jordan type of the right dimension on at most
     h generators, all PR data of type mu, then merges them into orbits
-    under the unit group of the T-commuting endomorphism algebra.
-
-    The merge works on integer indices: the distinct M_1 and M_2 are
-    numbered once, each generator maps every member once into a table of
-    indices, and a union-find joins each flag (a, b) with the flag
-    (img[a], img[b]).  An image outside the enumerated members or flags
-    raises AssertionError.  Unions keep the smaller position as root, so
-    each class is represented by the first flag of its orbit in
-    enumeration order, and classes come in order of first appearance.
+    under the unit group of the T-commuting endomorphism algebra
+    (`_type_classes`, once per type); each representative's triple is
+    `phi(D, h)`, and its type is padded with zeros to max(h, 1) parts.  Classes
+    come type by type, in the order of `partitions`.
     A mu that is not a non-increasing triple in [0, h] raises the
     ValueError `enum_Yadm` raises.
     """
@@ -328,24 +327,45 @@ def iso_classes_oracle(h, mu, field, max_total_dim=5):
     classes = []
     for parts in partitions(total, 3, h):
         J = JordanType(3, parts + (0,) * (max(h, 1) - len(parts)))
-        M = realize(J, field)
-        data = list(pr_all_data(M, mu))
-        if not data:
-            continue
-        index = {}  # rows of a distinct M_1 or M_2 -> its number
-        flags = {}  # (number of M_1, number of M_2) -> position in data
-        for D in data:
-            a = index.setdefault(D.flag[1].rows, len(index))
-            b = index.setdefault(D.flag[2].rows, len(index))
-            flags[a, b] = len(flags)
-        root = list(range(len(flags)))  # union-find forest over the positions
-        for g in aut_generators(J, field):
-            img = [index.get(rref(field, [g.apply(r) for r in rows])[1]) for rows in index]
-            for (a, b), pos in flags.items():
-                other = flags.get((img[a], img[b]))
-                if other is None:
-                    raise AssertionError("automorphism left the flag set")
+        classes.extend((J, D, phi(D, h)) for D in _type_classes(parts, mu, field))
+    return IsoClasses(len(classes), tuple(classes))
+
+
+@functools.lru_cache(maxsize=256)
+def _type_classes(parts, mu, field):
+    """One PR datum of type mu per isomorphism class on the module of
+    Jordan type `parts` (non-zero parts only), kept by value for the 256
+    most recently used keys.  h does not enter: a zero part is a block of
+    size 0, which adds no basis vector, PR datum or generator, so only
+    `phi` reads h.
+
+    The merge works on integer indices: the distinct M_1 and M_2 are
+    numbered once, each generator maps every member once into a table of
+    indices, and a union-find joins each flag (a, b) with the flag
+    (img[a], img[b]); a flag mapped to itself is skipped.  An image
+    outside the enumerated members or flags raises AssertionError.
+    Unions keep the smaller position as root, so each class is
+    represented by the first flag of its orbit in enumeration order, and
+    classes come in order of first appearance.
+    """
+    J = JordanType(3, parts or (0,))
+    data = list(pr_all_data(realize(J, field), mu))
+    if not data:
+        return ()
+    index = {}  # rows of a distinct M_1 or M_2 -> its number
+    flags = {}  # (number of M_1, number of M_2) -> position in data
+    for D in data:
+        a = index.setdefault(D.flag[1].rows, len(index))
+        b = index.setdefault(D.flag[2].rows, len(index))
+        flags[a, b] = len(flags)
+    root = list(range(len(flags)))  # union-find forest over the positions
+    for g in aut_generators(J, field):
+        img = [index.get(rref(field, [g.apply(r) for r in rows])[1]) for rows in index]
+        for (a, b), pos in flags.items():
+            other = flags.get((img[a], img[b]))
+            if other is None:
+                raise AssertionError("automorphism left the flag set")
+            if other != pos:
                 x, y = _find(root, pos), _find(root, other)
                 root[max(x, y)] = min(x, y)
-        classes.extend((J, D, phi(D, h)) for pos, D in enumerate(data) if _find(root, pos) == pos)
-    return IsoClasses(len(classes), tuple(classes))
+    return tuple(D for pos, D in enumerate(data) if _find(root, pos) == pos)

@@ -10,8 +10,10 @@ are equal exactly when their packed bases are identical.  Kernels,
 intersections and preimages are each the right block of one `rref` of
 joined rows [left | right].  `rref` results are memoized by value in one
 bounded cache and shared between callers as immutable tuples; the F_2
-elimination reduces a row only at the pivots it hits.  Everything here is
-immutable and pure.
+elimination reduces a row only at the pivots it hits.  One echelon-row
+enumerator, `_echelon_rows`, lists the subspaces of a span in canonical
+order for both `enumerate_subspaces` and `subspaces_between`.  Everything
+here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -389,10 +391,7 @@ class Matrix:
         cols = self._cols
         if f.p == 2:
             if cols is None:
-                cols = tuple(
-                    sum(1 << i for i, r in enumerate(self.rows) if r >> j & 1)
-                    for j in range(self.ncols)
-                )
+                cols = self.transpose().rows
                 object.__setattr__(self, "_cols", cols)
             out = 0
             while vec:
@@ -403,7 +402,7 @@ class Matrix:
         if cols is None:
             cols = tuple(
                 tuple(int.from_bytes(col.translate(m), "big") for m in f._mul)
-                for col in map(bytes, zip(*self.rows))
+                for col in self.transpose().rows
             )
             object.__setattr__(self, "_cols", cols)
         n, mod = self.nrows, f._mod
@@ -433,20 +432,26 @@ class Matrix:
         return Matrix(f, self.nrows, other.ncols, rows)
 
     def transpose(self):
-        f = self.field
-        cols = []
-        for j in range(self.ncols):
-            cols.append(f.pack([f.row_get(r, j) for r in self.rows]))
-        return Matrix(f, self.ncols, self.nrows, cols)
+        """One pass over the entries: over F_2 each column gathers one bit
+        per row, over odd p the byte lanes of the rows are zipped."""
+        if self.field.p == 2:
+            cols = [
+                sum(1 << i for i, r in enumerate(self.rows) if r >> j & 1)
+                for j in range(self.ncols)
+            ]
+        else:
+            cols = list(map(bytes, zip(*self.rows))) if self.rows else [b""] * self.ncols
+        return Matrix(self.field, self.ncols, self.nrows, cols)
 
     def rank(self):
         _, rows = rref(self.field, self.rows)
         return len(rows)
 
     def kernel(self):
-        """Subspace {v : A v = 0}: the rows [A e_j | e_j] span {(A v, v)}."""
+        """Subspace {v : A v = 0}: the rows [A e_j | e_j] span {(A v, v)};
+        the columns A e_j are the rows of the transpose."""
         f, m, n = self.field, self.nrows, self.ncols
-        ext = [f.row_join(self.apply(f.unit_row(n, j)), f.unit_row(n, j), m) for j in range(n)]
+        ext = [f.row_join(col, f.unit_row(n, j), m) for j, col in enumerate(self.transpose().rows)]
         return _right_block(f, m, n, ext)
 
     def __eq__(self, other):
@@ -523,6 +528,32 @@ def gaussian_binomial(n, k, p):
     return num // den
 
 
+def _echelon_rows(f, basis, d, cap):
+    """The rows sum_j c_ij basis_j for every reduced echelon d x len(basis)
+    matrix c, in canonical order (pivot columns lexicographic, then free
+    entries lexicographic, row by row).  A row's candidates depend only on
+    its own pivot, so they are built once per choice of pivots and the
+    matrices are their product.  Refuses to start if the count exceeds cap.
+    """
+    q = len(basis)
+    count = gaussian_binomial(q, d, f.p)
+    if cap is not None and count > cap:
+        raise EnumerationCapError(count, cap)
+    for pivots in itertools.combinations(range(q), d):
+        candidates = []
+        for piv in pivots:
+            free = [j for j in range(piv + 1, q) if j not in pivots]
+            rows = []
+            for vals in itertools.product(range(f.p), repeat=len(free)):
+                row = basis[piv]
+                for j, c in zip(free, vals):
+                    if c:
+                        row = f.row_add_scaled(row, basis[j], c)
+                rows.append(row)
+            candidates.append(rows)
+        yield from itertools.product(*candidates)
+
+
 def enumerate_subspaces(field, n, d, cap=DEFAULT_ENUM_CAP):
     """Yield every d-dimensional subspace of F_p^n exactly once.
 
@@ -530,47 +561,17 @@ def enumerate_subspaces(field, n, d, cap=DEFAULT_ENUM_CAP):
     then free entries lexicographic); refuses to start if the Gaussian
     binomial count exceeds `cap`.
     """
-    count = gaussian_binomial(n, d, field.p)
-    if cap is not None and count > cap:
-        raise EnumerationCapError(count, cap)
-    if d == 0:
-        yield Subspace.zero(field, n)
-        return
-    p = field.p
-    for pivots in itertools.combinations(range(n), d):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        for vals in itertools.product(range(p), repeat=len(free)):
-            rows = []
-            for i in range(d):
-                coords = [0] * n
-                coords[pivots[i]] = 1
-                rows.append(coords)
-            for (i, j), v in zip(free, vals):
-                rows[i][j] = v
-            packed = [field.pack(r) for r in rows]
-            yield Subspace(field, n, packed, _canonical=True)
+    units = [field.unit_row(n, i) for i in range(n)]
+    for rows in _echelon_rows(field, units, d, cap):
+        yield Subspace(field, n, rows, _canonical=True)
 
 
 def subspaces_between(floor, ceiling, d, cap=DEFAULT_ENUM_CAP):
-    """Yield every subspace S with floor <= S <= ceiling and dim S = d."""
+    """Yield every subspace S with floor <= S <= ceiling and dim S = d, in
+    canonical order over the basis floor.complement_in(ceiling) of the quotient."""
     comp = floor.complement_in(ceiling)
     if d < floor.dim or d > ceiling.dim:
         return
-    q = len(comp)
     f, n = floor.field, floor.n
-    for small in enumerate_subspaces(f, q, d - floor.dim, cap=cap):
-        lifted = []
-        for r in small.rows:
-            v = f.zero_row(n)
-            for i in range(q):
-                c = f.row_get(r, i)
-                if c:
-                    v = f.row_add_scaled(v, comp[i], c)
-            lifted.append(v)
-        yield Subspace(f, n, floor.rows + tuple(lifted))
+    for rows in _echelon_rows(f, comp, d - floor.dim, cap):
+        yield Subspace(f, n, floor.rows + rows)

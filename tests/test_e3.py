@@ -500,13 +500,38 @@ def test_oracle_outputs_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLE_FAMILY_SHA256
 
 
+@pytest.mark.parametrize("field", [F2, F3])
+def test_oracle_merges_each_type_once_for_every_h(field):
+    mu = (2, 1, 1)  # types (3, 1) and (2, 2) at h = 2; (2, 1, 1) joins at h = 3
+    e3._type_classes.cache_clear()
+    low = iso_classes_oracle(2, mu, field)
+    info = e3._type_classes.cache_info()
+    high = iso_classes_oracle(3, mu, field)
+    after = e3._type_classes.cache_info()
+    assert (after.hits - info.hits, after.misses - info.misses) == (2, 1)
+    # the classes of the shared types are the very same data, padded and classified per call
+    shared = [c for c in high.classes if c[0].parts[-1] == 0]
+    assert shared and len(shared) == len(low.classes)
+    assert all(a[1] is b[1] for a, b in zip(shared, low.classes))
+    assert [J.parts for J, _, _ in low.classes] == [J.parts[:2] for J, _, _ in shared]
+    assert {len(J.parts) for J, _, _ in low.classes} == {2}
+    assert {len(J.parts) for J, _, _ in high.classes} == {3}
+    for h, res in ((2, low), (3, high)):
+        assert all(pt == phi(D, h) for _, D, pt in res.classes)
+    # the memo holds what a fresh merge gives
+    for parts in partitions(sum(mu), 3, 3):
+        assert e3._type_classes(parts, mu, field) == e3._type_classes.__wrapped__(parts, mu, field)
+
+
 def test_oracle_rejects_a_map_that_leaves_the_flag_set(monkeypatch):
     # swapping e_0 and e_2 of one Jordan block of size 3 does not commute with T
     swap = Matrix.from_rows(F2, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], 3)
     generators = e3.aut_generators
+    e3._type_classes.cache_clear()  # a memoized type would never meet the patched generators
     monkeypatch.setattr(e3, "aut_generators", lambda J, field: generators(J, field) + [swap])
     with pytest.raises(AssertionError, match="automorphism left the flag set"):
         iso_classes_oracle(1, (1, 1, 1), F2, max_total_dim=3)
+    e3._type_classes.cache_clear()  # nor may later tests meet types merged under them
 
 
 def _mul(A, B, p):

@@ -1,11 +1,14 @@
 """Linear algebra over prime fields, checked against exhaustive vector scans."""
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from prflags.gf import (
+    DEFAULT_ENUM_CAP,
     F2,
     F3,
     AmbientMismatchError,
@@ -232,12 +235,129 @@ def test_floor_outside_ceiling_is_refused():
     assert line.complement_in(line.sum(ceil)) == ceil.rows
 
 
+def ref_enumerate_subspaces(field, n, d, cap=DEFAULT_ENUM_CAP):
+    """`enumerate_subspaces` as it was before it shared one echelon-row
+    generator with `subspaces_between`: coordinate lists packed per
+    subspace.  Kept as the reference for the canonical order."""
+    count = gaussian_binomial(n, d, field.p)
+    if cap is not None and count > cap:
+        raise EnumerationCapError(count, cap)
+    if d == 0:
+        yield Subspace.zero(field, n)
+        return
+    p = field.p
+    for pivots in itertools.combinations(range(n), d):
+        pivot_set = set(pivots)
+        free = [
+            (i, j)
+            for i in range(d)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivot_set
+        ]
+        for vals in itertools.product(range(p), repeat=len(free)):
+            rows = []
+            for i in range(d):
+                coords = [0] * n
+                coords[pivots[i]] = 1
+                rows.append(coords)
+            for (i, j), v in zip(free, vals):
+                rows[i][j] = v
+            packed = [field.pack(r) for r in rows]
+            yield Subspace(field, n, packed, _canonical=True)
+
+
+def ref_subspaces_between(floor, ceiling, d, cap=DEFAULT_ENUM_CAP):
+    """`subspaces_between` as it was: enumerate the quotient's subspaces,
+    then lift each coefficient by coefficient."""
+    comp = floor.complement_in(ceiling)
+    if d < floor.dim or d > ceiling.dim:
+        return
+    q = len(comp)
+    f, n = floor.field, floor.n
+    for small in ref_enumerate_subspaces(f, q, d - floor.dim, cap=cap):
+        lifted = []
+        for r in small.rows:
+            v = f.zero_row(n)
+            for i in range(q):
+                c = f.row_get(r, i)
+                if c:
+                    v = f.row_add_scaled(v, comp[i], c)
+            lifted.append(v)
+        yield Subspace(f, n, floor.rows + tuple(lifted))
+
+
+def _random_pair(rng, field, n):
+    """A random floor <= ceiling in F_p^n: the floor is spanned by random
+    combinations of the ceiling's basis."""
+    ceiling = Subspace.span(field, n, [[rng.randrange(field.p) for _ in range(n)]
+                                       for _ in range(rng.randint(0, n))])
+    floor = Subspace(field, n, [
+        functools.reduce(lambda v, b: field.row_add_scaled(v, b, rng.randrange(field.p)),
+                         ceiling.rows, field.zero_row(n))
+        for _ in range(rng.randint(0, ceiling.dim))
+    ])
+    return floor, ceiling
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_enumerators_keep_the_former_order_and_cap(p):
+    field, rng = PrimeField(p), random.Random(p)
+    compared = refused = 0
+    for n in range(6):
+        for _ in range(12):
+            floor, ceiling = _random_pair(rng, field, n)
+            for d in range(n + 2):
+                runs = []
+                between = gaussian_binomial(ceiling.dim - floor.dim, d - floor.dim, p)
+                if between <= 2000:
+                    runs.append((subspaces_between, ref_subspaces_between, (floor, ceiling, d), between))
+                whole = gaussian_binomial(n, d, p)
+                if whole <= 2000:
+                    runs.append((enumerate_subspaces, ref_enumerate_subspaces, (field, n, d), whole))
+                for new, old, args, count in runs:
+                    got = [S.rows for S in new(*args)]
+                    assert got == [S.rows for S in old(*args)], (p, n, d, new.__name__)
+                    compared += len(got)
+                    if not count:
+                        continue
+                    # one below the count: both refuse at the first next(), not at the call
+                    gens = [new(*args, cap=count - 1), old(*args, cap=count - 1)]
+                    errors = []
+                    for gen in gens:
+                        with pytest.raises(EnumerationCapError) as err:
+                            next(gen)
+                        errors.append((err.value.count, err.value.cap))
+                    assert errors[0] == errors[1] == (count, count - 1)
+                    refused += 1
+    assert compared > 1000 and refused > 100, (compared, refused)
+
+
 def test_matrix_kernel():
     K = Matrix.from_rows(F2, [[1, 1, 0], [0, 0, 0], [1, 1, 0]])
     ker = K.kernel()
     assert ker.dim == 2
     for v in ker.vectors():
         assert F2.row_is_zero(K.apply(v))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_transpose_and_kernel_of_every_shape_up_to_3_by_3(p):
+    field, rng = PrimeField(p), random.Random(p)
+    for m, n in itertools.product(range(4), repeat=2):  # 0 rows and 0 columns included
+        for _ in range(5):
+            coords = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            A = Matrix.from_rows(field, coords, n)
+            At = A.transpose()
+            assert (At.nrows, At.ncols) == (n, m)
+            assert At.coord_rows() == tuple(tuple(row[j] for row in coords) for j in range(n))
+            assert At.transpose() == A
+            # a fresh matrix: the kernel reads the transpose, not apply's column cache
+            fresh = Matrix(field, m, n, A.rows)
+            ker = fresh.kernel()
+            assert fresh._cols is None
+            want = [v for v in itertools.product(range(p), repeat=n)
+                    if not any(sum(a * b for a, b in zip(row, v)) % p for row in coords)]
+            assert ker.n == n and set(ker.vectors()) == {field.pack(v) for v in want}
 
 
 def reference_rref(coord_rows, n, p=2):

@@ -231,11 +231,7 @@ def cmd_e3(args):
 
 
 def cmd_strat(args):
-    pts = _points(args)
-    if not pts:
-        _emit("empty stratification")
-        return 1
-    poset = StrataPoset(pts)
+    poset = StrataPoset(_points(args))
     if args.action == "dot":
         sys.stdout.write(export_dot(poset) if args.format == "dot" else export_json(poset))
         return 0

@@ -165,6 +165,13 @@ def rref(field, rows):
 
 @functools.lru_cache(maxsize=_RREF_CACHE_SIZE)
 def _rref(field, rows):
+    return _eliminate(field, rows, [])
+
+
+def _eliminate(field, rows, kept):
+    """The elimination behind `rref`, uncached; appends to `kept` each row
+    that enlarges the span, reduced by the basis before it (the residue
+    `Subspace.reduce_row` gives, before scaling)."""
     if field.p == 2:
         basis = {}  # lowest set bit of a basis row -> the row, kept fully reduced
         mask = 0  # the pivot bits: each basis row is zero at every other one
@@ -176,6 +183,7 @@ def _rref(field, rows):
                 hit ^= low
             if not row:
                 continue
+            kept.append(row)
             low = row & -row
             for q, b in basis.items():
                 if b & low:
@@ -196,6 +204,7 @@ def _rref(field, rows):
         rest = row.lstrip(b"\0")
         if not rest:
             continue
+        kept.append(row)
         piv = len(row) - len(rest)
         if rest[0] != 1:
             row = field.row_scale(row, field.inv(rest[0]))
@@ -318,22 +327,16 @@ class Subspace:
         return _right_block(f, n, n, ext)
 
     def complement_in(self, other):
-        """Packed vectors extending this basis to a basis of `other`.
-
-        The residues extend this basis to one of self + other, which is
-        `other` exactly when its dimension is dim other.
-        """
+        """Packed vectors extending this basis to a basis of `other`: the
+        residues one `_eliminate` pass keeps after this (reduced) basis.
+        They extend it to a basis of self + other, which is `other` exactly
+        when its dimension is dim other."""
         self._check(other)
-        ext = []
-        span = self
-        for r in other.rows:
-            res = span.reduce_row(r)
-            if not self.field.row_is_zero(res):
-                ext.append(res)
-                span = Subspace(self.field, self.n, span.rows + (res,))
-        if self.dim + len(ext) != other.dim:
+        kept = []
+        _eliminate(self.field, self.rows + other.rows, kept)
+        if len(kept) != other.dim:
             raise AmbientMismatchError("complement_in requires containment")
-        return tuple(ext)
+        return tuple(kept[self.dim:])
 
     # dunder -------------------------------------------------------------
 

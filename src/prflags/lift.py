@@ -118,17 +118,6 @@ class PolyMatrix:
     def nrows(self):
         return len(self.rows)
 
-    @classmethod
-    def from_packed(cls, field, n, packed_rows):
-        """The constant matrix of packed rows of length n."""
-        p = field.p
-        return cls(field, n, [[pconst(c, p) for c in field.unpack(r, n)] for r in packed_rows])
-
-    def stack(self, other):
-        if self.ncols != other.ncols or self.field != other.field:
-            raise ValueError("stack shape mismatch")
-        return PolyMatrix(self.field, self.ncols, self.rows + other.rows)
-
     def eval0_subspace(self):
         return Subspace.span(self.field, self.ncols, [[peval0(e) for e in r] for r in self.rows])
 
@@ -644,9 +633,8 @@ def verify_lift(problem, pm):
     b = fiber.dim == pm.nrows
     dims = []
     for F in problem.flag:
-        const = PolyMatrix.from_packed(pm.field, pm.ncols, F.rows)
-        r = generic_rank(pm.stack(const))
-        dims.append(pm.nrows + F.dim - r)
+        stacked = PolyMatrix(pm.field, pm.ncols, pm.rows + PolyModule.constant(F).basis)
+        dims.append(pm.nrows + F.dim - generic_rank(stacked))
     dims = tuple(dims)
     c = dims == problem.targets
     gram_zero = None
@@ -876,8 +864,10 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     The three flag steps are lifted in turn inside the free module
     (k[T]/T^e)^h, e = len(mu) = 3, over the truncated series; the generic
     fiber of the result is recomputed independently and must equal y_to.
-    When no lift does, TheoremGapError is raised: the theorems say every
-    y_to in Y^adm is reached.
+    Stage c takes its first lift for each kept omega_2 the F and G prunes
+    pass (an empty search moves on); when the first lift misses,
+    TheoremGapError names the point it realized, y_to and y_from.  The
+    theorems say every y_to in Y^adm is reached.
 
     The free module is built once per (field, h, polarized, e) by
     `_free_module`, its one owner: a `tmodule.ConcreteModule` that holds
@@ -938,20 +928,25 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             delta[0] + delta[1],
             d1 + d2 + d3,
         )
-        for rows_c in _searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)):
-            Pw = PolyModule.from_rows(field, M.dim, rows_c)
-            generic = _generic_point(h, y_from.mu, Pinv_w1, w2.a1, Pw, PkerT, PkerT2)
-            if generic != y_to:
-                continue
-            return Degeneration(
-                y_from,
-                y_to,
-                M,
-                PolyModule.constant(w1bar).to_polymatrix(),
-                Pw2.to_polymatrix(),
-                Pw.to_polymatrix(),
-                generic,
+        rows_c = next(_searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)), None)
+        if rows_c is None:
+            continue
+        Pw = PolyModule.from_rows(field, M.dim, rows_c)
+        generic = _generic_point(h, y_from.mu, Pinv_w1, w2.a1, Pw, PkerT, PkerT2)
+        if generic != y_to:
+            raise TheoremGapError(
+                "the first lift realized %r, not %r, from %r"
+                % (generic.sort_key(), y_to.sort_key(), y_from.sort_key())
             )
+        return Degeneration(
+            y_from,
+            y_to,
+            M,
+            PolyModule.constant(w1bar).to_polymatrix(),
+            Pw2.to_polymatrix(),
+            Pw.to_polymatrix(),
+            generic,
+        )
     raise TheoremGapError(
         "no lift realized the generic invariants %r from %r"
         % (y_to.sort_key(), y_from.sort_key())

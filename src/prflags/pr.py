@@ -76,40 +76,34 @@ class PRDatum:
 class PRValidation:
     ok: bool
     violation: str | None = None
-    level: int | None = None
 
     def __bool__(self):
         return self.ok
 
 
-def validate_pr(D, mu=None):
-    """Check the three defining bullets; report the first violation."""
+def validate_pr(D, mu):
+    """Check the three defining bullets for type mu; report the first violation."""
     M = D.module
-    n = M.dim
     flag = D.flag
     if not flag[0].is_zero():
-        return PRValidation(False, "M_0 != 0", 0)
-    if flag[-1].dim != n:
-        return PRValidation(False, "M_e != M", M.e)
+        return PRValidation(False, "M_0 != 0")
+    if flag[-1].dim != M.dim:
+        return PRValidation(False, "M_e != M")
     for i in range(1, len(flag)):
         if not flag[i].contains(flag[i - 1]):
-            return PRValidation(False, "M_%d not inside M_%d" % (i - 1, i), i)
+            return PRValidation(False, "M_%d not inside M_%d" % (i - 1, i))
     for i in range(1, len(flag)):
         for r in flag[i].rows:
             if not flag[i - 1].contains_row(M.op.apply(r)):
-                return PRValidation(False, "T M_%d not inside M_%d" % (i, i - 1), i)
-    if mu is not None:
-        mu = tuple(mu)
-        if len(mu) != M.e:
-            return PRValidation(False, "type has wrong length", None)
-        for i in range(1, len(flag)):
-            jump = flag[i].dim - flag[i - 1].dim
-            if jump != mu[i - 1]:
-                return PRValidation(
-                    False,
-                    "dim M_%d/M_%d = %d, expected d_%d = %d" % (i, i - 1, jump, i, mu[i - 1]),
-                    i,
-                )
+                return PRValidation(False, "T M_%d not inside M_%d" % (i, i - 1))
+    if len(mu) != M.e:
+        return PRValidation(False, "type has wrong length")
+    for i in range(1, len(flag)):
+        jump = flag[i].dim - flag[i - 1].dim
+        if jump != mu[i - 1]:
+            return PRValidation(
+                False, "dim M_%d/M_%d = %d, expected d_%d = %d" % (i, i - 1, jump, i, mu[i - 1])
+            )
     return PRValidation(True)
 
 

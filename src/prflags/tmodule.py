@@ -167,9 +167,9 @@ def delta_vector(M):
     return tuple(a - b for a, b in zip(dims, dims[1:]))
 
 
-def jordan_type(M, h=None):
-    """Jordan type recovered from the ranks of the powers of T."""
-    return JordanType.from_delta(M.e, delta_vector(M), h)
+def jordan_type(M):
+    """Jordan type from the ranks of the powers of T, one part per Jordan block."""
+    return JordanType.from_delta(M.e, delta_vector(M))
 
 
 def torsion_flag(M, i):
@@ -212,14 +212,12 @@ def hodge_polygon(J):
     return Polygon.from_d(J.h, J.delta(), J.e)
 
 
-def restrict_module(M, S, e=None):
-    """The T-stable subspace S as a module in its own basis coordinates."""
+def restrict_module(M, S):
+    """The T-stable subspace S as a module with M's e, in its own basis coordinates."""
     try:
         cols = [S.coordinates_of(M.op.apply(r)) for r in S.rows]
     except ValueError:
         raise JordanTypeError("subspace is not T-stable") from None
-    if e is None:
-        e = M.e
     f = M.field
     rows = [[cols[j][i] for j in range(S.dim)] for i in range(S.dim)]
-    return ConcreteModule(f, e, Matrix.from_rows(f, rows, S.dim))
+    return ConcreteModule(f, M.e, Matrix.from_rows(f, rows, S.dim))

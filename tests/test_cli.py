@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prflags.cli import main
+from prflags.e3 import enum_Yadm, enum_Ypol
+from prflags.verify import _sorted_mus
 
 
 def run(capsys, *argv):
@@ -164,6 +166,14 @@ def test_strat_dot_golden(capsys):
     assert out.count("->") == 4
 
 
+def test_every_stratification_strat_can_ask_for_is_non_empty():
+    # strat dot / closure build their poset from these sets with no empty case
+    for h in range(6):
+        for mu in _sorted_mus(h):
+            assert enum_Yadm(h, mu), (h, mu)
+    assert [len(enum_Ypol(g)) for g in range(4)] == [1, 4, 10, 20]
+
+
 def test_strat_closure(capsys):
     code, out = run(
         capsys, "strat", "closure", "--h", "2", "--mu", "1,1,1",
@@ -238,6 +248,8 @@ _MU_LENGTH_IDS = ["enum-mu-2-entries", "enum-mu-4-entries", "dot-mu-2-entries", 
         ["polygon", "dom", "--h", "-1", "--a", "1", "--b", "1"],
         ["polygon", "slopes", "--h", "2", "--d", "3,1"],
         ["polygon", "eval", "--h", "2", "--d", "2,1", "--x", "5"],
+        ["polygon", "eval", "--h", "2", "--d", "1", "--x", "abc"],
+        ["polygon", "eval", "--h", "2", "--d", "1", "--x", "1/0"],
         ["pr", "exists", "--parts", "3", "--mu", "1,1"],
         ["pr", "construct", "--parts", "3", "--mu", "1,1"],
         ["pr", "oracle", "--parts", "3", "--mu", "1,1"],
@@ -249,6 +261,7 @@ _MU_LENGTH_IDS = ["enum-mu-2-entries", "enum-mu-4-entries", "dot-mu-2-entries", 
     ids=["non-prime-p", "unsorted-mu", "negative-genus", "delta-out-of-range",
          "delta-wrong-length", "prime-above-127", "prime-257", "negative-cases", "lift-verify-p",
          "negative-max-dim", "negative-h", "d-entry-above-h", "x-outside-polygon",
+         "x-not-rational", "x-zero-denominator",
          "exists-mu-wrong-length", "construct-mu-wrong-length", "oracle-mu-wrong-length",
          "negative-mu-entry", "pr-negative-h", "h-below-parts", *_MU_LENGTH_IDS],
 )

@@ -299,6 +299,45 @@ def _random_pair(rng, field, n):
     return floor, ceiling
 
 
+def ref_complement_in(floor, ceiling):
+    """`Subspace.complement_in` as it was before it read its residues from
+    one elimination pass: each residue reduced by a `Subspace` rebuilt
+    after the one before it."""
+    ext = []
+    span = floor
+    for r in ceiling.rows:
+        res = span.reduce_row(r)
+        if not floor.field.row_is_zero(res):
+            ext.append(res)
+            span = Subspace(floor.field, floor.n, span.rows + (res,))
+    if floor.dim + len(ext) != ceiling.dim:
+        raise AmbientMismatchError("complement_in requires containment")
+    return tuple(ext)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_complement_in_gives_the_former_residues(p):
+    field, rng = PrimeField(p), random.Random(100 + p)
+    nested = refused = 0
+    for n in range(7):
+        for _ in range(20):
+            floor, ceiling = _random_pair(rng, field, n)
+            assert floor.complement_in(ceiling) == ref_complement_in(floor, ceiling)
+            nested += 1
+            # a floor outside the ceiling (the pair reversed, or an unrelated
+            # span) is refused by both
+            other = Subspace(field, n, [field.pack([rng.randrange(p) for _ in range(n)])
+                                        for _ in range(rng.randint(0, n))])
+            for outside in (ceiling, other):
+                if floor.contains(outside):
+                    continue
+                for complement_in in (Subspace.complement_in, ref_complement_in):
+                    with pytest.raises(AmbientMismatchError):
+                        complement_in(outside, floor)
+                refused += 1
+    assert nested == 140 and refused > 100, refused
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_enumerators_keep_the_former_order_and_cap(p):
     field, rng = PrimeField(p), random.Random(p)

@@ -38,6 +38,7 @@ from prflags.lift import (
     PolyMatrix,
     PolyModule,
     StratOrderError,
+    TheoremGapError,
     _bilinear,
     _combine,
     _fiber_lifts,
@@ -150,7 +151,7 @@ def test_poly_arithmetic():
 
 
 def test_generic_rank_examples():
-    const = PolyMatrix.from_packed(F2, 2, [F2.pack([1, 0]), F2.pack([1, 1])])
+    const = PolyMatrix(F2, 2, [[(1,), ()], [(1,), (1,)]])
     assert generic_rank(const) == 2
     diag = PolyMatrix(F2, 2, [[(0, 1), ()], [(), (1,)]])
     assert generic_rank(diag) == 2
@@ -1019,6 +1020,30 @@ DEGENERATE_REST_SHA256 = "e5025875c70c5aedba215a0fb1c7f6a099c7aa46aabd248c5f52fa
 def _clear_degenerate_caches():
     for cache in (_free_module, _normal_flag, _second_lifts, _omega2):
         cache.cache_clear()
+
+
+def test_a_first_lift_that_misses_y_to_is_a_theorem_gap(monkeypatch):
+    # stage c draws once: a generic point other than y_to is reported, not
+    # passed over for a later lift
+    _clear_degenerate_caches()
+    try:
+        for pts, polarized in ((enum_Yadm(2, (1, 1, 1)), False), (enum_Ypol(1), True)):
+            y_from, y_to = next((a, b) for a in pts for b in pts if a != b and leq(b, a))
+            other = next(y for y in pts if y != y_to)
+            drawn = []
+            monkeypatch.setattr(
+                lift_module, "_generic_point", lambda *args: drawn.append(args) or other
+            )
+            with pytest.raises(TheoremGapError) as err:
+                degenerate_step(y_from, y_to, F2, polarized)
+            monkeypatch.undo()
+            assert len(drawn) == 1
+            assert str(err.value) == "the first lift realized %r, not %r, from %r" % (
+                other.sort_key(), y_to.sort_key(), y_from.sort_key()
+            )
+            assert degenerate_step(y_from, y_to, F2, polarized).generic == y_to
+    finally:
+        _clear_degenerate_caches()
 
 
 def test_degenerate_step_results_pinned_with_cold_and_warm_caches():

@@ -32,6 +32,7 @@ from prflags.pr import (
 )
 from prflags.polygon import Polygon
 from prflags.tmodule import (
+    ConcreteModule,
     JordanType,
     delta_vector,
     power_image,
@@ -63,7 +64,7 @@ def test_validate_reports_first_violation():
     zero = Subspace.zero(F2, 3)
     full = Subspace.full(F2, 3)
     bad = PRDatum(M, (zero, Subspace.span(F2, 3, [[0, 1, 0]]), power_image(M, 1), full))
-    res = validate_pr(bad)
+    res = validate_pr(bad, (1, 1, 1))
     assert not res and "T M_1" in res.violation
 
 
@@ -542,7 +543,7 @@ def test_filtration_dominance_matches_the_polygon_objects(monkeypatch):
         M, N, i = _random_valid_filtration(rng, F2 if k % 2 else F3, 6)
         if 0 < i < M.e:
             parts = (
-                delta_vector(restrict_module(M, N, e=i)),
+                delta_vector(ConcreteModule(M.field, i, restrict_module(M, N).op)),
                 delta_vector(quotient_module(M, N, e=M.e - i)),
             )
             big = delta_vector(M)

@@ -175,7 +175,8 @@ def test_module_keeps_its_flags(p):
                     power_image(M, e + 1)
                 with pytest.raises(JordanTypeError):
                     torsion_flag(M, -1)
-                assert hodge_polygon(jordan_type(M, J.h)) == hodge_polygon(J)
+                padded = JordanType.from_delta(M.e, delta_vector(M), J.h)
+                assert hodge_polygon(padded) == hodge_polygon(J)
 
 
 def quotient_module(M, S, e=None):
@@ -201,7 +202,7 @@ def quotient_module(M, S, e=None):
 def test_restrict_and_quotient():
     M = realize(JordanType(3, (3, 1)), F2)
     TM = power_image(M, 1)
-    sub = restrict_module(M, TM, e=2)
+    sub = ConcreteModule(M.field, 2, restrict_module(M, TM).op)
     assert delta_vector(sub) == (1, 1)
     quo = quotient_module(M, torsion_flag(M, 1), e=2)
     assert quo.dim == 2
@@ -218,7 +219,8 @@ def _assert_piece_deltas(M, S, i):
     modules built from it, at their own nilpotency bounds and at e."""
     e = M.e
     for k in {i, e} - {0}:
-        assert _piece_delta(M, S, k) == delta_vector(restrict_module(M, S, e=k))
+        sub = ConcreteModule(M.field, k, restrict_module(M, S).op)
+        assert _piece_delta(M, S, k) == delta_vector(sub)
     for k in {e - i, e} - {0}:
         want = delta_vector(quotient_module(M, S, e=k))
         assert _piece_delta(M, S, k, quotient=True) == want
@@ -296,7 +298,7 @@ def test_realize_cache_stays_within_its_bound():
     for J, field in keys:
         M = realize(J, field)
         assert _realize.cache_info().currsize <= bound
-        assert jordan_type(M, J.h) == J
+        assert JordanType.from_delta(M.e, delta_vector(M), J.h) == J
     assert _realize.cache_info().currsize == bound
     first = realize(*keys[0])  # evicted long ago: an equal module, built anew
     assert first == ConcreteModule(keys[0][1], keys[0][0].e, first.op)

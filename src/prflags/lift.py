@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from dataclasses import dataclass
 
 from .gf import Matrix, Subspace, image, preimage, rref, subspaces_between
@@ -729,26 +728,30 @@ def _free_module(field, h, polarized, e):
 @functools.lru_cache(maxsize=1024)
 def _normal_flag(y_from, field, polarized):
     """The normal-form flag w1bar <= w2bar <= wbar of y_from in the free
-    module, with T^{-1}(w1bar)."""
+    module, with T^{-1}(w1bar) and stage b's member E = (ker T + wbar)
+    meet T^{-1}(w1bar), which only a plain flag has (None when
+    polarized)."""
     if polarized:
         w1bar, w2bar, wbar = polarized_normal_form(y_from, field)
     else:
         w1bar, w2bar, wbar = embed_normal_form(normal_form(y_from, field), y_from.h)
     M = _free_module(field, y_from.h, polarized, len(y_from.mu))[0]
-    return w1bar, w2bar, wbar, preimage(M.op, w1bar)
+    inv_w1 = preimage(M.op, w1bar)
+    E = None if polarized else torsion_flag(M, 1).sum(wbar).intersect(inv_w1)
+    return w1bar, w2bar, wbar, inv_w1, E
 
 
 @dataclass(frozen=True)
 class _Omega2:
     """What stage c of `degenerate_step` reads from one omega_2: the
-    module itself, as first built, so that every replay holds that one
-    instance, and whether the polarized cross-pair test omega_2 perp
-    T^{-1} omega_2 keeps it (always, when not polarized).  For a kept
-    omega_2 only, so a polarized search that refuses most solutions pays
-    nothing more for them (both are None for a refused one): a1, the
-    generic dimension of omega_2 meet ker T, and the `_fiber_lifts` of the
-    four members of stage c's flag that omega_2 fixes: omega_2, ker T +
-    omega_2, ker T^2 meet T^{-1} omega_2 and T^{-1} omega_2."""
+    module itself, as first built, and whether the polarized cross-pair
+    test omega_2 perp T^{-1} omega_2 keeps it (always, when not
+    polarized).  For a kept omega_2 only, so a polarized search that
+    refuses most solutions pays nothing more for them (both are None for
+    a refused one): a1, the generic dimension of omega_2 meet ker T, and
+    the `_fiber_lifts` of the four members of stage c's flag that omega_2
+    fixes: omega_2, ker T + omega_2, ker T^2 meet T^{-1} omega_2 and
+    T^{-1} omega_2."""
 
     Pw2: PolyModule
     kept: bool
@@ -776,74 +779,43 @@ def _omega2(Pw2, free):
     return _Omega2(Pw2, True, Pw2.generic_intersection_dim(PkerT), lifts)
 
 
-class _SecondLifts:
-    """The stage-b omega_2 modules of `degenerate_step` for one key (free,
-    w1bar, w2bar, targets_b), free a `_free_module`, in search order:
-    `modules` holds the kept ones derived so far (a polarized omega_2 only
-    once it pairs to zero with T^{-1} omega_2), `drawn` how many search
-    solutions they came from, and `exhausted` whether the search has ended
-    or run out of budget.  Besides its key nothing else is kept -- no live search, no
-    fiber lifts, no F and G -- because every entry of the cache holds one
-    of these; a replay builds its search from the key, and what stage c
-    reads from a module comes from `_omega2`.  `lock` makes storing a
-    module and counting its solution one step, so replays in several
-    threads never store a solution twice."""
-
-    __slots__ = ("key", "modules", "drawn", "exhausted", "lock")
-
-    def __init__(self, key):
-        self.key = key
-        self.modules = []
-        self.drawn = 0
-        self.exhausted = False
-        self.lock = threading.Lock()
-
-    def replay(self):
-        """The omega_2 modules already derived, then, when the caller wants
-        more, those of the search run again from its start, past the
-        solutions already drawn.  The search is deterministic and a re-run
-        prefix spends the budget a fresh search spends on it, so every
-        caller sees the sequence that one uncached search gives."""
-        free, w1bar, w2bar, targets_b = self.key
-        M, pairing, _ = free
-        T, kerT = M.op, torsion_flag(M, 1)
-        i = 0
-        while True:
-            while i < len(self.modules):
-                yield self.modules[i]
-                i += 1
-            if self.exhausted and i == len(self.modules):
-                return
-            # omega_1 lifts constantly; omega_2 lifts inside T^{-1} omega_{1,R}
-            inv_w1 = preimage(T, w1bar)
-            members = (w1bar, kerT.intersect(inv_w1), inv_w1)
-            flag = [_fiber_lifts(PolyModule.constant(S)) for S in members]
-            search = _searched(_lift_solutions(flag, w2bar, targets_b, pairing=pairing))
-            for k, rows in enumerate(search):
-                if i < len(self.modules):
-                    break  # another replay stored modules meanwhile: give those first
-                if k < self.drawn:
-                    continue
-                w2 = _omega2(PolyModule.from_rows(M.field, M.dim, rows), free)
-                with self.lock:
-                    if k != self.drawn:
-                        break  # another replay stored this solution first
-                    if w2.kept:
-                        self.modules.append(w2.Pw2)
-                    self.drawn += 1
-                if w2.kept:
-                    i += 1
-                    yield w2.Pw2
-            else:
-                self.exhausted = True
-
-
 @functools.lru_cache(maxsize=1024)
-def _second_lifts(free, w1bar, w2bar, targets_b):
-    """The stage-b replay of one (free, w1bar, w2bar, targets_b): the search
-    depends on nothing else, as T and the pairing come from the free module
-    and the stage-b flag from w1bar."""
-    return _SecondLifts((free, w1bar, w2bar, targets_b))
+def _second_lift(free, w1bar, w2bar, E, targets_b):
+    """The `_Omega2` record of stage b's first kept omega_2, or None when
+    its search yields none; a polarized omega_2 is kept only once it pairs
+    to zero with T^{-1} omega_2.  free, a `_free_module`, gives T and the
+    pairing.  omega_1 lifts constantly, and omega_2 lifts w2bar inside
+    T^{-1} omega_{1,R} along w1bar, ker T meet T^{-1} w1bar, E (unless
+    None) and T^{-1} w1bar, with targets_b = (d1, alpha_1 of y_to, d1 + d2)
+    on the three members other than E.
+
+    E = (ker T + wbar) meet T^{-1} w1bar gets t = d1 + d2 - q + min(q,
+    room), q = alpha_1(y_from) - alpha_1(y_to) and room = dim E - dim((ker
+    T meet T^{-1} w1bar) + w2bar).  Stage b perturbs q rows b of w2bar meet
+    ker T to b + X v, v in T^{-1} w1bar, so the fiber of sat(ker T +
+    omega_2), stage c's member F, is K + span(v), K = ker T + w2bar.  By
+    the modular law dim(wbar meet that fiber) = delta_1' + alpha_2' + r
+    (primes on y_from), r the number of v in E independent mod K, so stage
+    c's target delta_1 + alpha_2 on F is within reach iff r >= q -
+    (delta_1' - delta_1).  t puts r = min(q, room), as many v in E as fit,
+    and depends only on the key.  A polarized flag has no E: with it, the
+    first kept omega_2 of some pairs at g = 3 leaves stage c no lift."""
+    M, pairing, _ = free
+    T, kerT = M.op, torsion_flag(M, 1)
+    inv_w1 = preimage(T, w1bar)
+    base = kerT.intersect(inv_w1)
+    members, targets = (w1bar, base, inv_w1), targets_b
+    if E is not None:
+        d1, a1, top = targets_b
+        q = w2bar.intersect(kerT).dim - a1
+        room = E.dim - base.sum(w2bar).dim
+        members, targets = (w1bar, base, E, inv_w1), (d1, a1, top - q + min(q, room), top)
+    flag = [_fiber_lifts(PolyModule.constant(S)) for S in members]
+    for rows in _searched(_lift_solutions(flag, w2bar, targets, pairing=pairing)):
+        w2 = _omega2(PolyModule.from_rows(M.field, M.dim, rows), free)
+        if w2.kept:
+            return w2
+    return None
 
 
 def degenerate_step(y_from, y_to, field, polarized=False):
@@ -864,32 +836,23 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     The three flag steps are lifted in turn inside the free module
     (k[T]/T^e)^h, e = len(mu) = 3, over the truncated series; the generic
     fiber of the result is recomputed independently and must equal y_to.
-    Stage c takes its first lift for each kept omega_2 the F and G prunes
-    pass (an empty search moves on); when the first lift misses,
-    TheoremGapError names the point it realized, y_to and y_from.  The
-    theorems say every y_to in Y^adm is reached.
+    Stage b takes its first kept omega_2, whose target on E (see
+    `_second_lift`) makes it one that stage c can lift along, and stage c
+    takes its first lift.  When either search is empty, or the first lift
+    realizes another point, TheoremGapError names what went wrong with
+    y_to and y_from.  The theorems say every y_to in Y^adm is reached.
 
-    The free module is built once per (field, h, polarized, e) by
-    `_free_module`, its one owner: a `tmodule.ConcreteModule` that holds
-    T, its dimension and its kernels, with the pairing and the constant
-    modules of ker T and ker T^2.  The normal-form flag of y_from with
-    T^{-1}(w1bar) is built once per source point (`_normal_flag`).  Stage
-    b, the lift of w2bar, depends only on (free module, w1bar, w2bar,
-    targets_b), that is on the source flag and alpha_1 of y_to, so its
-    omega_2 modules are derived once per such key and replayed for every
-    target that shares it (`_second_lifts`, which keeps only the key and
-    the kept modules).  Everything stage c reads from omega_2 -- the
-    polarized cross-pair test, a1 and the fiber lifts of the four flag
-    members omega_2 fixes -- depends only on omega_2 and the free module,
-    so it is derived once per distinct module value (`_omega2`), however
-    many keys and targets draw that module.  All four caches are safe to
-    share between calls: their keys (fields, strata points, subspaces,
-    modules, tuples, booleans) are hashable values, all but the replays hold
-    immutable matrices, subspaces, modules and tuples, and a replay only
-    appends what one deterministic search yields.  They are bounded (16,
-    1,024, 1,024 and 1,024 entries; every pair at h = 3, 4 plus polarized
-    g = 2 uses 3, 157, 91 and 82), so a long-running caller does not grow
-    them without limit.
+    Four bounded caches share work between calls; their keys are hashable
+    values and they hold immutable ones.  `_free_module` builds the free
+    module, the one owner of T, its kernels and the pairing, per (field, h,
+    polarized, e); `_normal_flag` the normal-form flag of y_from with
+    T^{-1}(w1bar) and E, per source point; `_second_lift` stage b's
+    omega_2, per (free module, w1bar, w2bar, E, targets_b), that is per
+    source and alpha_1 of y_to; and `_omega2` what stage c reads from
+    omega_2 -- the polarized cross-pair test, a1 and the fiber lifts of
+    the four flag members omega_2 fixes -- per module value, however many
+    keys draw it.  They hold at most 16, 1,024, 1,024 and 1,024 entries;
+    every pair at h = 3, 4 plus polarized g = 2 uses 3, 157, 127 and 72.
     """
     if (y_from.h, y_from.mu) != (y_to.h, y_to.mu):
         raise StratOrderError("points live over different (h, mu)")
@@ -901,7 +864,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         failed = violation(y, polarized)
         if failed:
             raise StratOrderError("%s %r fails %s" % (name, y.sort_key(), failed))
-    w1bar, w2bar, wbar, inv_w1 = _normal_flag(y_from, field, polarized)
+    w1bar, w2bar, wbar, inv_w1, E = _normal_flag(y_from, field, polarized)
 
     h = y_from.h  # the free rank over the truncated ring (h = 2g when polarized)
     free = _free_module(field, h, polarized, len(y_from.mu))
@@ -909,47 +872,31 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     d1, d2, d3 = y_from.mu
     delta, alpha, beta = y_to.delta, y_to.alpha, y_to.beta
 
+    w2 = _second_lift(free, w1bar, w2bar, E, (d1, alpha[0], d1 + d2))
+    if w2 is None:
+        raise TheoremGapError(
+            "no second lift for %r from %r" % (y_to.sort_key(), y_from.sort_key())
+        )
     Pinv_w1 = PolyModule.constant(inv_w1)
-    inv_w1_lifts = _fiber_lifts(Pinv_w1)
-    second = _second_lifts(free, w1bar, w2bar, (d1, alpha[0], d1 + d2))
-    for Pw2 in second.replay():
-        w2 = _omega2(Pw2, free)
-        w2_lifts, F_lifts, G_lifts, inv_w2_lifts = w2.lifts
-        # the maximal-intersection choice of the second lift
-        if wbar.intersect(F_lifts[0]).dim < delta[0] + alpha[1]:
-            continue
-        if wbar.intersect(G_lifts[0]).dim < delta[0] + delta[1]:
-            continue
-        flag_c = [w2_lifts, F_lifts, inv_w1_lifts, G_lifts, inv_w2_lifts]
-        targets_c = (
-            d1 + d2,
-            delta[0] + alpha[1],
-            d1 + beta[0],
-            delta[0] + delta[1],
-            d1 + d2 + d3,
+    w2_lifts, F_lifts, G_lifts, inv_w2_lifts = w2.lifts
+    flag_c = [w2_lifts, F_lifts, _fiber_lifts(Pinv_w1), G_lifts, inv_w2_lifts]
+    targets_c = (d1 + d2, delta[0] + alpha[1], d1 + beta[0], delta[0] + delta[1], d1 + d2 + d3)
+    rows_c = next(_searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)), None)
+    if rows_c is None:
+        raise TheoremGapError(
+            "no lift realized the generic invariants %r from %r"
+            % (y_to.sort_key(), y_from.sort_key())
         )
-        rows_c = next(_searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)), None)
-        if rows_c is None:
-            continue
-        Pw = PolyModule.from_rows(field, M.dim, rows_c)
-        generic = _generic_point(h, y_from.mu, Pinv_w1, w2.a1, Pw, PkerT, PkerT2)
-        if generic != y_to:
-            raise TheoremGapError(
-                "the first lift realized %r, not %r, from %r"
-                % (generic.sort_key(), y_to.sort_key(), y_from.sort_key())
-            )
-        return Degeneration(
-            y_from,
-            y_to,
-            M,
-            PolyModule.constant(w1bar).to_polymatrix(),
-            Pw2.to_polymatrix(),
-            Pw.to_polymatrix(),
-            generic,
+    Pw = PolyModule.from_rows(field, M.dim, rows_c)
+    generic = _generic_point(h, y_from.mu, Pinv_w1, w2.a1, Pw, PkerT, PkerT2)
+    if generic != y_to:
+        raise TheoremGapError(
+            "the first lift realized %r, not %r, from %r"
+            % (generic.sort_key(), y_to.sort_key(), y_from.sort_key())
         )
-    raise TheoremGapError(
-        "no lift realized the generic invariants %r from %r"
-        % (y_to.sort_key(), y_from.sort_key())
+    omega1 = PolyModule.constant(w1bar).to_polymatrix()
+    return Degeneration(
+        y_from, y_to, M, omega1, w2.Pw2.to_polymatrix(), Pw.to_polymatrix(), generic
     )
 
 

@@ -46,7 +46,7 @@ from prflags.lift import (
     _lift_solutions,
     _normal_flag,
     _omega2,
-    _second_lifts,
+    _second_lift,
     check_isotropic_feasible,
     check_lift_feasible,
     degenerate_step,
@@ -877,7 +877,7 @@ def test_degenerate_step_refuses_targets_outside_yadm(monkeypatch):
     assert leq(y_to, y_from)
     with monkeypatch.context() as m:
         m.setattr("prflags.lift._normal_flag", _no_search)
-        m.setattr("prflags.lift._second_lifts", _no_search)
+        m.setattr("prflags.lift._second_lift", _no_search)
         with pytest.raises(StratOrderError, match=r"y_to .* fails sum\(beta\) == d2\+d3$"):
             degenerate_step(y_from, y_to, F2)
     # every target in Y but not admissible at h <= 3, under each admissible source above it
@@ -916,7 +916,7 @@ def test_every_refusal_names_the_failed_condition(monkeypatch):
     # normal_form, both points of degenerate_step (plain and polarized) and
     # polarized_normal_form name what violation returns, before any search
     monkeypatch.setattr("prflags.lift._normal_flag", _no_search)
-    monkeypatch.setattr("prflags.lift._second_lifts", _no_search)
+    monkeypatch.setattr("prflags.lift._second_lift", _no_search)
 
     def refusal(fn, *args):
         with pytest.raises(StratOrderError) as err:
@@ -1009,16 +1009,19 @@ def _degenerate_outcome(y_from, y_to, field, polarized):
     return json.dumps(res.to_json_dict(), sort_keys=True)
 
 
-# computed before degenerate_step cached its free modules and normal-form flags
-DEGENERATE_FAMILY_SHA256 = "49adf575b347646a6caa7249fa59c78ef34d579f521f6850974f1ef75da502e1"
+# re-pinned when stage b gained the member E: over F_2 and F_3, the two
+# targets (2,1,1)|(2,1)|(1,1) and (2,2,0)|(2,1)|(2,0) of (3,1,0)|(3,0)|(2,0)
+# at h = 3, mu = (2, 1, 1) now take other lifts that also reach them
+DEGENERATE_FAMILY_SHA256 = "cdb1448c0ecd9ec27299dcbecbae3c0bb4ad733381bd4369f46586d6c1afc974"
 
 
-# computed while lift.py still built the free module of e = 3 by hand
-DEGENERATE_REST_SHA256 = "e5025875c70c5aedba215a0fb1c7f6a099c7aa46aabd248c5f52faa4a1d960d1"
+# re-pinned when stage b gained the member E: the same two pairs over F_5
+# and 20 pairs over F_2 at h = 4 now take other lifts that also reach y_to
+DEGENERATE_REST_SHA256 = "1e32e598d2c6c888c18c13689f5b1124b04879639d64b82e7c0d30e38cc04641"
 
 
 def _clear_degenerate_caches():
-    for cache in (_free_module, _normal_flag, _second_lifts, _omega2):
+    for cache in (_free_module, _normal_flag, _second_lift, _omega2):
         cache.cache_clear()
 
 
@@ -1068,7 +1071,7 @@ def test_degenerate_step_results_pinned_over_f5_h4_and_polarized_f3():
 
 
 def test_degenerate_step_outcomes_do_not_depend_on_call_order():
-    # the stage-b replay is filled by whichever caller of a key comes first
+    # each key's omega_2 is drawn by whichever caller of the key comes first
     pairs = _degenerate_family()
     order = list(range(len(pairs)))
     outcomes = []
@@ -1082,31 +1085,53 @@ def test_degenerate_step_outcomes_do_not_depend_on_call_order():
     assert digest == DEGENERATE_FAMILY_SHA256
 
 
-def test_second_lift_replay_resumes_past_an_earlier_caller():
-    # over F_2 the first target below needs one stage-b pair, the second nine
-    mu = (2, 1, 1)
-    y_from = StrataPoint(3, mu, (3, 1, 0), (3, 0), (2, 0))
-    early = StrataPoint(3, mu, (2, 1, 1), (2, 1), (1, 1))
-    late = StrataPoint(3, mu, (3, 1, 0), (2, 1), (2, 0))
-    _clear_degenerate_caches()
-    cold = _degenerate_outcome(y_from, late, F2, False)
-    _clear_degenerate_caches()
-    _degenerate_outcome(y_from, early, F2, False)
-    w1bar, w2bar = _normal_flag(y_from, F2, False)[:2]
-    assert early.alpha[0] == late.alpha[0] == 2  # so both share the key below
-    replay = _second_lifts(_free_module(F2, 3, False, 3), w1bar, w2bar, (2, 2, 3))
-    assert (replay.drawn, len(replay.modules), replay.exhausted) == (1, 1, False)
-    assert _degenerate_outcome(y_from, late, F2, False) == cold
-    assert (replay.drawn, len(replay.modules), replay.exhausted) == (9, 9, False)
-    assert _second_lifts.cache_info().currsize == 1
+# (field, h, mu, y_from, y_to) of the 11 pairs of the 1,290 pinned above whose
+# omega_2 was the 9th, 17th, 49th, 55th or 501st that stage b kept before
+# it had the member E, and the sha256 of their outcomes then
+_SKIPPING_PAIRS = (
+    (F2, 3, (2, 1, 1), ((3, 1, 0), (3, 0), (2, 0)), ((3, 1, 0), (2, 1), (2, 0))),
+    (F3, 3, (2, 1, 1), ((3, 1, 0), (3, 0), (2, 0)), ((3, 1, 0), (2, 1), (2, 0))),
+    (PrimeField(5), 3, (2, 1, 1), ((3, 1, 0), (3, 0), (2, 0)), ((3, 1, 0), (2, 1), (2, 0))),
+    (F2, 4, (3, 2, 2), ((4, 2, 1), (4, 1), (3, 1)), ((4, 2, 1), (3, 2), (3, 1))),
+    (F2, 4, (3, 2, 2), ((4, 3, 0), (4, 1), (3, 1)), ((4, 2, 1), (3, 2), (3, 1))),
+    (F2, 4, (3, 2, 1), ((4, 2, 0), (4, 1), (3, 0)), ((4, 2, 0), (3, 2), (3, 0))),
+    (F2, 4, (3, 1, 1), ((4, 1, 0), (4, 0), (2, 0)), ((4, 1, 0), (3, 1), (2, 0))),
+    (F2, 4, (2, 2, 2), ((4, 2, 0), (4, 0), (3, 1)), ((4, 1, 1), (3, 1), (3, 1))),
+    (F2, 4, (2, 2, 2), ((4, 2, 0), (4, 0), (3, 1)), ((4, 2, 0), (3, 1), (3, 1))),
+    (F2, 4, (2, 2, 1), ((4, 1, 0), (4, 0), (3, 0)), ((4, 1, 0), (3, 1), (3, 0))),
+    (F2, 4, (2, 1, 1), ((3, 1, 0), (3, 0), (2, 0)), ((3, 1, 0), (2, 1), (2, 0))),
+)
+SKIPPING_PAIRS_SHA256 = "bec121a2f5a3fe3cf43eca60fcaf8a7b37869118f792515b953e449f4b6d5f4f"
 
 
-def test_second_lift_replay_is_shared_safely_between_threads():
-    # four threads fill one F_3 replay (55 pairs), racing for the same
-    # solutions from the first target on, then in different target orders
+def test_stage_b_draws_once_where_it_used_to_skip(monkeypatch):
+    # each key's first stage-b solution is the omega_2 reached before by
+    # skipping: the outcomes are the same, for one search solution per key
+    pairs = [
+        (StrataPoint(h, mu, *a), StrataPoint(h, mu, *b), field, False)
+        for field, h, mu, a, b in _SKIPPING_PAIRS
+    ]
+    cached, drawn = lift_module._omega2, []
+    monkeypatch.setattr(lift_module, "_omega2", lambda *key: drawn.append(key) or cached(*key))
+    _clear_degenerate_caches()
+    outcomes = [_degenerate_outcome(*pair) for pair in pairs]
+    assert all(o.startswith("{") for o in outcomes)
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == SKIPPING_PAIRS_SHA256
+    keys = set()
+    for y_from, y_to, field, _ in pairs:
+        w1bar, w2bar, _, _, E = _normal_flag(y_from, field, False)
+        d1, d2, _ = y_from.mu
+        keys.add((field, y_from.h, w1bar, w2bar, E, (d1, y_to.alpha[0], d1 + d2)))
+    # (4,2,1)|(4,1)|(3,1) at mu = (3, 2, 2) and (4,2,0)|(4,1)|(3,0) at
+    # mu = (3, 2, 1) have one stage-b flag, so they share a key
+    assert _second_lift.cache_info().misses == len(drawn) == len(keys) == 9
+
+
+def test_stage_b_is_shared_safely_between_threads():
+    # four threads race for the one F_3 omega_2 of a key that several
+    # targets share, each in its own target order
     mu = (2, 1, 1)
     y_from = StrataPoint(3, mu, (3, 1, 0), (3, 0), (2, 0))
-    late = StrataPoint(3, mu, (3, 1, 0), (2, 1), (2, 0))  # draws all 55
     targets = [b for b in enum_Yadm(3, mu) if leq(b, y_from) and b.alpha[0] == 2]
     cold = {}
     for b in targets:
@@ -1117,9 +1142,8 @@ def test_second_lift_replay_is_shared_safely_between_threads():
     results = [None] * 4
 
     def work(t):
-        order = [b for b in targets if b != late]
+        order = list(targets)
         random.Random(t).shuffle(order)
-        order.insert(0, late)
         barrier.wait()
         results[t] = {b: _degenerate_outcome(y_from, b, F3, False) for b in order}
 
@@ -1135,9 +1159,32 @@ def test_second_lift_replay_is_shared_safely_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [cold] * 4
-    w1bar, w2bar = _normal_flag(y_from, F3, False)[:2]
-    replay = _second_lifts(_free_module(F3, 3, False, 3), w1bar, w2bar, (2, 2, 3))
-    assert (replay.drawn, len(replay.modules)) == (55, 55)
+
+
+def test_polarized_stage_b_keeps_its_three_members():
+    # with E in the polarized flag too, each of the first six omega_2 that
+    # stage b keeps for this g = 3 pair leaves stage c no lift
+    mu = (3, 3, 3)
+    y_from = StrataPoint(6, mu, (6, 3, 0), (5, 1), (5, 1))
+    y_to = StrataPoint(6, mu, (5, 3, 1), (3, 3), (5, 1))
+    _clear_degenerate_caches()
+    res = degenerate_step(y_from, y_to, F2, polarized=True)
+    assert res.generic == y_to
+    assert _generic_chain_ok(res) and _special_chain_ok(res)
+
+
+def test_every_ordered_pair_at_h5_over_f2_is_reached():
+    # past the pinned family, checked as criterion 8 checks a degeneration
+    pairs = 0
+    for mu in _sorted_mus(5):
+        pts = enum_Yadm(5, mu)
+        for y_from, y_to in itertools.product(pts, repeat=2):
+            if leq(y_to, y_from):
+                res = degenerate_step(y_from, y_to, F2)
+                assert res.generic == y_to
+                assert _generic_chain_ok(res) and _special_chain_ok(res)
+                pairs += 1
+    assert pairs == 858
 
 
 def _drawn_omega2(monkeypatch, pairs):
@@ -1164,7 +1211,7 @@ def test_omega2_records_equal_the_uncached_computation(monkeypatch):
     assert _omega2.cache_info().misses == len(drawn)  # the lookups just made all hit
     assert all(records[key] == _omega2.__wrapped__(*key) for key in drawn)
     kept = [rec for rec in records.values() if rec.kept]
-    assert (len(drawn), len(kept)) == (83, 79)
+    assert (len(drawn), len(kept)) == (77, 73)
     for rec in records.values():
         assert (rec.a1 is None, rec.lifts is None) == (not rec.kept, not rec.kept)
 
@@ -1173,9 +1220,9 @@ def test_omega2_is_shared_by_equal_modules_built_apart():
     mu = (2, 1, 1)
     y_from = StrataPoint(3, mu, (3, 1, 0), (3, 0), (2, 0))
     _clear_degenerate_caches()
-    w1bar, w2bar = _normal_flag(y_from, F2, False)[:2]
+    w1bar, w2bar, _, _, E = _normal_flag(y_from, F2, False)
     free = _free_module(F2, 3, False, 3)
-    Pw2 = next(_second_lifts(free, w1bar, w2bar, (2, 2, 3)).replay())
+    Pw2 = _second_lift(free, w1bar, w2bar, E, (2, 2, 3)).Pw2
     _omega2.cache_clear()
     rows = [[padd(x, y, 2) for x, y in zip(Pw2.basis[0], Pw2.basis[-1])]]
     again = PolyModule.from_rows(F2, Pw2.n, rows + list(Pw2.basis[1:]))

@@ -727,93 +727,71 @@ def _free_module(field, h, polarized, e):
 
 @functools.lru_cache(maxsize=1024)
 def _normal_flag(y_from, field, polarized):
-    """The normal-form flag w1bar <= w2bar <= wbar of y_from in the free
-    module, with T^{-1}(w1bar) and stage b's member E = (ker T + wbar)
-    meet T^{-1}(w1bar), which only a plain flag has (None when
-    polarized)."""
+    """(free, w2bar, wbar, members, room), all that the source point y_from
+    fixes: free is its `_free_module`, w1bar <= w2bar <= wbar its normal
+    form there, with dim(w2bar meet ker T) = alpha_1(y_from), and members
+    stage b's flag (w1bar, ker T, [E,] T^{-1} w1bar); T kills ker T, so
+    ker T meet T^{-1} w1bar is ker T itself, the free module's own object.
+
+    Only a plain flag has E = (ker T + wbar) meet T^{-1} w1bar, and room =
+    dim E - dim(ker T + w2bar) (None when polarized).  E gets the target t
+    = d1 + d2 - q + min(q, room), q = alpha_1(y_from) - alpha_1(y_to).
+    Stage b perturbs q rows b of w2bar meet ker T to b + X v, v in T^{-1}
+    w1bar, so the fiber of sat(ker T + omega_2), stage c's member F, is K +
+    span(v), K = ker T + w2bar.  By the modular law dim(wbar meet that
+    fiber) = delta_1' + alpha_2' + r (primes on y_from), r the number of v
+    in E independent mod K, so stage c's target delta_1 + alpha_2 on F is
+    within reach iff r >= q - (delta_1' - delta_1).  t puts r = min(q,
+    room), as many v in E as fit, and depends only on stage b's flag and
+    alpha_1(y_to).  A polarized flag has no E: with it, the first kept
+    omega_2 of some pairs at g = 3 leaves stage c no lift."""
     if polarized:
         w1bar, w2bar, wbar = polarized_normal_form(y_from, field)
     else:
         w1bar, w2bar, wbar = embed_normal_form(normal_form(y_from, field), y_from.h)
-    M = _free_module(field, y_from.h, polarized, len(y_from.mu))[0]
-    inv_w1 = preimage(M.op, w1bar)
-    E = None if polarized else torsion_flag(M, 1).sum(wbar).intersect(inv_w1)
-    return w1bar, w2bar, wbar, inv_w1, E
-
-
-@dataclass(frozen=True)
-class _Omega2:
-    """What stage c of `degenerate_step` reads from one omega_2: the
-    module itself, as first built, and whether the polarized cross-pair
-    test omega_2 perp T^{-1} omega_2 keeps it (always, when not
-    polarized).  For a kept omega_2 only, so a polarized search that
-    refuses most solutions pays nothing more for them (both are None for
-    a refused one): a1, the generic dimension of omega_2 meet ker T, and
-    the `_fiber_lifts` of the four members of stage c's flag that omega_2
-    fixes: omega_2, ker T + omega_2, ker T^2 meet T^{-1} omega_2 and
-    T^{-1} omega_2."""
-
-    Pw2: PolyModule
-    kept: bool
-    a1: int | None
-    lifts: tuple | None
+    free = _free_module(field, y_from.h, polarized, len(y_from.mu))
+    kerT, inv_w1 = torsion_flag(free[0], 1), preimage(free[0].op, w1bar)
+    if polarized:
+        return free, w2bar, wbar, (w1bar, kerT, inv_w1), None
+    E = kerT.sum(wbar).intersect(inv_w1)
+    return free, w2bar, wbar, (w1bar, kerT, E, inv_w1), E.dim - kerT.sum(w2bar).dim
 
 
 @functools.lru_cache(maxsize=1024)
 def _omega2(Pw2, free):
-    """The `_Omega2` record of the module omega_2 = Pw2 inside `free`, the
-    `_free_module` it lives in, once per value: T, ker T, ker T^2 and the
-    pairing all come from `free`, so nothing else enters."""
+    """What stage c of `degenerate_step` reads from the module omega_2 =
+    Pw2 inside `free`, the `_free_module` it lives in, once per value: None
+    when the polarized cross-pair test omega_2 perp T^{-1} omega_2 refuses
+    it, else (Pw2, a1, lifts), with a1 the generic dimension of omega_2
+    meet ker T and lifts the `_fiber_lifts` of the four members of stage
+    c's flag that omega_2 fixes: omega_2, ker T + omega_2, ker T^2 meet
+    T^{-1} omega_2 and T^{-1} omega_2.  T, ker T, ker T^2 and the pairing
+    all come from `free`, so nothing else enters."""
     M, pairing, (PkerT, PkerT2) = free
     Pinv_w2 = Pw2.preimage_const(M.op)
     if pairing is not None:
         Phi = pairing.coord_rows()
         if any(_bilinear(u, w, Phi, M.field.p) for u in Pw2.basis for w in Pinv_w2.basis):
-            return _Omega2(Pw2, False, None, None)
+            return None
     lifts = (
         _fiber_lifts(Pw2),
         _fiber_lifts(PkerT.sum(Pw2)),
         _fiber_lifts(PkerT2.intersect(Pinv_w2)),
         _fiber_lifts(Pinv_w2),
     )
-    return _Omega2(Pw2, True, Pw2.generic_intersection_dim(PkerT), lifts)
+    return Pw2, Pw2.generic_intersection_dim(PkerT), lifts
 
 
 @functools.lru_cache(maxsize=1024)
-def _second_lift(free, w1bar, w2bar, E, targets_b):
-    """The `_Omega2` record of stage b's first kept omega_2, or None when
-    its search yields none; a polarized omega_2 is kept only once it pairs
-    to zero with T^{-1} omega_2.  free, a `_free_module`, gives T and the
-    pairing.  omega_1 lifts constantly, and omega_2 lifts w2bar inside
-    T^{-1} omega_{1,R} along w1bar, ker T meet T^{-1} w1bar, E (unless
-    None) and T^{-1} w1bar, with targets_b = (d1, alpha_1 of y_to, d1 + d2)
-    on the three members other than E.
-
-    E = (ker T + wbar) meet T^{-1} w1bar gets t = d1 + d2 - q + min(q,
-    room), q = alpha_1(y_from) - alpha_1(y_to) and room = dim E - dim((ker
-    T meet T^{-1} w1bar) + w2bar).  Stage b perturbs q rows b of w2bar meet
-    ker T to b + X v, v in T^{-1} w1bar, so the fiber of sat(ker T +
-    omega_2), stage c's member F, is K + span(v), K = ker T + w2bar.  By
-    the modular law dim(wbar meet that fiber) = delta_1' + alpha_2' + r
-    (primes on y_from), r the number of v in E independent mod K, so stage
-    c's target delta_1 + alpha_2 on F is within reach iff r >= q -
-    (delta_1' - delta_1).  t puts r = min(q, room), as many v in E as fit,
-    and depends only on the key.  A polarized flag has no E: with it, the
-    first kept omega_2 of some pairs at g = 3 leaves stage c no lift."""
+def _second_lift(free, members, w2bar, targets_b):
+    """The `_omega2` result of stage b's first kept omega_2, or None when
+    its search keeps none: the lift of w2bar along the constant flag
+    `members` with targets_b inside `free`, which gives T and the pairing."""
     M, pairing, _ = free
-    T, kerT = M.op, torsion_flag(M, 1)
-    inv_w1 = preimage(T, w1bar)
-    base = kerT.intersect(inv_w1)
-    members, targets = (w1bar, base, inv_w1), targets_b
-    if E is not None:
-        d1, a1, top = targets_b
-        q = w2bar.intersect(kerT).dim - a1
-        room = E.dim - base.sum(w2bar).dim
-        members, targets = (w1bar, base, E, inv_w1), (d1, a1, top - q + min(q, room), top)
     flag = [_fiber_lifts(PolyModule.constant(S)) for S in members]
-    for rows in _searched(_lift_solutions(flag, w2bar, targets, pairing=pairing)):
+    for rows in _searched(_lift_solutions(flag, w2bar, targets_b, pairing=pairing)):
         w2 = _omega2(PolyModule.from_rows(M.field, M.dim, rows), free)
-        if w2.kept:
+        if w2 is not None:
             return w2
     return None
 
@@ -837,22 +815,22 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     (k[T]/T^e)^h, e = len(mu) = 3, over the truncated series; the generic
     fiber of the result is recomputed independently and must equal y_to.
     Stage b takes its first kept omega_2, whose target on E (see
-    `_second_lift`) makes it one that stage c can lift along, and stage c
+    `_normal_flag`) makes it one that stage c can lift along, and stage c
     takes its first lift.  When either search is empty, or the first lift
     realizes another point, TheoremGapError names what went wrong with
     y_to and y_from.  The theorems say every y_to in Y^adm is reached.
 
     Four bounded caches share work between calls; their keys are hashable
-    values and they hold immutable ones.  `_free_module` builds the free
-    module, the one owner of T, its kernels and the pairing, per (field, h,
-    polarized, e); `_normal_flag` the normal-form flag of y_from with
-    T^{-1}(w1bar) and E, per source point; `_second_lift` stage b's
-    omega_2, per (free module, w1bar, w2bar, E, targets_b), that is per
-    source and alpha_1 of y_to; and `_omega2` what stage c reads from
-    omega_2 -- the polarized cross-pair test, a1 and the fiber lifts of
-    the four flag members omega_2 fixes -- per module value, however many
-    keys draw it.  They hold at most 16, 1,024, 1,024 and 1,024 entries;
-    every pair at h = 3, 4 plus polarized g = 2 uses 3, 157, 127 and 72.
+    values and they hold immutable ones.  `_free_module` owns the free
+    module, T, its kernels and the pairing, keyed by (field, h, polarized,
+    e); `_normal_flag` owns what a source point fixes, stage b's flag and
+    room among it, keyed by (y_from, field, polarized); `_second_lift`
+    owns stage b's search, keyed by exactly its inputs (free module, stage
+    b's flag, w2bar, targets); and `_omega2` owns what stage c reads from
+    an omega_2 -- the polarized cross-pair test, a1 and the fiber lifts of
+    the four flag members omega_2 fixes -- keyed by (module value, free
+    module), however many searches draw it.  They hold at most 16, 1,024,
+    1,024 and 1,024 entries.
     """
     if (y_from.h, y_from.mu) != (y_to.h, y_to.mu):
         raise StratOrderError("points live over different (h, mu)")
@@ -864,21 +842,22 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         failed = violation(y, polarized)
         if failed:
             raise StratOrderError("%s %r fails %s" % (name, y.sort_key(), failed))
-    w1bar, w2bar, wbar, inv_w1, E = _normal_flag(y_from, field, polarized)
-
-    h = y_from.h  # the free rank over the truncated ring (h = 2g when polarized)
-    free = _free_module(field, h, polarized, len(y_from.mu))
+    free, w2bar, wbar, members, room = _normal_flag(y_from, field, polarized)
     M, pairing, (PkerT, PkerT2) = free
     d1, d2, d3 = y_from.mu
     delta, alpha, beta = y_to.delta, y_to.alpha, y_to.beta
 
-    w2 = _second_lift(free, w1bar, w2bar, E, (d1, alpha[0], d1 + d2))
+    targets_b = (d1, alpha[0], d1 + d2)
+    if room is not None:
+        q = y_from.alpha[0] - alpha[0]
+        targets_b = (d1, alpha[0], d1 + d2 - q + min(q, room), d1 + d2)
+    w2 = _second_lift(free, members, w2bar, targets_b)
     if w2 is None:
         raise TheoremGapError(
             "no second lift for %r from %r" % (y_to.sort_key(), y_from.sort_key())
         )
-    Pinv_w1 = PolyModule.constant(inv_w1)
-    w2_lifts, F_lifts, G_lifts, inv_w2_lifts = w2.lifts
+    Pw2, a1, (w2_lifts, F_lifts, G_lifts, inv_w2_lifts) = w2
+    Pinv_w1 = PolyModule.constant(members[-1])
     flag_c = [w2_lifts, F_lifts, _fiber_lifts(Pinv_w1), G_lifts, inv_w2_lifts]
     targets_c = (d1 + d2, delta[0] + alpha[1], d1 + beta[0], delta[0] + delta[1], d1 + d2 + d3)
     rows_c = next(_searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)), None)
@@ -888,16 +867,14 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             % (y_to.sort_key(), y_from.sort_key())
         )
     Pw = PolyModule.from_rows(field, M.dim, rows_c)
-    generic = _generic_point(h, y_from.mu, Pinv_w1, w2.a1, Pw, PkerT, PkerT2)
+    generic = _generic_point(y_from.h, y_from.mu, Pinv_w1, a1, Pw, PkerT, PkerT2)
     if generic != y_to:
         raise TheoremGapError(
             "the first lift realized %r, not %r, from %r"
             % (generic.sort_key(), y_to.sort_key(), y_from.sort_key())
         )
-    omega1 = PolyModule.constant(w1bar).to_polymatrix()
-    return Degeneration(
-        y_from, y_to, M, omega1, w2.Pw2.to_polymatrix(), Pw.to_polymatrix(), generic
-    )
+    omega1 = PolyModule.constant(members[0]).to_polymatrix()
+    return Degeneration(y_from, y_to, M, omega1, Pw2.to_polymatrix(), Pw.to_polymatrix(), generic)
 
 
 def _generic_point(h, mu, Pinv_w1, a1, Pw, PkerT, PkerT2):

@@ -465,11 +465,9 @@ def criterion_isotropic(seed):
             continue
         prob = liftmod.LiftProblem(flag, L, targets, pairing=Phi)
         try:
-            liftmod.check_isotropic_feasible(prob)
+            pm = liftmod.lift_isotropic(prob)  # checks feasibility first
         except liftmod.LiftInfeasibleError:
             continue
-        try:
-            pm = liftmod.lift_isotropic(prob)
         except liftmod.LiftConstructionError:
             bad += 1
             done += 1

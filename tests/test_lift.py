@@ -505,6 +505,22 @@ def test_isotropic_trivial_and_hand_case():
     assert _degree(pm) == 1
 
 
+def test_isotropic_lift_needs_a_zero_gram_matrix():
+    # F_3^2, flag (span e1, F_3^2), special span e1, targets (0, 1): the
+    # one lifted row e1 + c X e2 pairs with itself to 2 c X under the
+    # symmetric form.  The search pairs a row only with the rows before it,
+    # so the Gram test alone refuses it; under an alternating form it is 0.
+    line = Subspace.span(F3, 2, [[1, 0]])
+    flag = (line, Subspace.full(F3, 2))
+    symmetric = LiftProblem(flag, line, (0, 1), pairing=Matrix.from_rows(F3, [[0, 1], [1, 0]]))
+    check_isotropic_feasible(symmetric)
+    with pytest.raises(LiftConstructionError, match="no isotropic lift found"):
+        lift_isotropic(symmetric)
+    alternating = LiftProblem(flag, line, (0, 1), pairing=Matrix.from_rows(F3, [[0, 1], [2, 0]]))
+    rep = verify_lift(alternating, lift_isotropic(alternating))
+    assert rep.ok and rep.gram_zero
+
+
 def test_isotropic_feasibility_names():
     Phi = Matrix.from_rows(
         F2,
@@ -1021,8 +1037,11 @@ DEGENERATE_REST_SHA256 = "1e32e598d2c6c888c18c13689f5b1124b04879639d64b82e7c0d30
 
 
 def _clear_degenerate_caches():
-    for cache in (_free_module, _normal_flag, _second_lift, _omega2):
-        cache.cache_clear()
+    # every lru_cache that prflags.lift defines, so that none leaks warm
+    # entries into a cold-cache test
+    for obj in vars(lift_module).values():
+        if hasattr(obj, "cache_clear") and obj.__module__ == lift_module.__name__:
+            obj.cache_clear()
 
 
 def test_a_first_lift_that_misses_y_to_is_a_theorem_gap(monkeypatch):
@@ -1056,6 +1075,8 @@ def test_degenerate_step_results_pinned_with_cold_and_warm_caches():
     digest = hashlib.sha256("\n".join(cold).encode()).hexdigest()
     assert (len(pairs), sum(c.startswith("{") for c in cold)) == (454, 269)
     assert digest == DEGENERATE_FAMILY_SHA256
+    caches = (_free_module, _normal_flag, _second_lift, _omega2)
+    assert tuple(c.cache_info().currsize for c in caches) == (8, 136, 115, 77)
     warm = [_degenerate_outcome(*pair) for pair in reversed(pairs)]
     assert warm[::-1] == cold
 
@@ -1112,16 +1133,15 @@ def test_stage_b_draws_once_where_it_used_to_skip(monkeypatch):
         for field, h, mu, a, b in _SKIPPING_PAIRS
     ]
     cached, drawn = lift_module._omega2, []
-    monkeypatch.setattr(lift_module, "_omega2", lambda *key: drawn.append(key) or cached(*key))
     _clear_degenerate_caches()
+    monkeypatch.setattr(lift_module, "_omega2", lambda *key: drawn.append(key) or cached(*key))
     outcomes = [_degenerate_outcome(*pair) for pair in pairs]
     assert all(o.startswith("{") for o in outcomes)
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == SKIPPING_PAIRS_SHA256
     keys = set()
     for y_from, y_to, field, _ in pairs:
-        w1bar, w2bar, _, _, E = _normal_flag(y_from, field, False)
-        d1, d2, _ = y_from.mu
-        keys.add((field, y_from.h, w1bar, w2bar, E, (d1, y_to.alpha[0], d1 + d2)))
+        free, w2bar, _, members, _ = _normal_flag(y_from, field, False)
+        keys.add((free, members, w2bar, y_to.alpha[0]))
     # (4,2,1)|(4,1)|(3,1) at mu = (3, 2, 2) and (4,2,0)|(4,1)|(3,0) at
     # mu = (3, 2, 1) have one stage-b flag, so they share a key
     assert _second_lift.cache_info().misses == len(drawn) == len(keys) == 9
@@ -1173,6 +1193,25 @@ def test_polarized_stage_b_keeps_its_three_members():
     assert _generic_chain_ok(res) and _special_chain_ok(res)
 
 
+def test_normal_flag_gives_alpha_1_and_room():
+    # degenerate_step reads q = alpha_1(y_from) - alpha_1(y_to) from the two
+    # points, which holds as the normal form has dim(w2bar meet ker T) =
+    # alpha_1(y_from); stage b's members are nested, and only a plain flag
+    # has E and a room
+    sources = {(a, field, pol) for a, _, field, pol in _degenerate_family() + _degenerate_rest()}
+    counts = {False: 0, True: 0}
+    for y_from, field, polarized in sources:
+        free, w2bar, _, members, room = _normal_flag(y_from, field, polarized)
+        assert w2bar.intersect(torsion_flag(free[0], 1)).dim == y_from.alpha[0]
+        assert all(b.contains(a) for a, b in zip(members, members[1:]))
+        if polarized:
+            assert len(members) == 3 and room is None
+        else:
+            assert len(members) == 4 and room >= 0
+        counts[polarized] += 1
+    assert counts == {False: 288, True: 28}
+
+
 def test_every_ordered_pair_at_h5_over_f2_is_reached():
     # past the pinned family, checked as criterion 8 checks a degeneration
     pairs = 0
@@ -1210,19 +1249,19 @@ def test_omega2_records_equal_the_uncached_computation(monkeypatch):
     records = {key: _omega2(*key) for key in drawn}
     assert _omega2.cache_info().misses == len(drawn)  # the lookups just made all hit
     assert all(records[key] == _omega2.__wrapped__(*key) for key in drawn)
-    kept = [rec for rec in records.values() if rec.kept]
+    kept = [rec for rec in records.values() if rec is not None]
     assert (len(drawn), len(kept)) == (77, 73)
-    for rec in records.values():
-        assert (rec.a1 is None, rec.lifts is None) == (not rec.kept, not rec.kept)
+    for (Pw2, _), rec in records.items():
+        assert rec is None or (rec[0] is Pw2 and len(rec[2]) == 4)
 
 
 def test_omega2_is_shared_by_equal_modules_built_apart():
     mu = (2, 1, 1)
     y_from = StrataPoint(3, mu, (3, 1, 0), (3, 0), (2, 0))
     _clear_degenerate_caches()
-    w1bar, w2bar, _, _, E = _normal_flag(y_from, F2, False)
-    free = _free_module(F2, 3, False, 3)
-    Pw2 = _second_lift(free, w1bar, w2bar, E, (2, 2, 3)).Pw2
+    free, w2bar, _, members, room = _normal_flag(y_from, F2, False)
+    q = y_from.alpha[0] - 2
+    Pw2 = _second_lift(free, members, w2bar, (2, 2, 3 - q + min(q, room), 3))[0]
     _omega2.cache_clear()
     rows = [[padd(x, y, 2) for x, y in zip(Pw2.basis[0], Pw2.basis[-1])]]
     again = PolyModule.from_rows(F2, Pw2.n, rows + list(Pw2.basis[1:]))
@@ -1238,15 +1277,15 @@ def test_omega2_cache_keys_on_polarized(monkeypatch):
     pol = enum_Ypol(2)
     drawn = _drawn_omega2(monkeypatch, [(a, b, F2, True) for a in pol for b in pol])
     polarized = _free_module(F2, 4, True, 3)
-    Pw2 = next(Pw2 for Pw2, _ in drawn if not _omega2(Pw2, polarized).kept)
+    Pw2 = next(Pw2 for Pw2, _ in drawn if _omega2(Pw2, polarized) is None)
     assert Pw2.n == 12
     _omega2.cache_clear()
-    assert not _omega2(Pw2, polarized).kept
-    assert _omega2(Pw2, _free_module(F2, 4, False, 3)).kept
+    assert _omega2(Pw2, polarized) is None
+    assert _omega2(Pw2, _free_module(F2, 4, False, 3)) is not None
     _free_module.cache_clear()
     rebuilt = _free_module(F2, 4, True, 3)
     assert rebuilt == polarized and rebuilt is not polarized
-    assert not _omega2(Pw2, rebuilt).kept
+    assert _omega2(Pw2, rebuilt) is None
     assert _omega2.cache_info().currsize == 2
 
 

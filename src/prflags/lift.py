@@ -234,6 +234,31 @@ def _null_lattice(p, M, n):
     return _hermite(p, joined, len(M))
 
 
+def _cleared_rank(rows, S):
+    """Generic rank of polynomial rows with the constant subspace S cleared
+    from them: v becomes v - sum v[k] b over S's reduced echelon rows b
+    and their pivots k, which is 0 at every pivot, as b is 1 at its own
+    and 0 at the others, and the pivot columns are dropped.  Clearing is
+    a row operation over F_p[X], so rank [rows; S] = dim S + this rank,
+    and the generic span of independent rows meets S in dimension
+    len(rows) less this rank."""
+    p, pivots = S.field.p, S.pivots
+    keep = [j for j in range(S.n) if j not in pivots]
+    terms = [
+        (k, [(j, b[j]) for j in keep if b[j]]) for k, b in zip(pivots, S.basis_coords())
+    ]
+    cleared = []
+    for v in rows:
+        v = list(v)
+        for k, entries in terms:
+            c = v[k]
+            if c:
+                for j, bj in entries:
+                    v[j] = padd(v[j], c, p, -bj)
+        cleared.append([v[j] for j in keep])
+    return generic_rank(PolyMatrix(S.field, len(keep), cleared))
+
+
 class PolyModule:
     """A saturated R-submodule of R^n, by a canonical polynomial basis."""
 
@@ -294,9 +319,10 @@ class PolyModule:
         too, so the Hermite block is the canonical basis as it stands."""
         return PolyModule(self.field, self.n, _hermite(self.field.p, joined, self.n))
 
-    def generic_intersection_dim(self, other):
-        """Both bases are canonical, so they go to `_hermite` as they stand."""
-        return self.rank + other.rank - len(_hermite(self.field.p, self.basis + other.basis))
+    def generic_meet_dim(self, S):
+        """The generic dimension of this module meet the constant subspace
+        S; the basis rows are independent, so `_cleared_rank` gives it."""
+        return self.rank - _cleared_rank(self.basis, S)
 
     def contains_generic(self, pm):
         """Whether every row of the PolyMatrix lies in the generic span."""
@@ -474,6 +500,12 @@ def _fiber_lifts(module):
     return Subspace(field, n, lefts, _canonical=True), tuple(lifts)
 
 
+def _constant_lifts(S):
+    """The `_fiber_lifts` pair of the constant module of S, read off S:
+    the fiber is S, and each reduced echelon row lifts to itself."""
+    return S, tuple(zip(S.pivots, PolyModule.constant(S).basis))
+
+
 def _combine(field, row, terms, v):
     """row + the sum of c*t over the (k, t) in terms, c the entry of the
     packed vector v at k.  With a fiber's (pivot, lift) pairs as terms this
@@ -588,7 +620,7 @@ def _searched(gen):
 def lift_subspace(problem):
     """A polynomial basis of the lift prescribed by a (plain) LiftProblem."""
     check_lift_feasible(problem)
-    flag = [_fiber_lifts(PolyModule.constant(F)) for F in problem.flag]
+    flag = [_constant_lifts(F) for F in problem.flag]
     for rows in _lift_solutions(flag, problem.special, problem.targets):
         return PolyMatrix(problem.special.field, problem.special.n, rows)
     raise LiftConstructionError("no lift found for a feasible problem")
@@ -598,7 +630,7 @@ def lift_isotropic(problem):
     """An isotropic lift: plain posts plus an identically-zero Gram matrix."""
     check_isotropic_feasible(problem)
     pairing = problem.pairing
-    flag = [_fiber_lifts(PolyModule.constant(F)) for F in problem.flag]
+    flag = [_constant_lifts(F) for F in problem.flag]
     for rows in _lift_solutions(flag, problem.special, problem.targets, pairing=pairing):
         pm = PolyMatrix(problem.special.field, problem.special.n, rows)
         if all(not e for r in pm.gram(pairing).rows for e in r):
@@ -624,17 +656,14 @@ def verify_lift(problem, pm):
 
     (a) the reduction at X = 0 spans the special subspace; (b) the lift
     is a direct summand (full-rank reduction, hence a maximal minor with
-    unit constant term); (c) every generic intersection dimension,
-    computed from the generic rank of the stacked rows, equals its target.
+    unit constant term); (c) every generic intersection dimension equals
+    its target.  Each is the row count less the generic rank of the rows
+    cleared at the flag member's pivots (see `_cleared_rank`).
     """
     fiber = pm.eval0_subspace()
     a = fiber == problem.special
     b = fiber.dim == pm.nrows
-    dims = []
-    for F in problem.flag:
-        stacked = PolyMatrix(pm.field, pm.ncols, pm.rows + PolyModule.constant(F).basis)
-        dims.append(pm.nrows + F.dim - generic_rank(stacked))
-    dims = tuple(dims)
+    dims = tuple(pm.nrows - _cleared_rank(pm.rows, F) for F in problem.flag)
     c = dims == problem.targets
     gram_zero = None
     if problem.pairing is not None:
@@ -779,7 +808,7 @@ def _omega2(Pw2, free):
         _fiber_lifts(PkerT2.intersect(Pinv_w2)),
         _fiber_lifts(Pinv_w2),
     )
-    return Pw2, Pw2.generic_intersection_dim(PkerT), lifts
+    return Pw2, Pw2.generic_meet_dim(torsion_flag(M, 1)), lifts
 
 
 @functools.lru_cache(maxsize=1024)
@@ -788,7 +817,7 @@ def _second_lift(free, members, w2bar, targets_b):
     its search keeps none: the lift of w2bar along the constant flag
     `members` with targets_b inside `free`, which gives T and the pairing."""
     M, pairing, _ = free
-    flag = [_fiber_lifts(PolyModule.constant(S)) for S in members]
+    flag = [_constant_lifts(S) for S in members]
     for rows in _searched(_lift_solutions(flag, w2bar, targets_b, pairing=pairing)):
         w2 = _omega2(PolyModule.from_rows(M.field, M.dim, rows), free)
         if w2 is not None:
@@ -843,7 +872,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
         if failed:
             raise StratOrderError("%s %r fails %s" % (name, y.sort_key(), failed))
     free, w2bar, wbar, members, room = _normal_flag(y_from, field, polarized)
-    M, pairing, (PkerT, PkerT2) = free
+    M, pairing, _ = free
     d1, d2, d3 = y_from.mu
     delta, alpha, beta = y_to.delta, y_to.alpha, y_to.beta
 
@@ -857,8 +886,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             "no second lift for %r from %r" % (y_to.sort_key(), y_from.sort_key())
         )
     Pw2, a1, (w2_lifts, F_lifts, G_lifts, inv_w2_lifts) = w2
-    Pinv_w1 = PolyModule.constant(members[-1])
-    flag_c = [w2_lifts, F_lifts, _fiber_lifts(Pinv_w1), G_lifts, inv_w2_lifts]
+    flag_c = [w2_lifts, F_lifts, _constant_lifts(members[-1]), G_lifts, inv_w2_lifts]
     targets_c = (d1 + d2, delta[0] + alpha[1], d1 + beta[0], delta[0] + delta[1], d1 + d2 + d3)
     rows_c = next(_searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)), None)
     if rows_c is None:
@@ -867,7 +895,8 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             % (y_to.sort_key(), y_from.sort_key())
         )
     Pw = PolyModule.from_rows(field, M.dim, rows_c)
-    generic = _generic_point(y_from.h, y_from.mu, Pinv_w1, a1, Pw, PkerT, PkerT2)
+    kerT, kerT2 = torsion_flag(M, 1), torsion_flag(M, 2)
+    generic = _generic_point(y_from.h, y_from.mu, members[-1], a1, Pw, kerT, kerT2)
     if generic != y_to:
         raise TheoremGapError(
             "the first lift realized %r, not %r, from %r"
@@ -877,17 +906,19 @@ def degenerate_step(y_from, y_to, field, polarized=False):
     return Degeneration(y_from, y_to, M, omega1, Pw2.to_polymatrix(), Pw.to_polymatrix(), generic)
 
 
-def _generic_point(h, mu, Pinv_w1, a1, Pw, PkerT, PkerT2):
-    """Generic invariants of a lifted flag, via generic ranks of stacked
-    bases; a1 is the generic dimension of omega_2 meet ker T, and omega_2,
-    a lift of w2bar, has rank d1 + d2."""
+def _generic_point(h, mu, inv_w1, a1, Pw, kerT, kerT2):
+    """Generic invariants of the lifted flag with omega = Pw, from the
+    generic dimensions of omega meet the constant subspaces inv_w1 =
+    T^{-1} w1bar, kerT and kerT2 = ker T^2, each read from omega's basis
+    cleared at that subspace's pivots; a1 is the generic dimension of
+    omega_2 meet ker T, and omega_2, a lift of w2bar, has rank d1 + d2."""
     d1, d2 = mu[0], mu[1]
     total = Pw.rank
-    k1 = Pw.generic_intersection_dim(PkerT)
-    k2 = Pw.generic_intersection_dim(PkerT2)
+    k1 = Pw.generic_meet_dim(kerT)
+    k2 = Pw.generic_meet_dim(kerT2)
     delta = (k1, k2 - k1, total - k2)
     alpha = (a1, d1 + d2 - a1)
-    b1 = Pw.generic_intersection_dim(Pinv_w1) - d1
+    b1 = Pw.generic_meet_dim(inv_w1) - d1
     beta = (b1, total - d1 - b1)
     return StrataPoint(h, mu, delta, alpha, beta)
 

@@ -81,9 +81,8 @@ def _random_subspace(rng, S, dim):
     guard = 0
     while S.dim < dim:
         v = field.pack([rng.randrange(field.p) for _ in range(n)])
-        S2 = Subspace(field, n, S.rows + (v,))
-        if S2.dim > S.dim:
-            S = S2
+        if not S.contains_row(v):
+            S = Subspace(field, n, S.rows + (v,))
         guard += 1
         if guard > 200:
             raise RuntimeError("random subspace generation stalled")
@@ -383,11 +382,15 @@ def _extend_isotropic_to(rng, field, Phi, cur, dim):
     """The isotropic cur grown to dimension `dim` <= g by random vectors
     orthogonal to it.  A choice always exists: Phi is a perfect alternating
     form on F_p^{2g}, so while dim cur = k < g its perp has dimension
-    2g - k > k and holds vectors outside cur."""
-    n = cur.n
+    2g - k > k and holds vectors outside cur.  The isotropic cur lies in
+    its perp, so exactly p^(2g - k) - p^k of those vectors lie outside
+    cur; one draw picks one of them by its index in `vectors()` order."""
+    n, p = cur.n, field.p
     while cur.dim < dim:
-        choices = [v for v in liftmod.perp(cur, Phi).vectors() if not cur.contains_row(v)]
-        cur = Subspace(field, n, cur.rows + (choices[rng.randrange(len(choices))],))
+        pp = liftmod.perp(cur, Phi)
+        i = rng.randrange(p**pp.dim - p**cur.dim)
+        outside = (v for v in pp.vectors() if not cur.contains_row(v))
+        cur = Subspace(field, n, cur.rows + (next(itertools.islice(outside, i, None)),))
     return cur
 
 

@@ -12,7 +12,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, preimage
+from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, enumerate_subspaces, preimage
 from prflags.e3 import (
     AdmissibilityError,
     StrataPoint,
@@ -40,7 +40,9 @@ from prflags.lift import (
     StratOrderError,
     TheoremGapError,
     _bilinear,
+    _cleared_rank,
     _combine,
+    _constant_lifts,
     _fiber_lifts,
     _free_module,
     _lift_solutions,
@@ -75,6 +77,8 @@ from prflags.verify import (
     _random_polarized_targets,
     _sorted_mus,
     _special_chain_ok,
+    criterion_isotropic,
+    criterion_lifting_lemma,
 )
 from test_tmodule import matrix_power
 
@@ -408,6 +412,51 @@ def _subspace(data, field, n):
     return Subspace.span(field, n, data.draw(st.lists(vec, max_size=n)))
 
 
+def test_constant_lifts_are_the_fiber_lifts_of_the_constant_module():
+    spaces = [S for d in range(4) for S in enumerate_subspaces(F2, 3, d)]
+    rng = random.Random(29)
+    for p in (3, 5):
+        field = PrimeField(p)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            spaces.append(Subspace.span(field, n, vecs))
+    assert len(spaces) == 16 + 80
+    for S in spaces:
+        assert _constant_lifts(S) == _fiber_lifts(PolyModule.constant(S))
+
+
+def _constant_flag(data, field, n):
+    """A random chain of subspaces from 0 to F_p^n, both ends included."""
+    vec = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
+    S = Subspace.zero(field, n)
+    flag = [S]
+    for v in data.draw(st.lists(vec, max_size=n)):
+        S = S.sum(Subspace.span(field, n, [v]))
+        flag.append(S)
+    return flag + [Subspace.full(field, n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cleared_rank_equals_the_stacked_reference(data):
+    # dim(L meet S) from rows cleared at S's pivots, against the rank of
+    # the rows stacked over S; the rows may be dependent or of degree 3
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    field, n = PrimeField(p), data.draw(st.integers(1, 5))
+    if data.draw(st.booleans()):
+        rows = _product_rows(data, p, n)
+    else:
+        rows = _poly_rows(data, p, data.draw(st.integers(1, 4)), n, 3)
+    module = PolyModule.from_rows(field, n, rows)
+    r = ref_rank(p, rows, n)
+    for S in _constant_flag(data, field, n):
+        constant = [[pconst(c, p) for c in b] for b in S.basis_coords()]
+        stacked = ref_rank(p, rows + constant, n)
+        assert len(rows) - _cleared_rank(rows, S) == len(rows) + S.dim - stacked
+        assert module.generic_meet_dim(S) == r + S.dim - stacked
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_constant_lattice_operations_match_gf(data):
@@ -441,6 +490,22 @@ def test_lift_hand_derived_case():
     report = verify_lift(prob, pm)
     assert report.ok
     assert report.generic_dims == (0, 1)
+
+
+def test_verify_lift_refuses_wrong_lifts():
+    line = Subspace.span(F2, 2, [[1, 0]])
+    prob = LiftProblem((line, Subspace.full(F2, 2)), line, (0, 1))
+    # the constant lift stays inside the first member: dims (1, 1)
+    rep = verify_lift(prob, PolyMatrix(F2, 2, [[(1,), ()]]))
+    assert rep.generic_dims == (1, 1) and rep.special_fiber_ok and rep.direct_summand_ok
+    assert not rep.ok
+    # X e1 reduces to 0 at X = 0, so it is no direct summand
+    rep = verify_lift(prob, PolyMatrix(F2, 2, [[(0, 1), ()]]))
+    assert not rep.direct_summand_ok and not rep.ok
+    # e2 + X e1 lifts span e2 with the right generic dims
+    rep = verify_lift(prob, PolyMatrix(F2, 2, [[(0, 1), (1,)]]))
+    assert rep.generic_dims == (0, 1) and rep.direct_summand_ok
+    assert not rep.special_fiber_ok and not rep.ok
 
 
 def test_lift_feasibility_names():
@@ -730,6 +795,32 @@ def test_lift_search_exhausts_its_budget_where_the_reference_does(monkeypatch):
             assert got == want
             exhausted += got[-1:] == ["exhausted"]
     assert exhausted > 0
+
+
+# every problem criteria 6 and 7 hand to lift at seed 7, taken before the
+# generators stopped building the subspaces they discard
+VERIFY_INSTANCES_SHA256 = "8e2248f5435c119d49147e77fdb32dd119d58a67901712c54a91106535b2fba5"
+
+
+def test_verify_draws_the_pinned_lift_instances(monkeypatch):
+    records = []
+
+    def recording(fn):
+        def wrapped(prob):
+            records.append(repr((
+                prob.special.field.p,
+                [F.basis_coords() for F in prob.flag],
+                prob.special.basis_coords(),
+                prob.targets,
+            )))
+            return fn(prob)
+        return wrapped
+
+    for name in ("check_lift_feasible", "lift_isotropic"):
+        monkeypatch.setattr(lift_module, name, recording(getattr(lift_module, name)))
+    assert criterion_lifting_lemma(7)[0] and criterion_isotropic(7)[0]
+    assert len(records) == 1006
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == VERIFY_INSTANCES_SHA256
 
 
 def test_perp():

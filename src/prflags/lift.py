@@ -500,12 +500,6 @@ def _fiber_lifts(module):
     return Subspace(field, n, lefts, _canonical=True), tuple(lifts)
 
 
-def _constant_lifts(S):
-    """The `_fiber_lifts` pair of the constant module of S, read off S:
-    the fiber is S, and each reduced echelon row lifts to itself."""
-    return S, tuple(zip(S.pivots, PolyModule.constant(S).basis))
-
-
 def _combine(field, row, terms, v):
     """row + the sum of c*t over the (k, t) in terms, c the entry of the
     packed vector v at k.  With a fiber's (pivot, lift) pairs as terms this
@@ -620,7 +614,7 @@ def _searched(gen):
 def lift_subspace(problem):
     """A polynomial basis of the lift prescribed by a (plain) LiftProblem."""
     check_lift_feasible(problem)
-    flag = [_constant_lifts(F) for F in problem.flag]
+    flag = [_fiber_lifts(PolyModule.constant(F)) for F in problem.flag]
     for rows in _lift_solutions(flag, problem.special, problem.targets):
         return PolyMatrix(problem.special.field, problem.special.n, rows)
     raise LiftConstructionError("no lift found for a feasible problem")
@@ -630,7 +624,7 @@ def lift_isotropic(problem):
     """An isotropic lift: plain posts plus an identically-zero Gram matrix."""
     check_isotropic_feasible(problem)
     pairing = problem.pairing
-    flag = [_constant_lifts(F) for F in problem.flag]
+    flag = [_fiber_lifts(PolyModule.constant(F)) for F in problem.flag]
     for rows in _lift_solutions(flag, problem.special, problem.targets, pairing=pairing):
         pm = PolyMatrix(problem.special.field, problem.special.n, rows)
         if all(not e for r in pm.gram(pairing).rows for e in r):
@@ -817,7 +811,7 @@ def _second_lift(free, members, w2bar, targets_b):
     its search keeps none: the lift of w2bar along the constant flag
     `members` with targets_b inside `free`, which gives T and the pairing."""
     M, pairing, _ = free
-    flag = [_constant_lifts(S) for S in members]
+    flag = [_fiber_lifts(PolyModule.constant(S)) for S in members]
     for rows in _searched(_lift_solutions(flag, w2bar, targets_b, pairing=pairing)):
         w2 = _omega2(PolyModule.from_rows(M.field, M.dim, rows), free)
         if w2 is not None:
@@ -886,7 +880,8 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             "no second lift for %r from %r" % (y_to.sort_key(), y_from.sort_key())
         )
     Pw2, a1, (w2_lifts, F_lifts, G_lifts, inv_w2_lifts) = w2
-    flag_c = [w2_lifts, F_lifts, _constant_lifts(members[-1]), G_lifts, inv_w2_lifts]
+    Pinv_w1 = PolyModule.constant(members[-1])
+    flag_c = [w2_lifts, F_lifts, _fiber_lifts(Pinv_w1), G_lifts, inv_w2_lifts]
     targets_c = (d1 + d2, delta[0] + alpha[1], d1 + beta[0], delta[0] + delta[1], d1 + d2 + d3)
     rows_c = next(_searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)), None)
     if rows_c is None:

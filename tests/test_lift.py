@@ -12,7 +12,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, enumerate_subspaces, preimage
+from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, preimage
 from prflags.e3 import (
     AdmissibilityError,
     StrataPoint,
@@ -42,7 +42,6 @@ from prflags.lift import (
     _bilinear,
     _cleared_rank,
     _combine,
-    _constant_lifts,
     _fiber_lifts,
     _free_module,
     _lift_solutions,
@@ -410,20 +409,6 @@ def test_fiber_lifts_match_brute_force(data):
 def _subspace(data, field, n):
     vec = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
     return Subspace.span(field, n, data.draw(st.lists(vec, max_size=n)))
-
-
-def test_constant_lifts_are_the_fiber_lifts_of_the_constant_module():
-    spaces = [S for d in range(4) for S in enumerate_subspaces(F2, 3, d)]
-    rng = random.Random(29)
-    for p in (3, 5):
-        field = PrimeField(p)
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, n))]
-            spaces.append(Subspace.span(field, n, vecs))
-    assert len(spaces) == 16 + 80
-    for S in spaces:
-        assert _constant_lifts(S) == _fiber_lifts(PolyModule.constant(S))
 
 
 def _constant_flag(data, field, n):

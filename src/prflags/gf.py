@@ -10,7 +10,11 @@ are equal exactly when their packed bases are identical.  Kernels,
 intersections and preimages are each the right block of one `rref` of
 joined rows [left | right].  `rref` results are memoized by value in one
 bounded cache and shared between callers as immutable tuples; the F_2
-elimination reduces a row only at the pivots it hits.  One echelon-row
+elimination reduces a row only at the pivots it hits.  A subspace grows by
+one vector without `rref`: `Subspace.plus_row` scales the vector's residue
+to 1 at its pivot, clears that column from the older rows and inserts it in
+pivot order (verify's instance generators, the lift search's `avoid` and
+`pr.subspace_in_flag` grow subspaces this way).  One echelon-row
 enumerator, `_echelon_rows`, lists the subspaces of a span in canonical
 order for both `enumerate_subspaces` and `subspaces_between`.  Everything
 here is immutable and pure.
@@ -18,6 +22,7 @@ here is immutable and pure.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -223,13 +228,16 @@ class Subspace:
     __slots__ = ("field", "n", "pivots", "rows", "_hash")
 
     def __init__(self, field, n, packed_rows, _canonical=False):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
         if _canonical:
             rows = tuple(packed_rows)
             pivots = tuple(field.row_support_min(r) for r in rows)
         else:
             pivots, rows = rref(field, packed_rows)
+        self._fill(field, n, pivots, rows)
+
+    def _fill(self, field, n, pivots, rows):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_hash", hash((field.p, n, rows)))
@@ -263,14 +271,51 @@ class Subspace:
     def reduce_row(self, row):
         """Residue of a packed vector modulo this subspace."""
         f = self.field
+        if f.p == 2:
+            for piv, b in zip(self.pivots, self.rows):
+                if row >> piv & 1:
+                    row ^= b
+            return row
         for piv, b in zip(self.pivots, self.rows):
-            c = f.row_get(row, piv)
+            c = row[piv]
             if c:
                 row = f.row_add_scaled(row, b, -c)
         return row
 
     def contains_row(self, row):
         return self.field.row_is_zero(self.reduce_row(row))
+
+    def plus_row(self, row):
+        """The span of this subspace and one packed vector: `self` when the
+        vector lies in it, else one elimination step on its residue."""
+        return self._plus_residue(self.reduce_row(row))
+
+    def _plus_residue(self, res):
+        """`plus_row` of a vector whose residue `reduce_row` gave, for a
+        caller that took the residue to test membership.  The residue is
+        zero at every pivot, so scaled to 1 at its own pivot it clears that
+        column from the older rows, and inserted in pivot order it makes the
+        reduced echelon basis of the sum, with no `rref` and no cache entry."""
+        f = self.field
+        if f.p == 2:
+            if not res:
+                return self
+            low = res & -res
+            piv = low.bit_length() - 1
+            rows = [b ^ res if b & low else b for b in self.rows]
+        else:
+            rest = res.lstrip(b"\0")
+            if not rest:
+                return self
+            piv = len(res) - len(rest)
+            if rest[0] != 1:
+                res = f.row_scale(res, f.inv(rest[0]))
+            rows = [f.row_add_scaled(b, res, -b[piv]) if b[piv] else b for b in self.rows]
+        k = bisect.bisect(self.pivots, piv)
+        rows.insert(k, res)
+        S = object.__new__(Subspace)
+        S._fill(f, self.n, self.pivots[:k] + (piv,) + self.pivots[k:], tuple(rows))
+        return S
 
     def contains(self, other):
         self._check(other)

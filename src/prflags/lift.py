@@ -586,16 +586,15 @@ def _lift_solutions(flag, special, targets, pairing=None):
         _, _, fib, shifted = levels[i]
         rid = pending[j]
         for v in fib.vectors():
-            if avoid.contains_row(v):
+            res = avoid.reduce_row(v)
+            if field.row_is_zero(res):
                 continue
             f = _combine(field, rows[rid], shifted, v)
             if not pair_ok(f, finals):
                 continue
             rows2 = list(rows)
             rows2[rid] = f
-            yield from assign(
-                i, q, pending, j + 1, rows2, finals + [f], Subspace(field, n, avoid.rows + (v,))
-            )
+            yield from assign(i, q, pending, j + 1, rows2, finals + [f], avoid._plus_residue(res))
 
     try:
         yield from rec(0, [], [], [])

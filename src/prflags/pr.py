@@ -199,9 +199,10 @@ def subspace_in_flag(flag, floor, target_intersections):
         for r in space.rows:
             if not need:
                 break
-            if not avoid.contains_row(r):
+            grown = avoid.plus_row(r)
+            if grown is not avoid:
                 picks.append(r)
-                avoid = Subspace(f, n, avoid.rows + (r,))
+                avoid = grown
                 need -= 1
         prev_space, prev_target, prev_floor_cut, avoid = space, t, floor_cut, joint
     return Subspace(f, n, floor.rows + tuple(picks))

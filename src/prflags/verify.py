@@ -80,9 +80,7 @@ def _random_subspace(rng, S, dim):
     field, n = S.field, S.n
     guard = 0
     while S.dim < dim:
-        v = field.pack([rng.randrange(field.p) for _ in range(n)])
-        if not S.contains_row(v):
-            S = Subspace(field, n, S.rows + (v,))
+        S = S.plus_row(field.pack([rng.randrange(field.p) for _ in range(n)]))
         guard += 1
         if guard > 200:
             raise RuntimeError("random subspace generation stalled")
@@ -238,11 +236,10 @@ def _random_valid_filtration(rng, field, max_dim):
         for c, b in zip(coeffs, tor.rows):
             if c:
                 v = field.row_add_scaled(v, b, c)
-        vecs = [v]
+        N = N.plus_row(v)
         for _ in range(e - 1):
             v = M.op.apply(v)
-            vecs.append(v)
-        N = N.sum(Subspace(field, M.dim, vecs))
+            N = N.plus_row(v)
     return M, N, i
 
 
@@ -384,13 +381,15 @@ def _extend_isotropic_to(rng, field, Phi, cur, dim):
     form on F_p^{2g}, so while dim cur = k < g its perp has dimension
     2g - k > k and holds vectors outside cur.  The isotropic cur lies in
     its perp, so exactly p^(2g - k) - p^k of those vectors lie outside
-    cur; one draw picks one of them by its index in `vectors()` order."""
-    n, p = cur.n, field.p
+    cur; one draw picks one of them by its index in `vectors()` order, and
+    cur grows by the residue that showed the vector outside it."""
+    p = field.p
     while cur.dim < dim:
         pp = liftmod.perp(cur, Phi)
         i = rng.randrange(p**pp.dim - p**cur.dim)
-        outside = (v for v in pp.vectors() if not cur.contains_row(v))
-        cur = Subspace(field, n, cur.rows + (next(itertools.islice(outside, i, None)),))
+        residues = map(cur.reduce_row, pp.vectors())
+        outside = (r for r in residues if not field.row_is_zero(r))
+        cur = cur._plus_residue(next(itertools.islice(outside, i, None)))
     return cur
 
 

@@ -128,6 +128,51 @@ def test_modular_law(data):
     assert A.intersect(B).dim + A.sum(B).dim == A.dim + B.dim
 
 
+@st.composite
+def extension_cases(draw):
+    """(p, n, basis of S, v) with v in S, or with v's residue modulo S at a
+    drawn column off S's pivots and a drawn leading entry there."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    entry = st.integers(0, p - 1)
+    S = Subspace.span(
+        PrimeField(p), n, draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    )
+    free = [q for q in range(n) if q not in S.pivots]
+    v = [0] * n
+    if free and draw(st.booleans()):
+        q = draw(st.sampled_from(free))
+        v[q] = draw(st.integers(1, p - 1))
+        for j in free:
+            if j > q:
+                v[j] = draw(entry)
+    for b in S.basis_coords():
+        c = draw(entry)
+        v = [(x + c * y) % p for x, y in zip(v, b)]
+    return p, n, S.basis_coords(), v
+
+
+@settings(max_examples=200, deadline=None)
+@given(extension_cases())
+@example((2, 4, [[0, 1, 0, 0], [0, 0, 1, 0]], [1, 1, 0, 0]))  # new pivot before S's
+@example((5, 4, [[1, 0, 0, 0], [0, 0, 0, 1]], [0, 0, 3, 1]))  # between, residue leads with 3
+@example((2, 4, [[1, 0, 1, 0], [0, 0, 0, 1]], [0, 0, 1, 1]))  # between; the older row meets its column
+@example((3, 4, [[1, 1, 0, 0]], [0, 2, 1, 0]))  # after; the older row meets its column
+@example((3, 3, [[1, 2, 0]], [2, 1, 0]))  # v in S
+def test_plus_row_is_the_rref_of_the_grown_rows(case):
+    p, n, basis, v = case
+    field = PrimeField(p)
+    S = Subspace.span(field, n, basis)
+    v = field.pack(v)
+    before = _rref.cache_info()
+    got = S.plus_row(v)
+    assert _rref.cache_info() == before
+    want = Subspace(field, n, S.rows + (v,))
+    assert got == want and hash(got) == hash(want)
+    assert got.pivots == want.pivots
+    assert (got is S) == S.contains_row(v)
+
+
 def brute_preimage(field, n, T, W):
     vectors = []
     for coords in itertools.product(range(field.p), repeat=n):

@@ -74,6 +74,7 @@ from prflags.verify import (
     _random_isotropic_flag,
     _random_lift_problem,
     _random_polarized_targets,
+    _random_subspace,
     _sorted_mus,
     _special_chain_ok,
     criterion_isotropic,
@@ -806,6 +807,17 @@ def test_verify_draws_the_pinned_lift_instances(monkeypatch):
     assert criterion_lifting_lemma(7)[0] and criterion_isotropic(7)[0]
     assert len(records) == 1006
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == VERIFY_INSTANCES_SHA256
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_random_subspace_stalls_after_201_draws(p):
+    n = 3
+    rng, twin = random.Random(5), random.Random(5)
+    with pytest.raises(RuntimeError, match="^random subspace generation stalled$"):
+        _random_subspace(rng, Subspace.zero(PrimeField(p), n), n + 1)
+    for _ in range(201 * n):
+        twin.randrange(p)
+    assert rng.getstate() == twin.getstate()
 
 
 def test_perp():

@@ -1,5 +1,6 @@
 """PR data: validation, existence, the greedy construction, the oracle."""
 
+import hashlib
 import itertools
 import random
 
@@ -31,16 +32,18 @@ from prflags.pr import (
     validate_pr,
 )
 from prflags.polygon import Polygon
+from prflags import pr as pr_module
 from prflags.tmodule import (
     ConcreteModule,
     JordanType,
     delta_vector,
+    jordan_type,
     power_image,
     realize,
     restrict_module,
     torsion_flag,
 )
-from prflags.verify import _random_valid_filtration
+from prflags.verify import _random_valid_filtration, criterion_filtration_dominance
 from test_tmodule import quotient_module
 
 
@@ -568,3 +571,21 @@ def test_filtration_dominance_matches_the_polygon_objects(monkeypatch):
         assert check_hdg_filt(M, power_image(M, e - i), i) == want
         verdicts[want] += 1
     assert min(verdicts.values()) > 300, verdicts
+
+
+# every (p, J.parts, N, i) criterion 5 hands to check_hdg_filt at seed 7, taken
+# before the generator grew N by one vector at a time
+FILTRATION_INSTANCES_SHA256 = "f20b8acf4a2a0ac902964fe551114eb471118c819ef8e9e1a09cff0a1acb0345"
+
+
+def test_verify_draws_the_pinned_filtration_instances(monkeypatch):
+    records = []
+
+    def recording(M, N, i):
+        records.append(repr((M.field.p, jordan_type(M).parts, N.basis_coords(), i)))
+        return check_hdg_filt(M, N, i)
+
+    monkeypatch.setattr(pr_module, "check_hdg_filt", recording)
+    assert criterion_filtration_dominance(7)[0]
+    assert len(records) == 1000
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == FILTRATION_INSTANCES_SHA256

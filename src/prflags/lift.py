@@ -141,7 +141,12 @@ class PolyMatrix:
         """Matrix of pairings <row_i, row_j> as polynomials."""
         Phi, p = pairing.coord_rows(), pairing.field.p
         rows = [[_bilinear(u, w, Phi, p) for w in self.rows] for u in self.rows]
-        return PolyMatrix(self.field, self.nrows, rows) if self.nrows else self
+        return PolyMatrix(self.field, self.nrows, rows)
+
+    def generic_meet_dim(self, S):
+        """The row count less `_cleared_rank`: for independent rows, the
+        generic dimension of their span meet the constant subspace S."""
+        return self.nrows - _cleared_rank(self.rows, S)
 
     def to_coeff_lists(self):
         return [[list(e) for e in r] for r in self.rows]
@@ -259,18 +264,17 @@ def _cleared_rank(rows, S):
     return generic_rank(PolyMatrix(S.field, len(keep), cleared))
 
 
-class PolyModule:
-    """A saturated R-submodule of R^n, by a canonical polynomial basis."""
+class PolyModule(PolyMatrix):
+    """A saturated R-submodule of R^n: the PolyMatrix of its canonical
+    Hermite basis, so equal modules have equal rows."""
 
-    __slots__ = ("field", "n", "basis")
+    __slots__ = ()
 
     def __init__(self, field, n, basis):
+        # rows from `_hermite` or `constant` are canonical: no `pnorm` pass
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyModule is immutable")
+        object.__setattr__(self, "ncols", n)
+        object.__setattr__(self, "rows", basis)
 
     @classmethod
     def from_rows(cls, field, n, rows):
@@ -288,59 +292,36 @@ class PolyModule:
             S.field, S.n, tuple(tuple(pconst(c, p) for c in r) for r in S.basis_coords())
         )
 
-    @property
-    def rank(self):
-        return len(self.basis)
-
-    def to_polymatrix(self):
-        return PolyMatrix(self.field, self.n, self.basis)
-
     def sum(self, other):
-        return PolyModule.from_rows(self.field, self.n, self.basis + other.basis)
+        return PolyModule.from_rows(self.field, self.ncols, self.rows + other.rows)
 
     def intersect(self, other):
-        zero = [()] * self.n
+        zero = [()] * self.ncols
         return self._right_block(
-            [list(a) + list(a) for a in self.basis] + [list(b) + zero for b in other.basis]
+            [list(a) + list(a) for a in self.rows] + [list(b) + zero for b in other.rows]
         )
 
     def preimage_const(self, T):
         """{v : T v lies in this module}."""
-        p, n = self.field.p, self.n
+        p, n = self.field.p, self.ncols
         joined = [
             [pconst(c, p) for c in col] + [pconst(int(i == j), p) for i in range(n)]
             for j, col in enumerate(T.transpose().coord_rows())  # [T e_j | e_j]
         ]
-        return self._right_block(joined + [list(b) + [()] * n for b in self.basis])
+        return self._right_block(joined + [list(b) + [()] * n for b in self.rows])
 
     def _right_block(self, joined):
         """The module {v : (0 | v) in the span of the joined rows}.  Both
         operations join saturated modules, and their result is saturated
         too, so the Hermite block is the canonical basis as it stands."""
-        return PolyModule(self.field, self.n, _hermite(self.field.p, joined, self.n))
-
-    def generic_meet_dim(self, S):
-        """The generic dimension of this module meet the constant subspace
-        S; the basis rows are independent, so `_cleared_rank` gives it."""
-        return self.rank - _cleared_rank(self.basis, S)
+        return PolyModule(self.field, self.ncols, _hermite(self.field.p, joined, self.ncols))
 
     def contains_generic(self, pm):
         """Whether every row of the PolyMatrix lies in the generic span."""
-        return len(_hermite(self.field.p, self.basis + pm.rows)) == self.rank
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyModule)
-            and self.field == other.field
-            and self.n == other.n
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.n, self.basis))
+        return len(_hermite(self.field.p, self.rows + pm.rows)) == self.nrows
 
     def __repr__(self):
-        return "PolyModule(F%d[[X]]^%d, rank=%d)" % (self.field.p, self.n, self.rank)
+        return "PolyModule(F%d[[X]]^%d, rank=%d)" % (self.field.p, self.ncols, self.nrows)
 
 
 # --- the lifting lemma ------------------------------------------------------
@@ -484,7 +465,7 @@ def _fiber_lifts(module):
     already the fiber's reduced echelon basis and its rows are their own
     lifts.
     """
-    field, n, basis = module.field, module.n, module.basis
+    field, n, basis = module.field, module.ncols, module.rows
     reduced = [field.pack([peval0(e) for e in b]) for b in basis]
     if all(len(e) < 2 for b in basis for e in b):
         fib = Subspace(field, n, reduced, _canonical=True)
@@ -525,6 +506,18 @@ def _lift_solutions(flag, special, targets, pairing=None):
     zero with the rows finalized before it (isotropy); the first yielded
     solution is the plain greedy one.  The search visits at most
     `_NODE_CAP` nodes and raises `LiftConstructionError` past that.
+
+    No caller passes decreasing targets, so every level keeps >= 0 rows.
+    `lift_subspace` and `lift_isotropic` raise INEQ_MONOTONE first.  In
+    `degenerate_step` both points pass the gate.  Stage b: alpha_1 >= d1
+    by P2 >= P(d1, d2); q = alpha_1(y_from) - alpha_1(y_to) >= 0 by the
+    order, and room >= 0 as E contains ker T + w2bar; so t - alpha_1 =
+    alpha_2(y_to) - q + min(q, room) >= min(alpha_2(y_to), alpha_2(y_from))
+    >= 0 and d1 + d2 - t = q - min(q, room) >= 0.  Stage c, y_to in Y^adm:
+    the steps delta_1 - alpha_1, alpha_1 + beta_1 - delta_1 - d2, delta_1 +
+    delta_2 - d1 - beta_1 and delta_3 are >= 0 by the first prefix of P1
+    >= P2 * P(d3), admissibility, the second prefix of P1 >= P3 * P(d1) and
+    the sum condition.
     """
     field = special.field
     n = special.n
@@ -563,7 +556,7 @@ def _lift_solutions(flag, special, targets, pairing=None):
         keep = targets[i] - (targets[i - 1] if i else 0)
         take = min(keep, len(bases))
         q = keep - take
-        if keep < 0 or q > len(pending):
+        if q > len(pending):
             return
         for subset in itertools.combinations(range(len(bases)), take):
             rows2, pending2, finals2 = list(rows), list(pending), list(finals)
@@ -650,13 +643,12 @@ def verify_lift(problem, pm):
     (a) the reduction at X = 0 spans the special subspace; (b) the lift
     is a direct summand (full-rank reduction, hence a maximal minor with
     unit constant term); (c) every generic intersection dimension equals
-    its target.  Each is the row count less the generic rank of the rows
-    cleared at the flag member's pivots (see `_cleared_rank`).
+    its target, each read by `generic_meet_dim`.
     """
     fiber = pm.eval0_subspace()
     a = fiber == problem.special
     b = fiber.dim == pm.nrows
-    dims = tuple(pm.nrows - _cleared_rank(pm.rows, F) for F in problem.flag)
+    dims = tuple(pm.generic_meet_dim(F) for F in problem.flag)
     c = dims == problem.targets
     gram_zero = None
     if problem.pairing is not None:
@@ -681,9 +673,9 @@ class Degeneration:
     y_from: StrataPoint
     y_to: StrataPoint
     module: ConcreteModule
-    omega1: PolyMatrix
-    omega2: PolyMatrix
-    omega: PolyMatrix
+    omega1: PolyModule
+    omega2: PolyModule
+    omega: PolyModule
     generic: StrataPoint
 
     def to_json_dict(self):
@@ -793,7 +785,7 @@ def _omega2(Pw2, free):
     Pinv_w2 = Pw2.preimage_const(M.op)
     if pairing is not None:
         Phi = pairing.coord_rows()
-        if any(_bilinear(u, w, Phi, M.field.p) for u in Pw2.basis for w in Pinv_w2.basis):
+        if any(_bilinear(u, w, Phi, M.field.p) for u in Pw2.rows for w in Pinv_w2.rows):
             return None
     lifts = (
         _fiber_lifts(Pw2),
@@ -896,8 +888,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             "the first lift realized %r, not %r, from %r"
             % (generic.sort_key(), y_to.sort_key(), y_from.sort_key())
         )
-    omega1 = PolyModule.constant(members[0]).to_polymatrix()
-    return Degeneration(y_from, y_to, M, omega1, Pw2.to_polymatrix(), Pw.to_polymatrix(), generic)
+    return Degeneration(y_from, y_to, M, PolyModule.constant(members[0]), Pw2, Pw, generic)
 
 
 def _generic_point(h, mu, inv_w1, a1, Pw, kerT, kerT2):
@@ -907,7 +898,7 @@ def _generic_point(h, mu, inv_w1, a1, Pw, kerT, kerT2):
     cleared at that subspace's pivots; a1 is the generic dimension of
     omega_2 meet ker T, and omega_2, a lift of w2bar, has rank d1 + d2."""
     d1, d2 = mu[0], mu[1]
-    total = Pw.rank
+    total = Pw.nrows
     k1 = Pw.generic_meet_dim(kerT)
     k2 = Pw.generic_meet_dim(kerT2)
     delta = (k1, k2 - k1, total - k2)

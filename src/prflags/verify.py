@@ -40,8 +40,12 @@ class CriterionResult:
 
 
 def _timed(key, fn):
+    """Run one criterion; one that raises fails, and the battery goes on."""
     t0 = time.perf_counter()
-    ok, detail = fn()
+    try:
+        ok, detail = fn()
+    except Exception as err:
+        ok, detail = False, "raised=%s: %s" % (type(err).__name__, err)
     return CriterionResult(key, ok, detail, time.perf_counter() - t0)
 
 
@@ -487,13 +491,12 @@ def criterion_isotropic(seed):
 def _generic_chain_ok(res):
     """Whether the generic chain of a Degeneration is a PR datum over F_p(X):
     omega_1 <= omega_2 <= omega, T omega_2 <= omega_1 and T omega <= omega_2."""
-    f, n, T = res.module.field, res.module.dim, res.module.op
-    w1, w2, w = (liftmod.PolyModule(f, n, pm.rows) for pm in (res.omega1, res.omega2, res.omega))
+    w1, w2, w, T = res.omega1, res.omega2, res.omega, res.module.op
     return (
-        w2.contains_generic(res.omega1)
-        and w.contains_generic(res.omega2)
-        and w1.contains_generic(res.omega2.apply_const(T))
-        and w2.contains_generic(res.omega.apply_const(T))
+        w2.contains_generic(w1)
+        and w.contains_generic(w2)
+        and w1.contains_generic(w2.apply_const(T))
+        and w2.contains_generic(w.apply_const(T))
     )
 
 

@@ -14,6 +14,7 @@ import sys
 import time
 
 from prflags import verify
+from prflags.cli import main
 
 
 def _check(number, name, bound_seconds, fn):
@@ -75,6 +76,30 @@ def test_stratification_criterion_names_its_failures(monkeypatch):
     assert detail.startswith("ordered=35 refused=0 covers=6 failures=51 [")
     assert detail.count("TheoremGapError") == 4
     assert "((1, 1, 1), (1, 1), (1, 1))->((1, 1, 1), (1, 1), (1, 1)) TheoremGapError" in detail
+
+
+def test_a_criterion_that_raises_fails_and_the_battery_goes_on(monkeypatch, capsys):
+    for name in (
+        "criterion_dominance", "criterion_hodge_identity", "criterion_pr_existence",
+        "criterion_filtration_dominance", "criterion_lifting_lemma",
+        "criterion_isotropic", "criterion_strat_engine",
+    ):
+        monkeypatch.setattr(verify, name, lambda *args: (True, "stub"))
+
+    def raises(max_dim):
+        raise verify.liftmod.TheoremGapError("no lift for %r" % ((1, 1, 1),))
+
+    monkeypatch.setattr(verify, "criterion_bijection", raises)
+    runs = [(main(["verify", "all", "--seed", "7"]), capsys.readouterr().out) for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out = runs[0]
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 9
+    assert lines[3] == (
+        "criterion-4-bijection            FAIL raised=TheoremGapError: no lift for (1, 1, 1)"
+    )
+    assert sum(line.endswith(" PASS stub") for line in lines) == 7
+    assert lines[-1] == "TOTAL FAIL 7/8"
 
 
 # the whole `verify all --max-dim 5 --seed 7` report: a change that shrinks

@@ -199,19 +199,19 @@ def test_poly_helpers_return_canonical_tuples(data):
 
 def test_poly_module_saturation():
     M = PolyModule.from_rows(F2, 2, [[(0, 1), ()]])
-    assert M.basis == (((1,), ()),)
+    assert M.rows == (((1,), ()),)
     M2 = PolyModule.from_rows(F2, 2, [[(1,), (0, 1)], [(0, 1), (1,)]])
-    assert M2.rank == 2
-    assert M2.to_polymatrix().eval0_subspace().dim == 2
+    assert M2.nrows == 2
+    assert M2.eval0_subspace().dim == 2
     # (1+X) * (1, X) generates the same generic line; saturation recovers it
     M3 = PolyModule.from_rows(F2, 2, [[(1,), (0, 1)], [(1, 1), (0, 1, 1)]])
-    assert M3.rank == 1
-    assert M3.basis == (((1,), (0, 1)),)
+    assert M3.nrows == 1
+    assert M3.rows == (((1,), (0, 1)),)
     assert M3 == PolyModule.from_rows(F2, 2, [[(1,), (0, 1)]])
     # X * (1, X) saturates to (1, X); X * identity to the identity
-    assert PolyModule.from_rows(F2, 2, [[(0, 1), (0, 0, 1)]]).basis == (((1,), (0, 1)),)
+    assert PolyModule.from_rows(F2, 2, [[(0, 1), (0, 0, 1)]]).rows == (((1,), (0, 1)),)
     diag = PolyModule.from_rows(F3, 2, [[(0, 1), ()], [(), (0, 1)]])
-    assert diag.basis == (((1,), ()), ((), (1,)))
+    assert diag.rows == (((1,), ()), ((), (1,)))
 
 
 def _poly_rows(data, p, m, n, deg):
@@ -276,7 +276,7 @@ def test_saturation_matches_minor_oracle(data):
     p = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(1, 4))
     A = _product_rows(data, p, n)
-    B = PolyModule.from_rows(PrimeField(p), n, A).basis
+    B = PolyModule.from_rows(PrimeField(p), n, A).rows
     r = ref_rank(p, A, n)
     assert len(B) == ref_rank(p, B, n) == r
     assert ref_rank(p, list(B) + A, n) == r
@@ -290,12 +290,26 @@ def test_poly_module_operations():
     T = Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     W = PolyModule.constant(Subspace.span(F2, 3, [[1, 0, 0]]))
     pre = W.preimage_const(T)
-    assert pre.rank == 2
-    assert pre.to_polymatrix().eval0_subspace() == Subspace.span(F2, 3, [[1, 0, 0], [0, 1, 0]])
+    assert pre.nrows == 2
+    assert pre.eval0_subspace() == Subspace.span(F2, 3, [[1, 0, 0], [0, 1, 0]])
     inter = pre.intersect(PolyModule.constant(Subspace.span(F2, 3, [[0, 1, 0], [0, 0, 1]])))
-    assert inter.rank == 1
+    assert inter.nrows == 1
     total = W.sum(pre)
-    assert total.rank == 2
+    assert total.nrows == 2
+
+
+def test_poly_module_is_the_poly_matrix_of_its_basis():
+    # a module equals, and hashes like, the PolyMatrix of the same rows, and
+    # is as immutable
+    M = PolyModule.from_rows(F3, 2, [[(1,), (0, 2)], [(0, 1), ()]])
+    pm = PolyMatrix(F3, 2, M.rows)
+    assert isinstance(M, PolyMatrix) and M == pm and pm == M and hash(M) == hash(pm)
+    with pytest.raises(AttributeError):
+        M.rows = ()
+    # the Gram matrix of no rows is the 0 x 0 PolyMatrix, not the module
+    zero = PolyModule.constant(Subspace.zero(F2, 2))
+    gram = zero.gram(Matrix.from_rows(F2, [[0, 1], [1, 0]]))
+    assert type(gram) is PolyMatrix and gram.nrows == gram.ncols == 0
 
 
 # --- reference lattice operations: cofactor kernels and recombination ------
@@ -337,20 +351,20 @@ def ref_left_kernel(p, rows, ncols):
 
 
 def ref_intersect(A, B):
-    p, n = A.field.p, A.n
+    p, n = A.field.p, A.ncols
     gens = []
-    for combo in ref_left_kernel(p, list(A.basis) + list(B.basis), n):
+    for combo in ref_left_kernel(p, list(A.rows) + list(B.rows), n):
         vec = [()] * n
-        for c, row in zip(combo[: A.rank], A.basis):
+        for c, row in zip(combo[: A.nrows], A.rows):
             vec = [padd(v, pmul(c, e, p), p) for v, e in zip(vec, row)]
         gens.append(vec)
     return PolyModule.from_rows(A.field, n, gens)
 
 
 def ref_preimage_const(W, T):
-    p, n = W.field.p, W.n
+    p, n = W.field.p, W.ncols
     rows = [[pconst(c, p) for c in r] for r in T.transpose().coord_rows()]
-    rows += [[pneg(e, p) for e in r] for r in W.basis]
+    rows += [[pneg(e, p) for e in r] for r in W.rows]
     gens = [combo[:n] for combo in ref_left_kernel(p, rows, n)]
     return PolyModule.from_rows(W.field, n, gens)
 
@@ -390,18 +404,18 @@ def test_fiber_lifts_match_brute_force(data):
     else:
         M = _poly_module(data, field, n)
     fiber, lifts = _fiber_lifts(M)
-    assert fiber == M.to_polymatrix().eval0_subspace()
+    assert fiber == M.eval0_subspace()
     assert tuple(k for k, _ in lifts) == fiber.pivots
     # every combination of the basis with constant coefficients, by reduction
     zero = ((),) * n
     elements = {}
-    for coeffs in itertools.product(range(p), repeat=M.rank):
+    for coeffs in itertools.product(range(p), repeat=M.nrows):
         elem = zero
-        for c, b in zip(coeffs, M.basis):
+        for c, b in zip(coeffs, M.rows):
             elem = tuple(padd(x, y, p, c) for x, y in zip(elem, b))
         elements[field.pack([peval0(e) for e in elem])] = elem
     # the reductions of a saturated basis are independent
-    assert len(elements) == p**M.rank
+    assert len(elements) == p**M.nrows
     assert set(elements) == set(fiber.vectors())
     for v, elem in elements.items():
         assert _combine(field, zero, lifts, v) == elem
@@ -870,7 +884,7 @@ def test_free_module_for_every_e(p):
         for i in range(1, e):
             assert torsion_flag(M, i) == matrix_power(T, i).kernel()
             assert kernels[i - 1] == PolyModule.constant(torsion_flag(M, i))
-            assert kernels[i - 1].rank == i * h
+            assert kernels[i - 1].nrows == i * h
         assert len(kernels) == e - 1
         if not polarized:
             assert pairing is None
@@ -910,6 +924,7 @@ def test_degenerate_step_worked_example():
     res = degenerate_step(y_from, y_to, F2)
     assert isinstance(res, Degeneration)
     assert res.generic == y_to
+    assert all(type(w) is PolyModule for w in (res.omega1, res.omega2, res.omega))
     assert _generic_chain_ok(res)
     assert _special_chain_ok(res)
     # omega is not inside omega_2, so a chain starting at omega is no PR datum
@@ -1132,6 +1147,36 @@ def _clear_degenerate_caches():
             obj.cache_clear()
 
 
+def test_no_lift_search_gets_decreasing_targets(monkeypatch):
+    # level i of `_lift_solutions` keeps targets[i] - targets[i - 1] rows,
+    # and its docstring proves that no caller makes this negative; with cold
+    # caches, every search of these families gets non-decreasing targets
+    seen = []
+    search = lift_module._lift_solutions
+
+    def recorded(flag, special, targets, pairing=None):
+        seen.append(tuple(targets))
+        return search(flag, special, targets, pairing)
+
+    monkeypatch.setattr(lift_module, "_lift_solutions", recorded)
+    _clear_degenerate_caches()
+    families = [(F2, h) for h in range(1, 5)] + [(F3, h) for h in range(1, 4)]
+    for field, h in families:
+        for mu in _sorted_mus(h):
+            pts = enum_Yadm(h, mu)
+            for a, b in itertools.product(pts, repeat=2):
+                if leq(b, a):
+                    degenerate_step(a, b, field)
+    for g in (1, 2):
+        pts = enum_Ypol(g)
+        for a, b in itertools.product(pts, repeat=2):
+            if leq(b, a):
+                degenerate_step(a, b, F2, polarized=True)
+    assert criterion_lifting_lemma(7)[0] and criterion_isotropic(7)[0]
+    assert len(seen) > 1000
+    assert all(t[0] >= 0 and all(x <= y for x, y in zip(t, t[1:])) for t in seen)
+
+
 def test_a_first_lift_that_misses_y_to_is_a_theorem_gap(monkeypatch):
     # stage c draws once: a generic point other than y_to is reported, not
     # passed over for a later lift
@@ -1351,9 +1396,9 @@ def test_omega2_is_shared_by_equal_modules_built_apart():
     q = y_from.alpha[0] - 2
     Pw2 = _second_lift(free, members, w2bar, (2, 2, 3 - q + min(q, room), 3))[0]
     _omega2.cache_clear()
-    rows = [[padd(x, y, 2) for x, y in zip(Pw2.basis[0], Pw2.basis[-1])]]
-    again = PolyModule.from_rows(F2, Pw2.n, rows + list(Pw2.basis[1:]))
-    assert again == Pw2 and again is not Pw2 and again.basis is not Pw2.basis
+    rows = [[padd(x, y, 2) for x, y in zip(Pw2.rows[0], Pw2.rows[-1])]]
+    again = PolyModule.from_rows(F2, Pw2.ncols, rows + list(Pw2.rows[1:]))
+    assert again == Pw2 and again is not Pw2 and again.rows is not Pw2.rows
     assert _omega2(Pw2, free) is _omega2(again, free)
     info = _omega2.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
@@ -1366,7 +1411,7 @@ def test_omega2_cache_keys_on_polarized(monkeypatch):
     drawn = _drawn_omega2(monkeypatch, [(a, b, F2, True) for a in pol for b in pol])
     polarized = _free_module(F2, 4, True, 3)
     Pw2 = next(Pw2 for Pw2, _ in drawn if _omega2(Pw2, polarized) is None)
-    assert Pw2.n == 12
+    assert Pw2.ncols == 12
     _omega2.cache_clear()
     assert _omega2(Pw2, polarized) is None
     assert _omega2(Pw2, _free_module(F2, 4, False, 3)) is not None

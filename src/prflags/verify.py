@@ -54,18 +54,21 @@ def _timed(key, fn):
 
 def _pointwise_dominates(h, d1, d2, values):
     """Compare the defining sums (1/N) sum_i max(0, x + d_i - h) at
-    x = 0..h, in integers: S1/N1 >= S2/N2 exactly when N2 S1 >= N1 S2.
-    `values` keeps each d-list's N and integer sums S by (h, d), so every
-    d-list is evaluated once per criterion run."""
+    x = 0..h, in integers: S1/N1 >= S2/N2 exactly when N2 S1 >= N1 S2,
+    stopping at the first x where that fails.  `values` keeps each
+    d-tuple's N and integer sums S by h and then d, so every d-tuple is
+    evaluated once per criterion run."""
+    memo = values.setdefault(h, {})
     sums = []
-    for d in (tuple(d1), tuple(d2)):
-        if (h, d) not in values:
-            values[h, d] = len(d), [
-                sum(max(0, x + di - h) for di in d) for x in range(h + 1)
-            ]
-        sums.append(values[h, d])
+    for d in (d1, d2):
+        if d not in memo:
+            memo[d] = len(d), [sum(max(0, x + di - h) for di in d) for x in range(h + 1)]
+        sums.append(memo[d])
     (n1, s1), (n2, s2) = sums
-    return all(n2 * a >= n1 * b for a, b in zip(s1, s2))
+    for a, b in zip(s1, s2):
+        if n2 * a < n1 * b:
+            return False
+    return True
 
 
 def _all_d_lists(h, max_n):
@@ -95,21 +98,38 @@ def _random_subspace(rng, S, dim):
 
 
 def criterion_dominance(seed):
+    """`Polygon.dominates` against the pointwise sums, on 10,000 random
+    pairs and on every pair of d-lists of length <= 3 at h <= 3.
+
+    Both sides are memoized per run, by h and then by the d-tuple as drawn
+    (never sorted), which is one tuple object shared by the two memos:
+    `Polygon.from_d` still sorts and reduces every distinct input, and
+    `_pointwise_dominates` still evaluates every distinct input pointwise,
+    so each pair is decided by the same two computations as without the
+    memos.  The draws are `rng.randrange(a, b + 1)`, which is what
+    `randint(a, b)` is defined to call, so the pairs are the same."""
     rng = random.Random((seed, "dominance").__repr__())
-    values = {}
+    draw = rng.randrange
+    values, polygons = {}, {}
+
+    def polygon(h, d):
+        memo = polygons.setdefault(h, {})
+        if d not in memo:
+            memo[d] = Polygon.from_d(h, d)
+        return memo[d]
+
     checked = bad = 0
     for _ in range(10000):
-        h = rng.randint(1, 6)
-        d1 = [rng.randint(0, h) for _ in range(rng.randint(1, 4))]
-        d2 = [rng.randint(0, h) for _ in range(rng.randint(1, 4))]
-        got = Polygon.from_d(h, d1).dominates(Polygon.from_d(h, d2))
+        h = draw(1, 7)
+        d1 = tuple([draw(0, h + 1) for _ in range(draw(1, 5))])
+        d2 = tuple([draw(0, h + 1) for _ in range(draw(1, 5))])
+        got = polygon(h, d1).dominates(polygon(h, d2))
         want = _pointwise_dominates(h, d1, d2, values)
         checked += 1
         if got != want:
             bad += 1
     for h in (1, 2, 3):
-        all_d = list(_all_d_lists(h, 3))
-        polys = [(d, Polygon.from_d(h, d)) for d in all_d]
+        polys = [(d, polygon(h, d)) for d in _all_d_lists(h, 3)]
         for d1, P1 in polys:
             for d2, P2 in polys:
                 got = P1.dominates(P2)
@@ -150,12 +170,21 @@ def criterion_hodge_identity():
 
 
 def criterion_pr_existence(max_dim):
+    """`pr_exists` against the exhaustive `pr_oracle_exists` for every
+    Jordan type and type mu in range; a datum that exists must come out of
+    `pr_construct` valid, and the greedy flag of sorted mu must hit every
+    alpha_i^j.  `pr_construct` is deterministic, so per Jordan type the
+    datum of each sorted mu is built once and serves both its own validity
+    check and every permutation's alpha check; that flag's misses are
+    counted once and added once for every permutation, which is the count
+    checking it anew for each permutation gives."""
     cases = bad = 0
     for e, dims, entries in ((3, range(max_dim + 1), range(4)), (2, range(7), range(7))):
         for parts in (q for n in dims for q in partitions(n, e)):
             J = JordanType(e, parts or (0,))
             M = realize(J, F2)
             delta = delta_vector(M)
+            greedy = {}  # sorted mu -> its greedy datum and that flag's alpha misses
             for mu in itertools.product(entries, repeat=e):
                 a = prmod.pr_exists(J, mu)
                 b = prmod.pr_oracle_exists(M, mu)
@@ -165,17 +194,19 @@ def criterion_pr_existence(max_dim):
                     continue
                 if not a:
                     continue
-                D = prmod.pr_construct(M, mu)
+                D = greedy[mu][0] if mu in greedy else prmod.pr_construct(M, mu)
                 if not prmod.validate_pr(D, mu):
                     bad += 1
-                # the flag of sorted type hits every alpha_i^j
                 mu_sorted = tuple(sorted(mu, reverse=True))
-                Ds = D if mu == mu_sorted else prmod.pr_construct(M, mu_sorted)
-                alpha = prmod.alpha_table(delta, mu_sorted)
-                for i in range(e + 1):
-                    for j in range(e + 1):
-                        if Ds.flag[i].intersect(power_image(M, j)).dim != alpha[i][j]:
-                            bad += 1
+                if mu_sorted not in greedy:
+                    Ds = D if mu == mu_sorted else prmod.pr_construct(M, mu_sorted)
+                    alpha = prmod.alpha_table(delta, mu_sorted)
+                    greedy[mu_sorted] = Ds, sum(
+                        Ds.flag[i].intersect(power_image(M, j)).dim != alpha[i][j]
+                        for i in range(e + 1)
+                        for j in range(e + 1)
+                    )
+                bad += greedy[mu_sorted][1]
     return bad == 0, "cases=%d failures=%d" % (cases, bad)
 
 
@@ -385,15 +416,36 @@ def _extend_isotropic_to(rng, field, Phi, cur, dim):
     form on F_p^{2g}, so while dim cur = k < g its perp has dimension
     2g - k > k and holds vectors outside cur.  The isotropic cur lies in
     its perp, so exactly p^(2g - k) - p^k of those vectors lie outside
-    cur; one draw picks one of them by its index in `vectors()` order, and
-    cur grows by the residue that showed the vector outside it."""
+    cur; one draw picks the i-th of them in `vectors()` order, and cur
+    grows by it.
+
+    That vector is found without listing the perp.  `vectors()` of the
+    perp pp, with basis b_0, ..., b_{m-1}, puts sum c_j b_j at index
+    sum c_j p^(m-1-j), the c_j read as the base-p digits of the index.
+    The basis of pp is reduced, so a vector of cur <= pp has as c_j its
+    entry at the j-th pivot of pp.  Stepping i past the sorted indices of
+    the p^k vectors of cur that are <= it gives the index of the i-th
+    vector outside cur."""
     p = field.p
     while cur.dim < dim:
         pp = liftmod.perp(cur, Phi)
         i = rng.randrange(p**pp.dim - p**cur.dim)
-        residues = map(cur.reduce_row, pp.vectors())
-        outside = (r for r in residues if not field.row_is_zero(r))
-        cur = cur._plus_residue(next(itertools.islice(outside, i, None)))
+        inside = []
+        for w in cur.vectors():
+            index = 0
+            for piv in pp.pivots:
+                index = index * p + field.row_get(w, piv)
+            inside.append(index)
+        for index in sorted(inside):
+            if index > i:
+                break
+            i += 1
+        v = field.zero_row(pp.n)
+        for b in reversed(pp.rows):
+            i, c = divmod(i, p)
+            if c:
+                v = field.row_add_scaled(v, b, c)
+        cur = cur.plus_row(v)
     return cur
 
 
@@ -522,12 +574,12 @@ def _special_chain_ok(res):
         return False
 
 
-def _degeneration_fault(y_from, y_to, ordered, polarized):
-    """What went wrong when degenerate_step took the pair, or None if it
-    reached y_to through a T-stable generic chain or, for a pair not
-    ordered, refused it with StratOrderError."""
+def _degeneration_fault(y_from, y_to, field, ordered, polarized):
+    """What went wrong when degenerate_step took the pair over `field`, or
+    None if it reached y_to through a T-stable generic chain or, for a pair
+    not ordered, refused it with StratOrderError."""
     try:
-        res = liftmod.degenerate_step(y_from, y_to, F2, polarized=polarized)
+        res = liftmod.degenerate_step(y_from, y_to, field, polarized=polarized)
     except Exception as err:
         refused = not ordered and isinstance(err, liftmod.StratOrderError)
         return None if refused else type(err).__name__
@@ -553,7 +605,7 @@ def criterion_strat_engine():
     for points, polarized in [(pts, False) for pts in families] + [(e3mod.enum_Ypol(1), True)]:
         for y1, y2 in itertools.product(points, repeat=2):
             is_ordered = leq(y2, y1)
-            fault = _degeneration_fault(y1, y2, is_ordered, polarized)
+            fault = _degeneration_fault(y1, y2, F2, is_ordered, polarized)
             ordered += is_ordered
             refused += not is_ordered and fault is None
             if fault is not None:

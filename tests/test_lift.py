@@ -834,6 +834,39 @@ def test_random_subspace_stalls_after_201_draws(p):
     assert rng.getstate() == twin.getstate()
 
 
+def ref_extend_isotropic_to(rng, field, Phi, cur, dim):
+    """The draw as it was first written: list the perp's vectors in
+    `vectors()` order and skip to the i-th one outside cur."""
+    p = field.p
+    while cur.dim < dim:
+        pp = perp(cur, Phi)
+        i = rng.randrange(p**pp.dim - p**cur.dim)
+        residues = map(cur.reduce_row, pp.vectors())
+        outside = (r for r in residues if not field.row_is_zero(r))
+        cur = cur._plus_residue(next(itertools.islice(outside, i, None)))
+    return cur
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_extend_isotropic_matches_the_list_and_skip_draw(p, g):
+    field = PrimeField(p)
+    Phi = standard_symplectic(field, g, 1)[1]
+    seeds = random.Random(10 * p + g)
+    for start in range(g + 1):
+        for _ in range(4):
+            cur = ref_extend_isotropic_to(
+                random.Random(seeds.getrandbits(32)), field, Phi, Subspace.zero(field, 2 * g), start
+            )
+            for dim in range(start, g + 1):
+                seed = seeds.getrandbits(32)
+                rng, twin = random.Random(seed), random.Random(seed)
+                got = _extend_isotropic_to(rng, field, Phi, cur, dim)
+                want = ref_extend_isotropic_to(twin, field, Phi, cur, dim)
+                assert got == want and got.dim == dim
+                assert rng.getstate() == twin.getstate()
+
+
 def test_perp():
     Phi = Matrix.from_rows(
         F2,

@@ -1,11 +1,13 @@
 """Polygon calculus, checked against the defining max-sum formula."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prflags.polygon import Polygon, PolygonError
+from prflags import verify
 from prflags.verify import _all_d_lists, _pointwise_dominates
 
 
@@ -169,6 +171,25 @@ def test_criterion_one_oracle_matches_fraction_reference():
                     for x in range(h + 1)
                 )
                 assert _pointwise_dominates(h, d1, d2, values) == want
+
+
+# the 10,000 random (h, d1, d2) criterion 1 checks at seed 7, taken before
+# the criterion memoized its polygons
+DOMINANCE_DRAWS_SHA256 = "c546df164cbdd2eeef0633a8aea8751d0443f4df4eddcb05f8ae6755f4e2bb4a"
+
+
+def test_criterion_one_draws_the_pinned_pairs(monkeypatch):
+    records = []
+
+    def recording(h, d1, d2, values):
+        records.append(repr((h, tuple(d1), tuple(d2))))
+        return _pointwise_dominates(h, d1, d2, values)
+
+    monkeypatch.setattr(verify, "_pointwise_dominates", recording)
+    assert verify.criterion_dominance(7) == (True, "pairs=18773 mismatches=0")
+    # the random pairs, then every pair of d-lists of length <= 3 at h <= 3
+    assert len(records) == 18773
+    assert hashlib.sha256("\n".join(records[:10000]).encode()).hexdigest() == DOMINANCE_DRAWS_SHA256
 
 
 @settings(max_examples=80, deadline=None)

@@ -43,7 +43,11 @@ from prflags.tmodule import (
     restrict_module,
     torsion_flag,
 )
-from prflags.verify import _random_valid_filtration, criterion_filtration_dominance
+from prflags.verify import (
+    _random_valid_filtration,
+    criterion_filtration_dominance,
+    criterion_pr_existence,
+)
 from test_tmodule import quotient_module
 
 
@@ -589,3 +593,17 @@ def test_verify_draws_the_pinned_filtration_instances(monkeypatch):
     assert criterion_filtration_dominance(7)[0]
     assert len(records) == 1000
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == FILTRATION_INSTANCES_SHA256
+
+
+def test_criterion_three_counts_alpha_misses_once_per_permutation(monkeypatch):
+    # pr_construct reads rows i >= 1 of the table only, so raising alpha_0^0
+    # leaves every greedy flag as it is and makes it miss once; the count,
+    # measured before the criterion checked each sorted flag once, is one
+    # per permutation of mu that has a datum
+    def raised(delta, mu_sorted):
+        alpha = alpha_table(delta, mu_sorted)
+        alpha[0][0] += 1
+        return alpha
+
+    monkeypatch.setattr(pr_module, "alpha_table", raised)
+    assert criterion_pr_existence(5) == (False, "cases=1808 failures=159")

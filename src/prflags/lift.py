@@ -246,7 +246,10 @@ def _cleared_rank(rows, S):
     and 0 at the others, and the pivot columns are dropped.  Clearing is
     a row operation over F_p[X], so rank [rows; S] = dim S + this rank,
     and the generic span of independent rows meets S in dimension
-    len(rows) less this rank."""
+    len(rows) less this rank.  A full S clears every column, which leaves
+    rank 0 without a pass over the rows."""
+    if S.dim == S.n:
+        return 0
     p, pivots = S.field.p, S.pivots
     keep = [j for j in range(S.n) if j not in pivots]
     terms = [
@@ -431,8 +434,16 @@ def check_isotropic_feasible(problem):
     g = n // 2
     hs = tuple(F.dim for F in problem.flag)
     l = len(hs)
-    # M_l = ambient has perp M_0 = 0, which the flag omits
-    for i in range(l - 1):
+    # M_l = ambient has perp M_0 = 0, which the flag omits.  When Phi^T =
+    # +-Phi, left and right perps agree and perp is an involution, so one
+    # end of each mirrored pair implies the other; any other pairing is
+    # checked from both ends.
+    Phi, p = pairing.coord_rows(), pairing.field.p
+    reflexive = any(
+        all((Phi[i][j] - s * Phi[j][i]) % p == 0 for i in range(n) for j in range(i + 1))
+        for s in (1, -1)
+    )
+    for i in range(l // 2 if reflexive else l - 1):
         pp = perp(problem.flag[i], pairing)
         if pp != problem.flag[l - 2 - i]:
             raise LiftInfeasibleError(
@@ -481,6 +492,13 @@ def _fiber_lifts(module):
     return Subspace(field, n, lefts, _canonical=True), tuple(lifts)
 
 
+def _constant_lifts(S):
+    """The pair `_fiber_lifts` returns for the constant module of S, read
+    straight from S: the fiber is S itself, and each of its reduced
+    echelon rows, as constant polynomials, is its own lift."""
+    return S, tuple(zip(S.pivots, PolyModule.constant(S).rows))
+
+
 def _combine(field, row, terms, v):
     """row + the sum of c*t over the (k, t) in terms, c the entry of the
     packed vector v at k.  With a fiber's (pivot, lift) pairs as terms this
@@ -507,6 +525,15 @@ def _lift_solutions(flag, special, targets, pairing=None):
     solution is the plain greedy one.  The search visits at most
     `_NODE_CAP` nodes and raises `LiftConstructionError` past that.
 
+    Per level, before the search starts, it builds the meet of `special`
+    with the level's fiber and the lifts of the special vectors new at
+    that level.  A level that keeps more rows than it has new ones
+    perturbs pending rows by X-multiples of fiber lifts outside the sum
+    of the previous fiber and that meet; that span and the fiber lifts
+    times X are built the first time the level perturbs, at most once per
+    search, and never for a level that does not perturb.  Level 0 has no
+    pending rows, so it never perturbs.
+
     No caller passes decreasing targets, so every level keeps >= 0 rows.
     `lift_subspace` and `lift_isotropic` raise INEQ_MONOTONE first.  In
     `degenerate_step` both points pass the gate.  Stage b: alpha_1 >= d1
@@ -524,17 +551,21 @@ def _lift_solutions(flag, special, targets, pairing=None):
     l = len(flag)
     budget = [_NODE_CAP]
     zero = ((),) * n
-    # per level, once: lifts of the special vectors new at that level, the
-    # span perturbations must avoid, the fiber and its lifts times X
-    levels = []
+    levels = []  # per level: the new special lifts, the previous fiber, the meet, the flag pair
     prev_fib, prev_cut = None, Subspace.zero(field, n)
     for fib, lifts in flag:
         cut = special.intersect(fib)
         bases = [_combine(field, zero, lifts, w) for w in prev_cut.complement_in(cut)]
-        avoid0 = cut if prev_fib is None else prev_fib.sum(cut)
-        shifted = [(k, tuple((0,) + e if e else () for e in t)) for k, t in lifts]
-        levels.append((bases, avoid0, fib, shifted))
+        levels.append((bases, prev_fib, cut, fib, lifts))
         prev_fib, prev_cut = fib, cut
+    perturbations = {}  # level -> (span to avoid, fiber, fiber lifts times X)
+
+    def perturbation(i):
+        if i not in perturbations:
+            _, prev, cut, fib, lifts = levels[i]
+            shifted = [(k, tuple((0,) + e if e else () for e in t)) for k, t in lifts]
+            perturbations[i] = prev.sum(cut), fib, shifted
+        return perturbations[i]
 
     Phi = None if pairing is None else pairing.coord_rows()
 
@@ -552,7 +583,7 @@ def _lift_solutions(flag, special, targets, pairing=None):
             if not pending:
                 yield list(rows)
             return
-        bases, avoid0 = levels[i][:2]
+        bases = levels[i][0]
         keep = targets[i] - (targets[i - 1] if i else 0)
         take = min(keep, len(bases))
         q = keep - take
@@ -569,14 +600,17 @@ def _lift_solutions(flag, special, targets, pairing=None):
                     break
                 rows2.append(base)
             else:
-                yield from assign(i, q, pending2, 0, rows2, finals2, avoid0)
+                yield from assign(i, q, pending2, 0, rows2, finals2)
 
-    def assign(i, q, pending, j, rows, finals, avoid):
-        # perturb pending[j:q] by X-multiples of fiber lifts outside `avoid`
+    def assign(i, q, pending, j, rows, finals, avoid=None):
+        # perturb pending[j:q] by X-multiples of fiber lifts outside `avoid`,
+        # which starts as the level's span to avoid
         if j == q:
             yield from rec(i + 1, rows, pending[q:], finals)
             return
-        _, _, fib, shifted = levels[i]
+        span, fib, shifted = perturbation(i)
+        if avoid is None:
+            avoid = span
         rid = pending[j]
         for v in fib.vectors():
             res = avoid.reduce_row(v)
@@ -606,7 +640,7 @@ def _searched(gen):
 def lift_subspace(problem):
     """A polynomial basis of the lift prescribed by a (plain) LiftProblem."""
     check_lift_feasible(problem)
-    flag = [_fiber_lifts(PolyModule.constant(F)) for F in problem.flag]
+    flag = [_constant_lifts(F) for F in problem.flag]
     for rows in _lift_solutions(flag, problem.special, problem.targets):
         return PolyMatrix(problem.special.field, problem.special.n, rows)
     raise LiftConstructionError("no lift found for a feasible problem")
@@ -616,7 +650,7 @@ def lift_isotropic(problem):
     """An isotropic lift: plain posts plus an identically-zero Gram matrix."""
     check_isotropic_feasible(problem)
     pairing = problem.pairing
-    flag = [_fiber_lifts(PolyModule.constant(F)) for F in problem.flag]
+    flag = [_constant_lifts(F) for F in problem.flag]
     for rows in _lift_solutions(flag, problem.special, problem.targets, pairing=pairing):
         pm = PolyMatrix(problem.special.field, problem.special.n, rows)
         if all(not e for r in pm.gram(pairing).rows for e in r):
@@ -802,7 +836,7 @@ def _second_lift(free, members, w2bar, targets_b):
     its search keeps none: the lift of w2bar along the constant flag
     `members` with targets_b inside `free`, which gives T and the pairing."""
     M, pairing, _ = free
-    flag = [_fiber_lifts(PolyModule.constant(S)) for S in members]
+    flag = [_constant_lifts(S) for S in members]
     for rows in _searched(_lift_solutions(flag, w2bar, targets_b, pairing=pairing)):
         w2 = _omega2(PolyModule.from_rows(M.field, M.dim, rows), free)
         if w2 is not None:
@@ -871,8 +905,7 @@ def degenerate_step(y_from, y_to, field, polarized=False):
             "no second lift for %r from %r" % (y_to.sort_key(), y_from.sort_key())
         )
     Pw2, a1, (w2_lifts, F_lifts, G_lifts, inv_w2_lifts) = w2
-    Pinv_w1 = PolyModule.constant(members[-1])
-    flag_c = [w2_lifts, F_lifts, _fiber_lifts(Pinv_w1), G_lifts, inv_w2_lifts]
+    flag_c = [w2_lifts, F_lifts, _constant_lifts(members[-1]), G_lifts, inv_w2_lifts]
     targets_c = (d1 + d2, delta[0] + alpha[1], d1 + beta[0], delta[0] + delta[1], d1 + d2 + d3)
     rows_c = next(_searched(_lift_solutions(flag_c, wbar, targets_c, pairing=pairing)), None)
     if rows_c is None:

@@ -82,12 +82,27 @@ def _sorted_mus(h):
             yield mu
 
 
+def _below(rng, n):
+    """The draw `rng.randrange(n)` makes, without its argument checks:
+    getrandbits(k), k the bit length of n, repeated until the value is
+    below n.  A draw in [a, b] is a + _below(rng, b + 1 - a), as
+    `randint(a, b)` is `randrange(a, b + 1)`.  Raises ValueError for n <= 0,
+    as `randrange` does, before drawing anything."""
+    if n <= 0:
+        raise ValueError("empty range for _below(%d)" % n)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_subspace(rng, S, dim):
     """S grown to dimension `dim` by random vectors."""
-    field, n = S.field, S.n
+    field, n, p = S.field, S.n, S.field.p
     guard = 0
     while S.dim < dim:
-        S = S.plus_row(field.pack([rng.randrange(field.p) for _ in range(n)]))
+        S = S.plus_row(field.pack([_below(rng, p) for _ in range(n)]))
         guard += 1
         if guard > 200:
             raise RuntimeError("random subspace generation stalled")
@@ -106,10 +121,9 @@ def criterion_dominance(seed):
     `Polygon.from_d` still sorts and reduces every distinct input, and
     `_pointwise_dominates` still evaluates every distinct input pointwise,
     so each pair is decided by the same two computations as without the
-    memos.  The draws are `rng.randrange(a, b + 1)`, which is what
-    `randint(a, b)` is defined to call, so the pairs are the same."""
+    memos.  Each draw is the one `rng.randrange(a, b)` makes, taken by
+    `_below`, so the pairs are the same."""
     rng = random.Random((seed, "dominance").__repr__())
-    draw = rng.randrange
     values, polygons = {}, {}
 
     def polygon(h, d):
@@ -120,9 +134,9 @@ def criterion_dominance(seed):
 
     checked = bad = 0
     for _ in range(10000):
-        h = draw(1, 7)
-        d1 = tuple([draw(0, h + 1) for _ in range(draw(1, 5))])
-        d2 = tuple([draw(0, h + 1) for _ in range(draw(1, 5))])
+        h = 1 + _below(rng, 6)
+        d1 = tuple([_below(rng, h + 1) for _ in range(1 + _below(rng, 4))])
+        d2 = tuple([_below(rng, h + 1) for _ in range(1 + _below(rng, 4))])
         got = polygon(h, d1).dominates(polygon(h, d2))
         want = _pointwise_dominates(h, d1, d2, values)
         checked += 1
@@ -250,23 +264,23 @@ def criterion_bijection(max_dim):
 
 
 def _random_valid_filtration(rng, field, max_dim):
-    e = rng.randint(1, 3)
-    dim = rng.randint(0, max_dim)
+    e = 1 + _below(rng, 3)
+    dim = _below(rng, max_dim + 1)
     parts = []
     left = dim
     while left > 0:
-        a = rng.randint(1, min(e, left))
+        a = 1 + _below(rng, min(e, left))
         parts.append(a)
         left -= a
     J = JordanType(e, tuple(parts) if parts else (0,))
     M = realize(J, field)
-    i = rng.randint(0, e)
+    i = _below(rng, e + 1)
     N = power_image(M, e - i)
     tor = torsion_flag(M, i)
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(_below(rng, 4)):
         if tor.dim == 0:
             break
-        coeffs = [rng.randrange(field.p) for _ in range(tor.dim)]
+        coeffs = [_below(rng, field.p) for _ in range(tor.dim)]
         v = field.zero_row(M.dim)
         for c, b in zip(coeffs, tor.rows):
             if c:
@@ -310,15 +324,15 @@ def _random_feasible_targets(rng, hs, ds):
     for i in range(l - 2, -1, -1):
         lo = max(0, dp[i + 1] - (hs[i + 1] - hs[i]))
         hi = min(ds[i], dp[i + 1])
-        dp[i] = rng.randint(lo, hi)
+        dp[i] = lo + _below(rng, hi + 1 - lo)
     return tuple(dp)
 
 
 def _random_lift_problem(rng, field):
-    l = rng.randint(2, 4)
-    n = rng.randint(l, 6)
+    l = 2 + _below(rng, 3)
+    n = l + _below(rng, 7 - l)
     flag = _random_flag(rng, field, n, l)
-    L = _random_subspace(rng, Subspace.zero(field, n), rng.randint(0, n))
+    L = _random_subspace(rng, Subspace.zero(field, n), _below(rng, n + 1))
     prob_ds = tuple(L.intersect(F).dim for F in flag)
     targets = _random_feasible_targets(rng, [F.dim for F in flag], prob_ds)
     return liftmod.LiftProblem(tuple(flag), L, targets)
@@ -429,7 +443,7 @@ def _extend_isotropic_to(rng, field, Phi, cur, dim):
     p = field.p
     while cur.dim < dim:
         pp = liftmod.perp(cur, Phi)
-        i = rng.randrange(p**pp.dim - p**cur.dim)
+        i = _below(rng, p**pp.dim - p**cur.dim)
         inside = []
         for w in cur.vectors():
             index = 0
@@ -499,7 +513,7 @@ def _random_polarized_targets(rng, flag, L, g):
             choices.append(v)
         if not choices:
             return None
-        v = choices[rng.randrange(len(choices))]
+        v = choices[_below(rng, len(choices))]
         dp[i] = v
         dp[mate] = g - hs[i] + v
     return tuple(dp)
@@ -513,9 +527,9 @@ def criterion_isotropic(seed):
         if attempts > 20000:
             return False, "could not build 200 symplectic cases"
         field = F2 if attempts % 2 == 0 else F3
-        g = rng.randint(1, 2)
+        g = 1 + _below(rng, 2)
         Phi = liftmod.standard_symplectic(field, g, 1)[1]
-        l = rng.randint(2, 4)
+        l = 2 + _below(rng, 3)
         flag = _random_isotropic_flag(rng, field, Phi, g, l)
         L = _extend_isotropic_to(rng, field, Phi, Subspace.zero(field, 2 * g), g)
         targets = _random_polarized_targets(rng, flag, L, g)

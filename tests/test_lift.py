@@ -12,7 +12,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, preimage
+from prflags.gf import F2, F3, Matrix, PrimeField, Subspace, enumerate_subspaces, preimage
 from prflags.e3 import (
     AdmissibilityError,
     StrataPoint,
@@ -42,6 +42,7 @@ from prflags.lift import (
     _bilinear,
     _cleared_rank,
     _combine,
+    _constant_lifts,
     _fiber_lifts,
     _free_module,
     _lift_solutions,
@@ -69,6 +70,7 @@ from prflags import lift as lift_module
 from prflags.strat import leq
 from prflags.tmodule import torsion_flag
 from prflags.verify import (
+    _below,
     _extend_isotropic_to,
     _generic_chain_ok,
     _random_isotropic_flag,
@@ -471,6 +473,27 @@ def test_constant_lattice_operations_match_gf(data):
     assert PA.preimage_const(T) == PolyModule.constant(preimage(T, A))
 
 
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 3)])
+def test_constant_lifts_are_the_fiber_lifts_of_the_constant_module(p, n):
+    field = PrimeField(p)
+    for d in range(n + 1):
+        for S in enumerate_subspaces(field, n, d):
+            assert _constant_lifts(S) == _fiber_lifts(PolyModule.constant(S))
+
+
+def test_meet_with_the_whole_space_ranks_nothing(monkeypatch):
+    rows = [[(1, 1), (), (0, 1)], [(), (1,), (1,)]]
+    pm = PolyMatrix(F3, 3, rows)
+    assert pm.generic_meet_dim(Subspace.span(F3, 3, [[1, 0, 0]])) == 0
+
+    def refuse(_):
+        raise AssertionError("a full meet ranked a matrix")
+
+    monkeypatch.setattr(lift_module, "generic_rank", refuse)
+    assert pm.generic_meet_dim(Subspace.full(F3, 3)) == 2
+    assert _cleared_rank(rows, Subspace.full(F3, 3)) == 0
+
+
 def test_lift_trivial_no_deformation():
     flag = (Subspace.span(F2, 2, [[1, 0]]), Subspace.full(F2, 2))
     L = Subspace.span(F2, 2, [[1, 0]])
@@ -609,6 +632,46 @@ def test_isotropic_feasibility_names():
     with pytest.raises(LiftInfeasibleError) as err:
         check_isotropic_feasible(LiftProblem(bad_flag, L, (1, 2), pairing=Phi))
     assert err.value.constraint == POL_PERP
+
+
+def _perp_calls(problem, monkeypatch):
+    """The number of `perp` calls `check_isotropic_feasible` makes."""
+    calls = []
+
+    def counting(S, pairing):
+        calls.append(S)
+        return perp(S, pairing)
+
+    monkeypatch.setattr(lift_module, "perp", counting)
+    check_isotropic_feasible(problem)
+    return len(calls)
+
+
+def test_perp_checks_each_mirrored_pair_from_one_end_when_reflexive(monkeypatch):
+    # F_2^4 under the standard symplectic form, flags of length 3 and 4:
+    # each mirrored pair takes one perp, the Lagrangian check one more
+    Phi = standard_symplectic(F2, 2, 1)[1]
+    L = Subspace.span(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])  # span(e1, e2)
+    line = Subspace.span(F2, 4, [[1, 0, 0, 0]])
+    flag3 = (line, perp(line, Phi), Subspace.full(F2, 4))
+    flag4 = (line, L, perp(line, Phi), Subspace.full(F2, 4))
+    assert _perp_calls(LiftProblem(flag3, L, (1, 2, 2), pairing=Phi), monkeypatch) == 2
+    assert _perp_calls(LiftProblem(flag4, L, (1, 2, 2, 2), pairing=Phi), monkeypatch) == 3
+
+
+def test_perp_is_checked_from_both_ends_for_a_form_neither_symmetric_nor_alternating():
+    # over F_2 with Phi rows 1001, 1010, 0101, 1011: perp(F0) = F1 for
+    # F0 = span(e1 + e4) and F1 = span(e1, e2, e4), but perp(F1) = span(e2)
+    Phi = Matrix.from_rows(F2, [[1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]])
+    F0 = Subspace.span(F2, 4, [[1, 0, 0, 1]])
+    F1 = Subspace.span(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    assert Phi.rank() == 4 and Phi.transpose() != Phi
+    assert perp(F0, Phi) == F1 and perp(F1, Phi) == Subspace.span(F2, 4, [[0, 1, 0, 0]])
+    L = Subspace.span(F2, 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(LiftInfeasibleError) as err:
+        check_isotropic_feasible(LiftProblem((F0, F1, Subspace.full(F2, 4)), L, (0, 1, 2), pairing=Phi))
+    assert err.value.constraint == POL_PERP
+    assert "member 2 " in str(err.value)
 
 
 # --- reference lift search: two branches per level --------------------------
@@ -797,6 +860,35 @@ def test_lift_search_exhausts_its_budget_where_the_reference_does(monkeypatch):
     assert exhausted > 0
 
 
+def test_lift_search_builds_a_span_to_avoid_once_per_perturbing_level(monkeypatch):
+    # F_2^4, flag span(e1, e2) < span(e1, e2, e3) < F_2^4, special span(e1, e2)
+    e = [[int(i == j) for j in range(4)] for i in range(4)]
+    flag = [Subspace.span(F2, 4, e[:k]) for k in (2, 3, 4)]
+    lifted = [_constant_lifts(F) for F in flag]
+    sums, plain_sum = [], Subspace.sum
+    monkeypatch.setattr(Subspace, "sum", lambda S, T: sums.append(T) or plain_sum(S, T))
+
+    def search(targets):
+        # the Subspace.sum calls of an exhausted search, and its solutions
+        sums.clear()
+        solutions = list(_lift_solutions(lifted, flag[0], targets))
+        return len(sums), len(solutions)
+
+    # both rows are kept constant at level 0: no level perturbs
+    assert search((2, 2, 2)) == (0, 1)
+    # level 1 perturbs one row by X v, v among 4 vectors of span(e1, e2, e3)
+    # outside span(e1, e2), so level 2 is entered 4 times and perturbs the
+    # other row by X w, w among the 8 vectors outside span(e1, e2, e3)
+    assert search((0, 1, 2)) == (2, 32)
+    # only level 2 perturbs: each of the 8 choices for the first row leaves
+    # no room for the second, so the level backtracks 8 times and finds none
+    assert search((0, 0, 2)) == (1, 0)
+    # only level 1 perturbs: level 0 keeps either row constant, level 1
+    # perturbs the other by X v, v among the 4 vectors above, and level 2
+    # keeps no row, so its span is never built
+    assert search((1, 2, 2)) == (1, 8)
+
+
 # every problem criteria 6 and 7 hand to lift at seed 7, taken before the
 # generators stopped building the subspaces they discard
 VERIFY_INSTANCES_SHA256 = "8e2248f5435c119d49147e77fdb32dd119d58a67901712c54a91106535b2fba5"
@@ -832,6 +924,22 @@ def test_random_subspace_stalls_after_201_draws(p):
     for _ in range(201 * n):
         twin.randrange(p)
     assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_below_is_randrange_draw_for_draw(seed):
+    rng, twin = random.Random(seed), random.Random(seed)
+    sizes = list(range(1, 301))
+    sizes += [2**k + d for k in range(2, 41) for d in (-1, 1)]
+    for n in sizes:
+        assert _below(rng, n) == twin.randrange(n)
+        assert rng.getstate() == twin.getstate()
+    for n in (0, -1, -2**40):
+        with pytest.raises(ValueError):
+            _below(rng, n)
+        with pytest.raises(ValueError):
+            twin.randrange(n)
+        assert rng.getstate() == twin.getstate()
 
 
 def ref_extend_isotropic_to(rng, field, Phi, cur, dim):
